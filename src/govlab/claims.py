@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cycles import Classification, ScanReport, scan_range
-from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, find_promotions
+from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, find_promotions, next_odd
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index
 
@@ -95,16 +95,10 @@ def _scan_evidence(report: ScanReport) -> dict:
 
 def _run_scan(params: dict, rule) -> ScanReport:
     limits = OrbitLimits(
-        max_steps=int(params["max_steps"]),
-        max_value_bits=int(params["max_value_bits"]),
+        max_steps=params["max_steps"],
+        max_value_bits=params["max_value_bits"],
     )
-    return scan_range(
-        int(params["lo"]),
-        int(params["hi"]),
-        rule,
-        limits,
-        workers=int(params.get("workers", 1)),
-    )
+    return scan_range(params["lo"], params["hi"], rule, limits, workers=params["workers"])
 
 
 def _cycle_index_check(params: dict, rule, allowed: frozenset[int]) -> tuple[Verdict, dict]:
@@ -141,7 +135,7 @@ def _run_c2(params: dict) -> tuple[Verdict, dict]:
     # land on 3*2^(P-1) + 2, which is congruent to 2 modulo 2^(P-1); the
     # one-term successor expression tracks only that low residue, the image
     # of the leading term being absorbed into the placeholder
-    p = int(params.get("successor_sample_exponent", 20))
+    p = params.get("successor_sample_exponent", 20)
     val = (3 * ((1 << p) + 1) + 1) // 2
     evidence["successor_congruence_note"] = {
         "start": str((1 << p) + 1),
@@ -173,8 +167,8 @@ def _run_c4(params: dict) -> tuple[Verdict, dict]:
 
 
 def _run_c5(params: dict) -> tuple[Verdict, dict]:
-    a = int(params["a"])
-    horizon = int(params["horizon"])
+    a = params["a"]
+    horizon = params["horizon"]
     if a < 4:
         raise ValueError(f"promotion construction needs a >= 4, got {a}")
     x = (1 << a) + (1 << 3) + (1 << 2) - 1
@@ -189,10 +183,8 @@ def _run_c5(params: dict) -> tuple[Verdict, dict]:
     for _ in range(horizon):
         if cur == target:
             break
-        t = RULE_3Z.multiplier * cur + 1
-        k = (t & -t).bit_length() - 1
-        witness.extend(t >> j for j in range(k + 1))
-        cur = t >> k
+        cur, k = next_odd(cur, RULE_3Z)
+        witness.extend(cur << j for j in range(k, -1, -1))
         seq.append((cur, governor_index(cur)))
     evidence = {
         "start": str(x),
@@ -252,7 +244,7 @@ def replay_steps(x: int, steps: str, multiplier: int = 5) -> tuple[int, bool]:
 
 
 def _run_c6(params: dict) -> tuple[Verdict, dict]:
-    q_exp = int(params["placeholder_exponent"])
+    q_exp = params["placeholder_exponent"]
     if q_exp < 12:
         raise ValueError(
             f"placeholder exponent must be >= 12 so no family's stated residue "
@@ -288,8 +280,8 @@ def _run_c6(params: dict) -> tuple[Verdict, dict]:
 
 
 def _run_c7(params: dict) -> tuple[Verdict, dict]:
-    mu_max = int(params["mu_max"])
-    i_max = int(params["i_max"])
+    mu_max = params["mu_max"]
+    i_max = params["i_max"]
     expected = {
         3: {(1, 1, 2)},
         5: {(1, 2, 4), (2, 1, 1)},
@@ -416,27 +408,47 @@ def list_claims() -> list[tuple[str, str, str]]:
     return [(s.claim_id, s.title, s.statement) for s in CLAIMS]
 
 
-def claim_defaults(claim_id: str) -> dict:
-    """The default parameters of one claim (a copy)."""
+def _spec(claim_id: str) -> ClaimSpec:
     spec = _BY_ID.get(claim_id)
     if spec is None:
         raise ValueError(f"unknown claim {claim_id!r}; known: {sorted(_BY_ID)}")
-    return dict(spec.defaults)
+    return spec
+
+
+def check_overrides(overrides: object) -> dict[str, dict]:
+    """Return overrides unchanged if they map known claim ids to objects of that
+    claim's parameters with integer values; else raise ValueError naming the problem.
+    """
+    if not isinstance(overrides, dict):
+        raise ValueError("parameter overrides must be an object keyed by claim id")
+    for claim_id, params in overrides.items():
+        spec = _spec(claim_id)
+        if not isinstance(params, dict):
+            raise ValueError(f"parameters for {claim_id} must be an object, got {params!r}")
+        for name, value in params.items():
+            if name not in spec.defaults:
+                raise ValueError(
+                    f"unknown parameter {name!r} for {claim_id}; "
+                    f"accepted: {sorted(spec.defaults)}"
+                )
+            if type(value) is not int:
+                raise ValueError(
+                    f"{claim_id} parameter {name} must be an integer, got {value!r}"
+                )
+    return overrides
+
+
+def claim_defaults(claim_id: str) -> dict:
+    """The default parameters of one claim (a copy)."""
+    return dict(_spec(claim_id).defaults)
 
 
 def run_claim(claim_id: str, params: dict | None = None) -> ClaimResult:
     """Run one claim with defaults merged under the given overrides."""
-    spec = _BY_ID.get(claim_id)
-    if spec is None:
-        raise ValueError(f"unknown claim {claim_id!r}; known: {sorted(_BY_ID)}")
+    spec = _spec(claim_id)
     merged = dict(spec.defaults)
-    if params:
-        unknown = set(params) - set(spec.defaults)
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {sorted(unknown)} for {claim_id}; "
-                f"accepted: {sorted(spec.defaults)}"
-            )
+    if params is not None:
+        check_overrides({claim_id: params})
         merged.update(params)
     t0 = time.perf_counter()
     verdict, evidence = spec.runner(merged)
@@ -452,9 +464,6 @@ def run_claim(claim_id: str, params: dict | None = None) -> ClaimResult:
 
 def run_all(overrides: dict[str, dict] | None = None) -> ClaimReport:
     """Run C1..C7 with desk-scale defaults; overrides map claim id to params."""
-    overrides = overrides or {}
-    unknown = set(overrides) - set(_BY_ID)
-    if unknown:
-        raise ValueError(f"unknown claim id(s) in overrides: {sorted(unknown)}")
+    overrides = check_overrides(overrides or {})
     results = tuple(run_claim(spec.claim_id, overrides.get(spec.claim_id)) for spec in CLAIMS)
     return ClaimReport(results=results)

@@ -17,7 +17,7 @@ import sys
 
 from . import claims as claims_mod
 from .cycles import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
-from .dynamics import OrbitLimits, governor_trace, next_odd, orbit, rule_for
+from .dynamics import OrbitLimits, next_odd, orbit, rule_for
 from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
 from .numerics import governor_index
 
@@ -177,16 +177,15 @@ def _cmd_orbit(ns: argparse.Namespace) -> int:
 
 def _cmd_trace_governor(ns: argparse.Namespace) -> int:
     rule = rule_for(ns.rule)
-    indices = governor_trace(ns.start, rule, ns.count)
     cur = ns.start
     rows = []
-    for pos, m in enumerate(indices):
+    for pos in range(ns.count):
+        if pos:
+            cur, _ = next_odd(cur, rule)
         rows.append(
             {"position": pos, "value": _fmt_value(cur, ns.max_print_bits),
-             "governor_index": m}
+             "governor_index": governor_index(cur)}
         )
-        if pos + 1 < len(indices):
-            cur, _ = next_odd(cur, rule)
     _emit_records(rows, ns.format, ["position", "value", "governor_index"])
     return EXIT_OK
 
@@ -257,12 +256,9 @@ def _cmd_claims(ns: argparse.Namespace) -> int:
     overrides: dict[str, dict] = {}
     if ns.params:
         try:
-            overrides = json.loads(ns.params)
+            overrides = claims_mod.check_overrides(json.loads(ns.params))
         except json.JSONDecodeError as exc:
             print(f"govlab claims: --params is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not isinstance(overrides, dict):
-            print("govlab claims: --params must be a JSON object", file=sys.stderr)
             return EXIT_USAGE
     ids = ns.ids if ns.ids else [claim_id for claim_id, _, _ in claims_mod.list_claims()]
     results = []
@@ -292,7 +288,7 @@ def execute(ns: argparse.Namespace) -> int:
     except (CheckpointError, OSError) as exc:
         print(f"govlab: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"govlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

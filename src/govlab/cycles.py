@@ -6,6 +6,11 @@ terminations that fall inside an even run.  scan_range partitions a seed
 range into fixed-size chunks, classifies every odd seed, and folds chunk
 results in index order so the report is independent of worker count and of
 checkpoint interruptions.
+
+The chunks left to run go through one runner: in this process when one is
+left, else in a pool of min(workers, chunks left) processes fed lazily.  A
+checkpoint is written after each chunk and validated on load against its
+own range and chunk size; a chunk that does not fit raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -14,14 +19,24 @@ import enum
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Iterable, Iterator
 
-from .dynamics import OrbitLimits, Rule, TerminationKind, rule_for
+from .dynamics import OrbitLimits, Rule, TerminationKind, next_odd, rule_for
 from .numerics import governor_index
 
 SCHEMA_VERSION = 1
 
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
+
+# outcome counts of a chunk and of a report, in this order
+COUNT_KEYS = (
+    "converged_trivial",
+    "entered_cycle",
+    "undecided_step_limit",
+    "undecided_value_limit",
+)
 
 
 class Classification(enum.Enum):
@@ -85,14 +100,7 @@ def canonical_cycle(members, rule: Rule) -> CycleRecord:
         raise ValueError("a cycle must have at least one member")
     if len(set(members)) != len(members):
         raise ValueError("cycle members must be distinct")
-    n = len(members)
-    for i, v in enumerate(members):
-        succ = members[(i + 1) % n]
-        expected = rule.multiplier * v + 1 if v % 2 else v // 2
-        if succ != expected:
-            raise ValueError(
-                f"not a closed cycle: {v} steps to {expected}, list has {succ}"
-            )
+    rule.check_closed(members)
     odds = tuple(sorted(v for v in members if v % 2))
     # a closed cycle of only even values is impossible (halving decreases)
     assert odds
@@ -129,16 +137,17 @@ class Outcome:
     peak_bits: int = 0
 
 
-def _expand_cycle(odds: list[int], q: int) -> list[int]:
+def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
     """Full member list of a cycle given its odd members in orbit order."""
     members: list[int] = []
     for o in odds:
+        nxt, k = next_odd(o, rule)
         members.append(o)
-        t = q * o + 1
-        k = (t & -t).bit_length() - 1
-        for j in range(k):
-            members.append(t >> j)
+        members.extend(nxt << j for j in range(k, 0, -1))
     return members
+
+
+_TRIVIAL = (-1, -1)  # marks trivial odd members in detect_outcome's map of seen odds
 
 
 def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
@@ -156,6 +165,9 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
       previously seen odd (the first repeated value is the cycle's entry
       point, `u << min(entry valuations)`);
     * the step budget runs out.
+
+    Each run works out the step at which it would end the orbit, and one
+    comparison with the budget decides whether the step limit comes first.
     """
     if x % 2 == 0 or x < 1:
         raise ValueError(f"detect_outcome requires a positive odd seed, got {x}")
@@ -166,23 +178,17 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     cap = limits.max_value_bits
 
     peak = x.bit_length()
-    # odd value -> (step position, valuation of the entering run, order index)
-    seen: dict[int, tuple[int, int, int]] = {x: (0, 0, 0)}
+    if x in trivial_odds:
+        return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=0, peak_bits=peak)
+    # odd value -> (valuation of the entering run, order index), or _TRIVIAL
+    # for a trivial odd member, so that one lookup tells the three runs apart
+    seen: dict[int, tuple[int, int]] = dict.fromkeys(trivial_odds, _TRIVIAL)
+    seen[x] = (0, 0)
     order: list[int] = [x]
     cur = x
     s = 0
     while True:
-        if cur in trivial:
-            return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=s, peak_bits=peak)
-        if s == max_steps:
-            return Outcome(
-                OutcomeTag.UNDECIDED,
-                undecided_reason=TerminationKind.STEP_LIMIT,
-                steps_taken=s,
-                peak_bits=peak,
-            )
         t = q * cur + 1
-        s1 = s + 1
         bits = t.bit_length()
         if bits > peak:
             peak = bits
@@ -190,54 +196,36 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
             return Outcome(
                 OutcomeTag.UNDECIDED,
                 undecided_reason=TerminationKind.VALUE_LIMIT,
-                steps_taken=s1,
+                steps_taken=s + 1,
                 peak_bits=peak,
             )
+        # v2(t) inlined: a call per transition is a measurable share of this loop
         k = (t & -t).bit_length() - 1
         u = t >> k
         hit = seen.get(u)
-        if hit is not None:
-            _, k_first, idx = hit
-            kmin = k_first if k_first < k else k
-            # second occurrence of the first repeated value u << kmin
-            done_pos = s1 + k - kmin
-            if done_pos > max_steps:
-                return Outcome(
-                    OutcomeTag.UNDECIDED,
-                    undecided_reason=TerminationKind.STEP_LIMIT,
-                    steps_taken=max_steps,
-                    peak_bits=peak,
-                )
-            record = canonical_cycle(_expand_cycle(order[idx:], q), rule)
-            return Outcome(
-                OutcomeTag.CYCLE, cycle=record, steps_taken=done_pos, peak_bits=peak
-            )
-        if u in trivial_odds:
+        if hit is None:
+            # u is neither trivial nor seen, so the orbit goes at least one step past it
+            stop = s + k + 2
+        elif hit is _TRIVIAL:
             # first trivial member along t>>1 .. t>>k; u itself guarantees one
-            j_hit = k
-            for j in range(1, k):
-                if (t >> j) in trivial:
-                    j_hit = j
-                    break
-            if s1 + j_hit > max_steps:
-                return Outcome(
-                    OutcomeTag.UNDECIDED,
-                    undecided_reason=TerminationKind.STEP_LIMIT,
-                    steps_taken=max_steps,
-                    peak_bits=peak,
-                )
-            return Outcome(
-                OutcomeTag.CONVERGED_TRIVIAL, steps_taken=s1 + j_hit, peak_bits=peak
-            )
-        if s1 + k > max_steps:
+            stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
+        else:
+            # second occurrence of the first repeated value u << min(entry valuations)
+            stop = s + 1 + k - min(hit[0], k)
+        if stop > max_steps:
             return Outcome(
                 OutcomeTag.UNDECIDED,
                 undecided_reason=TerminationKind.STEP_LIMIT,
                 steps_taken=max_steps,
                 peak_bits=peak,
             )
-        s = s1 + k
-        seen[u] = (s, k, len(order))
+        if hit is _TRIVIAL:
+            return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=stop, peak_bits=peak)
+        if hit is not None:
+            record = canonical_cycle(_expand_cycle(order[hit[1] :], rule), rule)
+            return Outcome(OutcomeTag.CYCLE, cycle=record, steps_taken=stop, peak_bits=peak)
+        s = stop - 1
+        seen[u] = (k, len(order))
         order.append(u)
         cur = u
 
@@ -247,28 +235,51 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChunkResult:
-    """Fold state for one chunk of seeds, fully determined by the chunk bounds."""
+    """Fold of seed outcomes, built seed by seed and merged chunk by chunk.
+
+    A chunk's result is fully determined by its bounds; merge is associative,
+    so folding chunks in index order does not depend on how seeds were grouped.
+    """
 
     index: int
-    counts: tuple[int, int, int, int]  # trivial, cycle, step-limited, value-limited
-    cycles: tuple[CycleRecord, ...]  # deduplicated by smallest_odd, ascending
-    candidates: tuple[int, ...]  # undecided seeds, ascending
-    max_excursion_bits: int
-    max_steps_observed: int
+    counts: list[int] = field(default_factory=lambda: [0] * len(COUNT_KEYS))
+    cycles: dict[int, CycleRecord] = field(default_factory=dict)  # by smallest_odd
+    candidates: list[int] = field(default_factory=list)  # undecided seeds, ascending
+    max_excursion_bits: int = 0
+    max_steps_observed: int = 0
+
+    def add(self, seed: int, out: Outcome) -> None:
+        """Fold in the outcome of one seed, after every seed below it."""
+        if out.tag is OutcomeTag.CONVERGED_TRIVIAL:
+            slot = 0
+        elif out.tag is OutcomeTag.CYCLE:
+            slot = 1
+            self.cycles.setdefault(out.cycle.smallest_odd, out.cycle)
+        else:
+            slot = 2 if out.undecided_reason is TerminationKind.STEP_LIMIT else 3
+            self.candidates.append(seed)
+        self.counts[slot] += 1
+        if out.peak_bits > self.max_excursion_bits:
+            self.max_excursion_bits = out.peak_bits
+        if out.steps_taken > self.max_steps_observed:
+            self.max_steps_observed = out.steps_taken
+
+    def merge(self, other: "ChunkResult") -> None:
+        """Fold in the result of the seeds that follow this one's."""
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        for key, rec in other.cycles.items():
+            self.cycles.setdefault(key, rec)
+        self.candidates.extend(other.candidates)
+        self.max_excursion_bits = max(self.max_excursion_bits, other.max_excursion_bits)
+        self.max_steps_observed = max(self.max_steps_observed, other.max_steps_observed)
 
     def to_doc(self) -> dict:
-        ct, ec, sl, vl = self.counts
         return {
             "index": self.index,
-            "counts": {
-                "converged_trivial": ct,
-                "entered_cycle": ec,
-                "undecided_step_limit": sl,
-                "undecided_value_limit": vl,
-            },
-            "cycles": [c.to_doc() for c in self.cycles],
+            "counts": dict(zip(COUNT_KEYS, self.counts)),
+            "cycles": [self.cycles[k].to_doc() for k in sorted(self.cycles)],
             "candidates": [str(v) for v in self.candidates],
             "max_excursion_bits": self.max_excursion_bits,
             "max_steps_observed": self.max_steps_observed,
@@ -276,17 +287,12 @@ class ChunkResult:
 
     @staticmethod
     def from_doc(doc: dict, rule: Rule) -> "ChunkResult":
-        c = doc["counts"]
+        cycles = (CycleRecord.from_doc(d, rule) for d in doc["cycles"])
         return ChunkResult(
             index=int(doc["index"]),
-            counts=(
-                int(c["converged_trivial"]),
-                int(c["entered_cycle"]),
-                int(c["undecided_step_limit"]),
-                int(c["undecided_value_limit"]),
-            ),
-            cycles=tuple(CycleRecord.from_doc(d, rule) for d in doc["cycles"]),
-            candidates=tuple(int(v) for v in doc["candidates"]),
+            counts=[int(doc["counts"][k]) for k in COUNT_KEYS],
+            cycles={rec.smallest_odd: rec for rec in cycles},
+            candidates=[int(v) for v in doc["candidates"]],
             max_excursion_bits=int(doc["max_excursion_bits"]),
             max_steps_observed=int(doc["max_steps_observed"]),
         )
@@ -297,38 +303,10 @@ def _scan_chunk(
 ) -> ChunkResult:
     rule = rule_for(multiplier)
     limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_value_bits)
-    counts = [0, 0, 0, 0]
-    cycles: dict[int, CycleRecord] = {}
-    candidates: list[int] = []
-    max_bits = 0
-    max_steps_obs = 0
+    chunk = ChunkResult(index)
     for seed in range(lo, hi + 1, 2):
-        out = detect_outcome(seed, rule, limits)
-        if out.tag is OutcomeTag.CONVERGED_TRIVIAL:
-            counts[0] += 1
-        elif out.tag is OutcomeTag.CYCLE:
-            counts[1] += 1
-            rec = out.cycle
-            assert rec is not None
-            cycles.setdefault(rec.smallest_odd, rec)
-        elif out.undecided_reason is TerminationKind.STEP_LIMIT:
-            counts[2] += 1
-            candidates.append(seed)
-        else:
-            counts[3] += 1
-            candidates.append(seed)
-        if out.peak_bits > max_bits:
-            max_bits = out.peak_bits
-        if out.steps_taken > max_steps_obs:
-            max_steps_obs = out.steps_taken
-    return ChunkResult(
-        index=index,
-        counts=tuple(counts),
-        cycles=tuple(cycles[k] for k in sorted(cycles)),
-        candidates=tuple(candidates),
-        max_excursion_bits=max_bits,
-        max_steps_observed=max_steps_obs,
-    )
+        chunk.add(seed, detect_outcome(seed, rule, limits))
+    return chunk
 
 
 @dataclass(frozen=True)
@@ -408,7 +386,9 @@ def checkpoint_save(state: ScanState, path: str) -> None:
 
 
 def checkpoint_load(path: str) -> ScanState:
-    """Load a checkpoint, raising CheckpointError on any structural problem."""
+    """Load a checkpoint, raising CheckpointError on any structural problem,
+    including a chunk that does not fit the checkpoint's own range and chunk size.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -437,14 +417,26 @@ def checkpoint_load(path: str) -> ScanState:
             chunk_size=int(doc["chunk_size"]),
             completed={},
         )
+        n_seeds, n_chunks = _layout(state.lo, state.hi, state.chunk_size)
         for chunk_doc in doc["chunks"]:
             chunk = ChunkResult.from_doc(chunk_doc, rule)
+            _check_chunk(chunk, state.lo, n_seeds, state.chunk_size, n_chunks)
             state.completed[chunk.index] = chunk
-    except CheckpointError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     return state
+
+
+def _layout(lo: int, hi: int, chunk_size: int) -> tuple[int, int]:
+    """Seed count and chunk count of a scan, after checking its bounds."""
+    if lo % 2 == 0 or hi % 2 == 0 or lo < 1:
+        raise ValueError(f"scan bounds must be positive odd integers, got {lo}:{hi}")
+    if lo > hi:
+        raise ValueError(f"empty scan range {lo}:{hi}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    n_seeds = (hi - lo) // 2 + 1
+    return n_seeds, (n_seeds + chunk_size - 1) // chunk_size
 
 
 def _chunk_bounds(lo: int, n_seeds: int, chunk_size: int, index: int) -> tuple[int, int]:
@@ -453,44 +445,69 @@ def _chunk_bounds(lo: int, n_seeds: int, chunk_size: int, index: int) -> tuple[i
     return lo + 2 * first, lo + 2 * last
 
 
+def _check_chunk(
+    chunk: ChunkResult, lo: int, n_seeds: int, chunk_size: int, n_chunks: int
+) -> None:
+    """Raise ValueError unless the chunk's counts and candidates fit its seeds."""
+    i = chunk.index
+    if not 0 <= i < n_chunks:
+        raise ValueError(f"chunk index {i} is outside 0..{n_chunks - 1}")
+    c_lo, c_hi = _chunk_bounds(lo, n_seeds, chunk_size, i)
+    seeds = range(c_lo, c_hi + 1, 2)
+    if min(chunk.counts) < 0 or sum(chunk.counts) != len(seeds):
+        raise ValueError(f"chunk {i} counts {chunk.counts} do not add up to {len(seeds)} seeds")
+    cands = chunk.candidates
+    if len(cands) != chunk.counts[2] + chunk.counts[3]:
+        raise ValueError(f"chunk {i} has {len(cands)} candidates, not one per undecided seed")
+    if not all(v in seeds for v in cands) or any(a >= b for a, b in zip(cands, cands[1:])):
+        raise ValueError(f"chunk {i} candidates are not ascending odd seeds in {c_lo}:{c_hi}")
+
+
 def _merge(state: ScanState, rule: Rule, n_chunks: int) -> ScanReport:
-    counts = [0, 0, 0, 0]
-    cycles: dict[int, CycleRecord] = {}
-    candidates: list[int] = []
-    max_bits = 0
-    max_steps_obs = 0
+    total = ChunkResult(index=0)
     for i in range(n_chunks):
-        chunk = state.completed[i]
-        for j in range(4):
-            counts[j] += chunk.counts[j]
-        for rec in chunk.cycles:
-            cycles.setdefault(rec.smallest_odd, rec)
-        candidates.extend(chunk.candidates)
-        max_bits = max(max_bits, chunk.max_excursion_bits)
-        max_steps_obs = max(max_steps_obs, chunk.max_steps_observed)
-    if counts[0] > 0:
+        total.merge(state.completed[i])
+    if total.counts[0] > 0:
         # seeds reached the trivial cycle, so it was observed even though no
         # seed's outcome carries it as a CycleRecord
         triv = trivial_cycle_record(rule)
-        cycles.setdefault(triv.smallest_odd, triv)
-    ct, ec, sl, vl = counts
+        total.cycles.setdefault(triv.smallest_odd, triv)
+    counts = dict(zip(COUNT_KEYS, total.counts))
+    counts["total"] = sum(total.counts)
     return ScanReport(
         rule_multiplier=rule.multiplier,
         lo=state.lo,
         hi=state.hi,
         limits=state.limits,
-        counts={
-            "converged_trivial": ct,
-            "entered_cycle": ec,
-            "undecided_step_limit": sl,
-            "undecided_value_limit": vl,
-            "total": ct + ec + sl + vl,
-        },
-        cycles=tuple(cycles[k] for k in sorted(cycles)),
-        divergence_candidates=tuple(candidates),
-        max_excursion_bits=max_bits,
-        max_steps_observed=max_steps_obs,
+        counts=counts,
+        cycles=tuple(total.cycles[k] for k in sorted(total.cycles)),
+        divergence_candidates=tuple(total.candidates),
+        max_excursion_bits=total.max_excursion_bits,
+        max_steps_observed=total.max_steps_observed,
     )
+
+
+def _run_chunks(tasks: Iterable[tuple], workers: int) -> Iterator[ChunkResult]:
+    """Run _scan_chunk on each argument tuple in tasks; yield results as they finish.
+
+    One worker runs the chunks in this process.  More run them in a pool of
+    that size, which reads tasks lazily and holds at most 2 * workers chunks.
+    """
+    if workers <= 1:
+        for args in tasks:
+            yield _scan_chunk(*args)
+        return
+    tasks = iter(tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running: set = set()
+        while True:
+            for args in islice(tasks, 2 * workers - len(running)):
+                running.add(pool.submit(_scan_chunk, *args))
+            if not running:
+                return
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            for fut in done:
+                yield fut.result()
 
 
 def scan_range(
@@ -505,22 +522,15 @@ def scan_range(
 ) -> ScanReport:
     """Classify every odd seed in [lo, hi] and fold the results into a report.
 
-    Chunks are computed independently (in worker processes when workers > 1)
-    and merged in index order, so the report bytes do not depend on the
-    worker count.  With checkpoint_path set, the state is rewritten after
-    every completed chunk and a matching existing checkpoint is resumed.
+    Chunks are computed independently (in a pool of up to `workers`
+    processes when more than one chunk is left to run) and merged in index
+    order, so the report bytes do not depend on the worker count.  With
+    checkpoint_path set, the state is rewritten after every completed chunk
+    and a matching existing checkpoint is resumed.
     """
-    if lo % 2 == 0 or hi % 2 == 0 or lo < 1:
-        raise ValueError(f"scan bounds must be positive odd integers, got {lo}:{hi}")
-    if lo > hi:
-        raise ValueError(f"empty scan range {lo}:{hi}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    n_seeds = (hi - lo) // 2 + 1
-    n_chunks = (n_seeds + chunk_size - 1) // chunk_size
+    n_seeds, n_chunks = _layout(lo, hi, chunk_size)
 
     state = ScanState(
         rule_multiplier=rule.multiplier,
@@ -532,50 +542,21 @@ def scan_range(
     )
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         loaded = checkpoint_load(checkpoint_path)
-        if (
-            loaded.rule_multiplier != rule.multiplier
-            or loaded.lo != lo
-            or loaded.hi != hi
-            or loaded.limits != limits
-            or loaded.chunk_size != chunk_size
-        ):
+        if replace(loaded, completed={}) != state:
             raise CheckpointError(
                 f"checkpoint {checkpoint_path} was written by a different scan "
                 f"(rule/range/limits/chunk_size mismatch)"
             )
         state = loaded
 
-    pending = [i for i in range(n_chunks) if i not in state.completed]
-    if pending:
-        if workers == 1:
-            for i in pending:
-                c_lo, c_hi = _chunk_bounds(lo, n_seeds, chunk_size, i)
-                state.completed[i] = _scan_chunk(
-                    i, rule.multiplier, c_lo, c_hi, limits.max_steps, limits.max_value_bits
-                )
-                if checkpoint_path is not None:
-                    checkpoint_save(state, checkpoint_path)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {}
-                for i in pending:
-                    c_lo, c_hi = _chunk_bounds(lo, n_seeds, chunk_size, i)
-                    fut = pool.submit(
-                        _scan_chunk,
-                        i,
-                        rule.multiplier,
-                        c_lo,
-                        c_hi,
-                        limits.max_steps,
-                        limits.max_value_bits,
-                    )
-                    futures[fut] = i
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        chunk = fut.result()
-                        state.completed[chunk.index] = chunk
-                    if checkpoint_path is not None:
-                        checkpoint_save(state, checkpoint_path)
+    tasks = (
+        (i, rule.multiplier, *_chunk_bounds(lo, n_seeds, chunk_size, i),
+         limits.max_steps, limits.max_value_bits)
+        for i in range(n_chunks)
+        if i not in state.completed
+    )
+    for chunk in _run_chunks(tasks, min(workers, n_chunks - len(state.completed))):
+        state.completed[chunk.index] = chunk
+        if checkpoint_path is not None:
+            checkpoint_save(state, checkpoint_path)
     return _merge(state, rule, n_chunks)

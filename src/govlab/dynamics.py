@@ -47,20 +47,29 @@ class Rule:
         cyc = self.trivial_cycle
         if not cyc:
             raise ValueError("trivial cycle must be nonempty")
-        for i, x in enumerate(cyc):
-            succ = cyc[(i + 1) % len(cyc)]
-            expected = q * x + 1 if x % 2 else x // 2
-            if succ != expected:
-                raise ValueError(
-                    f"trivial cycle not closed at position {i}: "
-                    f"{x} steps to {expected}, cycle lists {succ}"
-                )
+        self.check_closed(cyc)
         indices = frozenset(governor_index(x) for x in cyc if x % 2)
         if indices != self.trivial_indices:
             raise ValueError(
                 f"trivial indices {set(self.trivial_indices)} disagree with "
                 f"cycle odd members (indices {set(indices)})"
             )
+
+    def step(self, x: int) -> int:
+        """One step of the rule: q*x + 1 for odd x, x / 2 for even x."""
+        return self.multiplier * x + 1 if x % 2 else x // 2
+
+    def check_closed(self, members: tuple[int, ...]) -> None:
+        """Raise ValueError unless each member steps to the next, the last to the first."""
+        n = len(members)
+        for i, x in enumerate(members):
+            succ = members[(i + 1) % n]
+            expected = self.step(x)
+            if succ != expected:
+                raise ValueError(
+                    f"not a closed cycle at position {i}: "
+                    f"{x} steps to {expected}, list has {succ}"
+                )
 
     @property
     def descent_delta(self) -> int:
@@ -117,7 +126,7 @@ def next_odd(x: int, rule: Rule) -> tuple[int, int]:
     if x % 2 == 0:
         raise ValueError(f"next_odd requires an odd value, got {x}")
     t = rule.multiplier * x + 1
-    k = (t & -t).bit_length() - 1
+    k = v2(t)
     return t >> k, k
 
 
@@ -192,7 +201,7 @@ def orbit(x: int, rule: Rule, limits: OrbitLimits) -> OrbitTrace:
         if taken == limits.max_steps:
             term = Termination(TerminationKind.STEP_LIMIT)
             break
-        nxt = rule.multiplier * cur + 1 if cur % 2 else cur // 2
+        nxt = rule.step(cur)
         taken += 1
         steps.append((nxt, step_kind_of(nxt)))
         if nxt % 2:
@@ -447,7 +456,7 @@ def check_closed_form(
                     )
                     bad_kind = True
                     break
-                cur = odd_step(cur, rule) if cur % 2 else even_step(cur)
+                cur = rule.step(cur)
             if bad_kind:
                 break
             if cur != row.value:

@@ -2,7 +2,7 @@
 
 An odd a is an ancestor of odd x at i doublings when q*a + 1 = 2^i * x: the
 orbit of a reaches x through one odd step and exactly i even steps.  The
-condition solver reproduces, by bounded exhaustive search, the small solution
+condition solver reproduces, over a bounded range of mu, the small solution
 sets for which q*(2^mu - 1) + 1 collapses to one, two, or three adjacent
 powers of two.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import Rule
-from .numerics import governor_index
+from .numerics import governor_index, v2
 
 
 class AncestorEntry(NamedTuple):
@@ -104,6 +104,7 @@ class ConditionSolution:
 
 
 _RHS_ODD_PART = {3: 7, 2: 3, 1: 1}
+_TERM_COUNT = {odd: terms for terms, odd in _RHS_ODD_PART.items()}
 
 
 def condition_equation_sides(rule: Rule, sol: ConditionSolution) -> tuple[int, int]:
@@ -116,11 +117,12 @@ def condition_equation_sides(rule: Rule, sol: ConditionSolution) -> tuple[int, i
 def solve_ancestor_conditions(
     rule: Rule, mu_max: int, i_max: int
 ) -> list[ConditionSolution]:
-    """Exhaustive grid search for odd-ancestor existence conditions.
+    """Odd-ancestor existence conditions over 1 <= mu <= mu_max, 1 <= i <= i_max.
 
-    For every 1 <= mu <= mu_max and 1 <= i <= i_max, tests whether
-    q*(2^mu - 1) + 1 equals 2^(i+2) + 2^(i+1) + 2^i (three terms),
-    2^(i+1) + 2^i (two terms), or 2^i (one term).  Both sides grow
+    Finds where q*(2^mu - 1) + 1 equals 2^(i+2) + 2^(i+1) + 2^i (three
+    terms), 2^(i+1) + 2^i (two terms), or 2^i (one term).  The right sides
+    are 7, 3 and 1 times 2^i, so for each mu the only candidate is
+    i = v2(lhs) with odd part lhs >> i in {1, 3, 7}.  Both sides grow
     exponentially, so any solutions sit at tiny indices; the default bound
     of 64 in callers is a bounded verification, not a proof.
     """
@@ -128,12 +130,11 @@ def solve_ancestor_conditions(
         raise ValueError("search bounds must both be >= 1")
     q = rule.multiplier
     out: list[ConditionSolution] = []
-    for term_count in (1, 2, 3):
-        odd_part = _RHS_ODD_PART[term_count]
-        for mu in range(1, mu_max + 1):
-            lhs = q * ((1 << mu) - 1) + 1
-            for i in range(1, i_max + 1):
-                if lhs == odd_part << i:
-                    out.append(ConditionSolution(term_count=term_count, mu=mu, i=i))
+    for mu in range(1, mu_max + 1):
+        lhs = q * ((1 << mu) - 1) + 1
+        i = v2(lhs)
+        term_count = _TERM_COUNT.get(lhs >> i)
+        if term_count is not None and 1 <= i <= i_max:
+            out.append(ConditionSolution(term_count=term_count, mu=mu, i=i))
     out.sort(key=lambda s: (s.term_count, s.mu, s.i))
     return out

@@ -42,6 +42,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             run_claim("C7", {"bogus": 1})
 
+    def test_non_integer_params_rejected(self):
+        # run_claim and run_all share the CLI's check, so nothing is truncated
+        with pytest.raises(ValueError):
+            run_claim("C5", {"a": 4.7})
+        with pytest.raises(ValueError):
+            run_claim("C5", {"a": True})
+        with pytest.raises(ValueError):
+            run_all({"C6": 5})
+        with pytest.raises(ValueError):
+            run_all({"C6": {"placeholder_exponent": float("inf")}})
+
 
 class TestScanClaims:
     def test_c1_passes_at_small_bound(self):

@@ -1,8 +1,16 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from govlab import cli
 from govlab.claims import run_claim
-from govlab.cycles import scan_range
+from govlab.cycles import checkpoint_load, scan_range
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
 
@@ -197,6 +205,48 @@ class TestScanVerb:
         assert "checkpoint" in err
 
 
+    def test_inconsistent_checkpoint_is_io_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "scan.ckpt"
+        args = ["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "256",
+                "--checkpoint", str(ckpt)]
+        run_cli(capsys, *args)
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        doc["chunks"][0]["counts"]["converged_trivial"] += 1000
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert "checkpoint" in err
+
+    def test_killed_pool_scan_resumes_byte_identical(self, tmp_path):
+        ckpt = tmp_path / "scan.ckpt"
+        cmd = [sys.executable, "-m", "govlab.cli", "scan", "--rule", "5",
+               "--odd-range", "1:16383", "--workers", "2", "--chunk-size", "256",
+               "--checkpoint", str(ckpt)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        # a session of its own, so that SIGKILL reaches the pool workers too
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not ckpt.exists() and proc.poll() is None:
+                assert time.monotonic() < deadline, "no checkpoint was written"
+                time.sleep(0.002)
+            os.killpg(proc.pid, signal.SIGKILL)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        assert 0 < len(checkpoint_load(str(ckpt)).completed) < 32
+        resumed = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+        assert resumed.returncode == 0, resumed.stderr
+        uninterrupted = scan_range(1, 16383, RULE_5Z, OrbitLimits(100_000, 128), chunk_size=256)
+        assert resumed.stdout == uninterrupted.to_json()
+
+
 class TestClaimsVerb:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "claims", "--list")
@@ -236,3 +286,26 @@ class TestClaimsVerb:
         code, _, err = run_cli(capsys, "claims", "--id", "C99")
         assert code == 2
         assert "unknown claim" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            '{"C6": 5}',
+            '{"C6": {"placeholder_exponent": 1e400}}',
+            '{"C1": {"hi": 1e400}}',
+            '{"C5": {"a": 4.7}}',
+            '{"C5": {"a": 1000000000000000000000000000000}}',
+            '{"C5": {"a": true}}',
+            '{"C5": {"a": "4"}}',
+            '{"C5": {"depth": 4}}',
+            '{"C9": {}}',
+            '{"C6": []}',
+            '[1, 2]',
+        ],
+    )
+    def test_malformed_params_exit_two(self, capsys, params):
+        code, out, err = run_cli(capsys, "claims", "--id", "C5", "--params", params)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

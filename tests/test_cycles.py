@@ -1,4 +1,7 @@
+import dataclasses
 import json
+from contextlib import closing
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from govlab.cycles import (
     Classification,
     OutcomeTag,
     ScanState,
+    _run_chunks,
     _scan_chunk,
     canonical_cycle,
     checkpoint_load,
@@ -240,3 +244,119 @@ class TestCheckpoint:
             scan_range(1, 1023, RULE_3Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
         with pytest.raises(CheckpointError):
             scan_range(1, 1023, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+
+
+def _append_chunk_40(doc):
+    doc["chunks"].append(dict(doc["chunks"][0], index=40))
+
+
+def _negative_index(doc):
+    doc["chunks"][0]["index"] = -1
+
+
+def _inflated_count(doc):
+    doc["chunks"][0]["counts"]["converged_trivial"] += 1000
+
+
+def _negative_count(doc):
+    # the counts still add up to the chunk's seed count
+    counts = doc["chunks"][0]["counts"]
+    counts["converged_trivial"] += counts["entered_cycle"] + 1
+    counts["entered_cycle"] = -1
+
+
+def _candidate_out_of_bounds(doc):
+    chunk = doc["chunks"][1]
+    chunk["candidates"].append("999999")
+    chunk["counts"]["undecided_value_limit"] += 1
+    chunk["counts"]["converged_trivial"] -= 1
+
+
+def _even_candidate(doc):
+    cands = doc["chunks"][0]["candidates"]
+    cands[0] = str(int(cands[0]) - 1)
+
+
+def _descending_candidates(doc):
+    doc["chunks"][0]["candidates"].reverse()
+
+
+def _repeated_candidate(doc):
+    cands = doc["chunks"][0]["candidates"]
+    cands[1] = cands[0]
+
+
+def _missing_candidate(doc):
+    doc["chunks"][0]["candidates"].pop()
+
+
+class TestCheckpointValidation:
+    """A checkpoint whose chunks disagree with its own range is rejected on load."""
+
+    ARGS = (1, 1023, RULE_5Z, SCAN_LIMITS)  # four chunks of 128 seeds
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _append_chunk_40,
+            _negative_index,
+            _inflated_count,
+            _negative_count,
+            _candidate_out_of_bounds,
+            _even_candidate,
+            _descending_candidates,
+            _repeated_candidate,
+            _missing_candidate,
+        ],
+    )
+    def test_inconsistent_chunk_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "ckpt.json"
+        scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            checkpoint_load(str(path))
+        with pytest.raises(CheckpointError):
+            scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
+
+    def test_zero_chunk_size_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(ScanState(5, 1, 1023, SCAN_LIMITS, 128, {}), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["chunk_size"] = 0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            checkpoint_load(str(path))
+
+    def test_prefix_checkpoint_of_a_longer_scan_resumes(self, tmp_path):
+        # a finished scan's chunks stay valid for a longer range whose chunk
+        # boundaries agree, as when the range of a checkpoint is widened
+        path = str(tmp_path / "ckpt.json")
+        scan_range(1, 1023, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
+        state = dataclasses.replace(checkpoint_load(path), hi=2047)
+        checkpoint_save(state, path)
+        resumed = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
+        uninterrupted = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=128)
+        assert resumed.to_json() == uninterrupted.to_json()
+
+
+class TestChunkRunner:
+    @staticmethod
+    def _tasks(pulled: list[int]):
+        """Unbounded chunks of 32 seeds; refuses to be read far ahead."""
+        for i in count():
+            pulled.append(i)
+            if len(pulled) > 64:
+                raise AssertionError("the runner read the task iterator too far ahead")
+            yield (i, 5, 1 + 64 * i, 63 + 64 * i, SCAN_LIMITS.max_steps, SCAN_LIMITS.max_value_bits)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pulls_tasks_lazily(self, workers):
+        pulled: list[int] = []
+        with closing(_run_chunks(self._tasks(pulled), workers)) as results:
+            first = list(islice(results, 3))
+        assert len(pulled) <= 3 + 2 * workers
+        for chunk in first:
+            i = chunk.index
+            assert chunk == _scan_chunk(i, 5, 1 + 64 * i, 63 + 64 * i, 10**5, 128)

@@ -123,6 +123,26 @@ class TestConditionSolver:
                 lhs, rhs = condition_equation_sides(rule, sol)
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z])
+    @pytest.mark.parametrize("mu_max, i_max", [(1, 1), (2, 3), (2, 4), (5, 2), (12, 12)])
+    def test_matches_literal_grid(self, rule, mu_max, i_max):
+        grid = sorted(
+            (terms, mu, i)
+            for terms, odd_part in ((1, 1), (2, 3), (3, 7))
+            for mu in range(1, mu_max + 1)
+            for i in range(1, i_max + 1)
+            if rule.multiplier * ((1 << mu) - 1) + 1 == odd_part << i
+        )
+        found = solve_ancestor_conditions(rule, mu_max, i_max)
+        assert [(s.term_count, s.mu, s.i) for s in found] == grid
+
+    def test_i_max_edge(self):
+        # 5Z+1 at mu=2: 5*3 + 1 = 2^4, so the solution needs i_max >= 4
+        found = solve_ancestor_conditions(RULE_5Z, 2, 4)
+        assert [(s.term_count, s.mu, s.i) for s in found] == [(1, 2, 4), (2, 1, 1)]
+        found = solve_ancestor_conditions(RULE_5Z, 2, 3)
+        assert [(s.term_count, s.mu, s.i) for s in found] == [(2, 1, 1)]
+
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             solve_ancestor_conditions(RULE_3Z, 0, 4)
