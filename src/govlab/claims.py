@@ -23,6 +23,9 @@ from .numerics import governor_index
 
 SCHEMA_VERSION = 1
 
+# C2's successor note starts from 2^P + 1 with this P; it is not a parameter
+_C2_SUCCESSOR_SAMPLE_EXPONENT = 20
+
 
 class Verdict(enum.Enum):
     PASS = "pass"
@@ -135,7 +138,7 @@ def _run_c2(params: dict) -> tuple[Verdict, dict]:
     # land on 3*2^(P-1) + 2, which is congruent to 2 modulo 2^(P-1); the
     # one-term successor expression tracks only that low residue, the image
     # of the leading term being absorbed into the placeholder
-    p = params.get("successor_sample_exponent", 20)
+    p = _C2_SUCCESSOR_SAMPLE_EXPONENT
     val = (3 * ((1 << p) + 1) + 1) // 2
     evidence["successor_congruence_note"] = {
         "start": str((1 << p) + 1),

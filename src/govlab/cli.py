@@ -58,18 +58,6 @@ def _odd_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_workers() -> int:
-    env = os.environ.get("GOVLAB_WORKERS", "")
-    if env.strip():
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return 1
-
-
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="govlab",
@@ -121,7 +109,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p_scan.add_argument("--odd-range", type=_odd_range, required=True, metavar="LO:HI")
     p_scan.add_argument("--step-limit", type=_positive_int, default=100_000)
     p_scan.add_argument("--value-limit-bits", type=_positive_int, default=128)
-    p_scan.add_argument("--workers", type=_positive_int, default=_default_workers())
+    # a string default goes through the type, so a bad GOVLAB_WORKERS exits 2
+    workers = os.environ.get("GOVLAB_WORKERS", "").strip() or "1"
+    workers_help = "worker processes (default: GOVLAB_WORKERS, else 1)"
+    p_scan.add_argument("--workers", type=_positive_int, default=workers, help=workers_help)
     p_scan.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_SIZE)
     p_scan.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="resumable scan state file")
@@ -134,8 +125,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     group.add_argument("--list", action="store_true", help="list the registry")
     p_claims.add_argument("--params", default=None, metavar="JSON",
                           help='per-claim overrides, e.g. {"C6": {"placeholder_exponent": 16}}')
-    p_claims.add_argument("--workers", type=_positive_int, default=_default_workers(),
-                          help="worker count for scan-backed claims")
+    p_claims.add_argument("--workers", type=_positive_int, default=workers,
+                          help=f"{workers_help}, for scan-backed claims")
 
     return parser.parse_args(argv)
 

@@ -7,10 +7,40 @@ range into fixed-size chunks, classifies every odd seed, and folds chunk
 results in index order so the report is independent of worker count and of
 checkpoint interruptions.
 
+A chunk classifies its seeds in ascending order and records each result in
+a seed memo: a kind byte and 64-bit steps and peak per seed, in arrays
+indexed by (seed - lo) >> 1.  When a walk reaches an odd value u in
+[lo, seed) that its own seen map does not hold, the orbit from there on is
+u's orbit, so the result is the prefix plus u's: steps add, peaks take the
+maximum.  That holds unless a value from before u repeats, which needs u to
+lie on a cycle, or the step budget runs out first.  Each storage and lookup
+rule keeps the result exact:
+
+* a converged result is reused: the only cycle through a converged seed is
+  the trivial one, and the seen map catches its odd members first;
+* a value-limit result is reused: if the walk entered u's cycle before u,
+  the values from that entry to u stayed under the cap, so u's orbit passes
+  the cap before it comes back to them;
+* a cycle result is reused only when u is not one of the cycle's odd
+  members, so that u lies on no cycle; an orbit that reaches a member from
+  outside enters the cycle at its own entry point, not at the member;
+* step-limit results are cut short, so they are never reused, and a reuse
+  whose total passes the step budget walks on instead, which keeps the
+  step-limit peak exact;
+* the memo is looked up only after the seen map misses, so the trivial and
+  repetition checks come first, as in dynamics.orbit.
+
+The memo holds only the chunk's own seeds, so a chunk's result still
+depends only on its bounds, and report bytes do not depend on the worker
+count, the chunk size or resumes.  A walk gains only when it reaches an odd
+value in [lo, seed), so small chunks gain little.  The memo records at most
+a chunk's first 2^20 seeds (about 17 MB), whatever the chunk size.
+
 The chunks left to run go through one runner: in this process when one is
-left, else in a pool of min(workers, chunks left) processes fed lazily.  A
-checkpoint is written after each chunk and validated on load against its
-own range and chunk size; a chunk that does not fit raises CheckpointError.
+left, else in a pool of min(workers, chunks left, CPU count) processes fed
+lazily.  A checkpoint is written after each chunk and validated on load
+against its own range and chunk size; a chunk that does not fit raises
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -18,6 +48,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+from array import array
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -147,9 +178,6 @@ def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
     return members
 
 
-_TRIVIAL = (-1, -1)  # marks trivial odd members in detect_outcome's map of seen odds
-
-
 def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     """Classify the orbit of odd seed x without materializing it.
 
@@ -171,19 +199,29 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     """
     if x % 2 == 0 or x < 1:
         raise ValueError(f"detect_outcome requires a positive odd seed, got {x}")
+    return _walk(x, rule, limits, None)
+
+
+def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _SeedMemo | None) -> Outcome:
+    """detect_outcome's loop; with a memo it also ends at a recorded seed of the chunk."""
     q = rule.multiplier
     trivial = rule.trivial_members
     trivial_odds = rule.trivial_odd_members
     max_steps = limits.max_steps
     cap = limits.max_value_bits
+    # odd values in [lo, top) are seeds the memo holds; without one the range is empty
+    if memo is None:
+        lo = top = x
+    else:
+        lo, top = memo.lo, min(x, memo.top)
 
     peak = x.bit_length()
     if x in trivial_odds:
         return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=0, peak_bits=peak)
-    # odd value -> (valuation of the entering run, order index), or _TRIVIAL
-    # for a trivial odd member, so that one lookup tells the three runs apart
-    seen: dict[int, tuple[int, int]] = dict.fromkeys(trivial_odds, _TRIVIAL)
-    seen[x] = (0, 0)
+    # odd value -> valuation of the run that entered it (0 for x), or -1 for
+    # a trivial odd member, so that one lookup tells the three runs apart
+    seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
+    seen[x] = 0
     order: list[int] = [x]
     cur = x
     s = 0
@@ -206,12 +244,16 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
         if hit is None:
             # u is neither trivial nor seen, so the orbit goes at least one step past it
             stop = s + k + 2
-        elif hit is _TRIVIAL:
+            if lo <= u < top:
+                out = memo.reuse(u, stop - 1, peak, max_steps)
+                if out is not None:
+                    return out
+        elif hit < 0:
             # first trivial member along t>>1 .. t>>k; u itself guarantees one
             stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
         else:
             # second occurrence of the first repeated value u << min(entry valuations)
-            stop = s + 1 + k - min(hit[0], k)
+            stop = s + 1 + k - min(hit, k)
         if stop > max_steps:
             return Outcome(
                 OutcomeTag.UNDECIDED,
@@ -219,15 +261,99 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
                 steps_taken=max_steps,
                 peak_bits=peak,
             )
-        if hit is _TRIVIAL:
-            return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=stop, peak_bits=peak)
         if hit is not None:
-            record = canonical_cycle(_expand_cycle(order[hit[1] :], rule), rule)
+            if hit < 0:
+                return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=stop, peak_bits=peak)
+            record = canonical_cycle(_expand_cycle(order[order.index(u) :], rule), rule)
             return Outcome(OutcomeTag.CYCLE, cycle=record, steps_taken=stop, peak_bits=peak)
         s = stop - 1
-        seen[u] = (k, len(order))
+        seen[u] = k
         order.append(u)
         cur = u
+
+
+# kinds of a seed memo entry; 0 marks a result that must not be reused
+_MEMO_TRIVIAL = 1
+_MEMO_VALUE_LIMIT = 2
+_MEMO_CYCLE = 3  # plus the cycle's position in _SeedMemo.cycles
+_MEMO_MAX_SEEDS = 1 << 20  # about 17 MB: the table stays bounded for any chunk size
+# an enum member looked up through its class costs about 0.15 us on CPython
+# 3.11, more than half of a whole _SeedMemo.add, so the memo uses these
+_CONVERGED, _CYCLE = OutcomeTag.CONVERGED_TRIVIAL, OutcomeTag.CYCLE
+_VALUE_LIMIT = TerminationKind.VALUE_LIMIT
+
+
+class _SeedMemo:
+    """Results of a chunk's seeds, recorded in ascending order from lo.
+
+    Entry (seed - lo) >> 1 holds a kind byte, the steps taken and the peak
+    bits; the module docstring says which results are reused and why that
+    is exact.  The first _MEMO_MAX_SEEDS seeds of a chunk are recorded.
+    """
+
+    def __init__(self, lo: int) -> None:
+        self.lo = lo
+        self.top = lo + 2 * _MEMO_MAX_SEEDS  # the first seed not recorded
+        self.kinds = bytearray()
+        self.steps = array("q")
+        self.peaks = array("q")
+        self.cycles: list[CycleRecord] = []
+
+    def add(self, seed: int, out: Outcome) -> None:
+        """Record the outcome of seed, the next seed of the chunk."""
+        if seed >= self.top:
+            return
+        tag = out.tag
+        if tag is _CONVERGED:
+            kind = _MEMO_TRIVIAL
+        elif tag is _CYCLE:
+            kind = 0 if seed in out.cycle.odd_members else self._cycle_kind(out.cycle)
+        else:
+            kind = _MEMO_VALUE_LIMIT if out.undecided_reason is _VALUE_LIMIT else 0
+        self.kinds.append(kind)
+        self.steps.append(out.steps_taken)
+        self.peaks.append(out.peak_bits)
+
+    def _cycle_kind(self, record: CycleRecord) -> int:
+        if record in self.cycles:
+            return _MEMO_CYCLE + self.cycles.index(record)
+        if _MEMO_CYCLE + len(self.cycles) > 255:
+            return 0  # the kind byte is full; later cycles are walked
+        self.cycles.append(record)
+        return _MEMO_CYCLE + len(self.cycles) - 1
+
+    def reuse(self, u: int, prefix: int, peak: int, max_steps: int) -> Outcome | None:
+        """Outcome of an orbit that reaches recorded seed u after prefix steps
+        with peak bits so far, or None when it must keep walking."""
+        i = (u - self.lo) >> 1
+        kind = self.kinds[i]
+        steps = prefix + self.steps[i]
+        if not kind or steps > max_steps:
+            return None
+        peak = max(peak, self.peaks[i])
+        if kind == _MEMO_TRIVIAL:
+            return Outcome(_CONVERGED, steps_taken=steps, peak_bits=peak)
+        if kind == _MEMO_VALUE_LIMIT:
+            return Outcome(
+                OutcomeTag.UNDECIDED,
+                undecided_reason=_VALUE_LIMIT,
+                steps_taken=steps,
+                peak_bits=peak,
+            )
+        cycle = self.cycles[kind - _MEMO_CYCLE]
+        return Outcome(_CYCLE, cycle=cycle, steps_taken=steps, peak_bits=peak)
+
+
+def _chunk_outcomes(
+    lo: int, hi: int, rule: Rule, limits: OrbitLimits
+) -> Iterator[tuple[int, Outcome]]:
+    """(seed, outcome) for the odd seeds lo..hi, ascending; each seed's walk
+    may end at a seed below it, through the memo of their outcomes."""
+    memo = _SeedMemo(lo)
+    for seed in range(lo, hi + 1, 2):
+        out = _walk(seed, rule, limits, memo)
+        memo.add(seed, out)
+        yield seed, out
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +430,8 @@ def _scan_chunk(
     rule = rule_for(multiplier)
     limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_value_bits)
     chunk = ChunkResult(index)
-    for seed in range(lo, hi + 1, 2):
-        chunk.add(seed, detect_outcome(seed, rule, limits))
+    for seed, out in _chunk_outcomes(lo, hi, rule, limits):
+        chunk.add(seed, out)
     return chunk
 
 
@@ -490,9 +616,11 @@ def _merge(state: ScanState, rule: Rule, n_chunks: int) -> ScanReport:
 def _run_chunks(tasks: Iterable[tuple], workers: int) -> Iterator[ChunkResult]:
     """Run _scan_chunk on each argument tuple in tasks; yield results as they finish.
 
-    One worker runs the chunks in this process.  More run them in a pool of
-    that size, which reads tasks lazily and holds at most 2 * workers chunks.
+    Workers are capped at the CPU count.  One worker runs the chunks in this
+    process.  More run them in a pool of that size, which reads tasks lazily
+    and holds at most 2 * workers chunks.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for args in tasks:
             yield _scan_chunk(*args)

@@ -58,13 +58,26 @@ class TestParsing:
         assert ns.odd_range == (1, 131071)
         assert ns.workers == 4
 
-    def test_workers_default_from_env(self, monkeypatch):
+    def test_workers_default_from_env(self, monkeypatch, capsys):
         monkeypatch.setenv("GOVLAB_WORKERS", "3")
         ns = cli.parse_args(["scan", "--rule", "5", "--odd-range", "1:9"])
         assert ns.workers == 3
+        for empty in ("", "  "):
+            monkeypatch.setenv("GOVLAB_WORKERS", empty)
+            assert cli.parse_args(["claims", "--list"]).workers == 1
+        monkeypatch.delenv("GOVLAB_WORKERS")
+        assert cli.parse_args(["scan", "--rule", "5", "--odd-range", "1:9"]).workers == 1
+        # an invalid value is a usage error, like every other bad input
+        for bad in ("junk", "0", "-2", "1.5"):
+            monkeypatch.setenv("GOVLAB_WORKERS", bad)
+            for verb in (["scan", "--rule", "5", "--odd-range", "1:9"], ["claims", "--list"]):
+                code, out, err = run_cli(capsys, *verb)
+                assert code == 2 and out == ""
+                assert "--workers" in err
+        # an explicit --workers needs no default
         monkeypatch.setenv("GOVLAB_WORKERS", "junk")
-        ns = cli.parse_args(["scan", "--rule", "5", "--odd-range", "1:9"])
-        assert ns.workers == 1
+        ns = cli.parse_args(["scan", "--rule", "5", "--odd-range", "1:9", "--workers", "2"])
+        assert ns.workers == 2
 
 
 class TestOrbitVerb:

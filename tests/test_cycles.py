@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+from concurrent.futures import Future
 from contextlib import closing
 from itertools import count, islice
 
@@ -7,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import cycles
 from govlab.cycles import (
     CheckpointError,
     Classification,
     OutcomeTag,
     ScanState,
+    _chunk_outcomes,
     _run_chunks,
     _scan_chunk,
     canonical_cycle,
@@ -30,6 +34,15 @@ GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 SCAN_LIMITS = OrbitLimits(max_steps=10**5, max_value_bits=128)
 
 AUX_13 = [83, 416, 208, 104, 52, 26, 13, 66, 33, 166]
+
+
+def oracle_form(out):
+    """An Outcome as the tuple classify_by_orbit returns."""
+    if out.tag is OutcomeTag.CONVERGED_TRIVIAL:
+        return ("converged_trivial", None, out.steps_taken, out.peak_bits)
+    if out.tag is OutcomeTag.CYCLE:
+        return ("cycle", out.cycle.all_members, out.steps_taken, out.peak_bits)
+    return (out.undecided_reason.value, None, out.steps_taken, out.peak_bits)
 
 
 class TestCanonicalCycle:
@@ -110,14 +123,95 @@ class TestDetectOutcome:
         # on outcome, canonical cycle, steps taken, and peak bit length
         limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_bits)
         expected = classify_by_orbit(seed, rule, limits)
-        out = detect_outcome(seed, rule, limits)
-        if out.tag is OutcomeTag.CONVERGED_TRIVIAL:
-            got = ("converged_trivial", None, out.steps_taken, out.peak_bits)
-        elif out.tag is OutcomeTag.CYCLE:
-            got = ("cycle", out.cycle.all_members, out.steps_taken, out.peak_bits)
-        else:
-            got = (out.undecided_reason.value, None, out.steps_taken, out.peak_bits)
-        assert got == expected
+        assert oracle_form(detect_outcome(seed, rule, limits)) == expected
+
+
+@pytest.fixture
+def reuses(monkeypatch):
+    """Records (u, prefix, outcome or None) for every lookup in a chunk's seed memo."""
+    calls = []
+    lookup = cycles._SeedMemo.reuse
+
+    def spy(memo, u, prefix, peak, max_steps):
+        out = lookup(memo, u, prefix, peak, max_steps)
+        calls.append((u, prefix, out))
+        return out
+
+    monkeypatch.setattr(cycles._SeedMemo, "reuse", spy)
+    return calls
+
+
+class TestSeedMemo:
+    """The chunk kernel, which ends an orbit at an earlier seed of its chunk,
+    against the table-free detect_outcome and the step-by-step oracle."""
+
+    @staticmethod
+    def check_chunk(lo, hi, rule, limits):
+        outs = dict(_chunk_outcomes(lo, hi, rule, limits))
+        assert list(outs) == list(range(lo, hi + 1, 2))
+        for seed, out in outs.items():
+            assert out == detect_outcome(seed, rule, limits), seed
+            assert oracle_form(out) == classify_by_orbit(seed, rule, limits), seed
+        return outs
+
+    @given(
+        st.sampled_from([RULE_3Z, RULE_5Z]),
+        st.integers(min_value=0, max_value=3000).map(lambda n: 2 * n + 1),
+        st.integers(min_value=1, max_value=96),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=2, max_value=48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_table_free_and_oracle(self, rule, lo, n_seeds, max_steps, max_bits):
+        limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_bits)
+        self.check_chunk(lo, lo + 2 * (n_seeds - 1), rule, limits)
+
+    def test_every_outcome_class_is_reused(self, reuses):
+        # small limits make all four classes occur, and each reusable one is reused
+        limits = OrbitLimits(max_steps=120, max_value_bits=40)
+        outs = self.check_chunk(1, 1999, RULE_5Z, limits)
+        assert {oracle_form(o)[0] for o in outs.values()} == {
+            "converged_trivial", "cycle", "step_limit", "value_limit",
+        }
+        reused = {oracle_form(out)[0] for _, _, out in reuses if out is not None}
+        assert reused == {"converged_trivial", "cycle", "value_limit"}
+
+    @pytest.mark.parametrize(
+        "rule, seed, u, prefix, total, max_bits",
+        [
+            # 7 -> ... -> 5 after 11 steps; 5 reaches 4 in 3 more
+            (RULE_3Z, 7, 5, 11, 14, 64),
+            # 11 -> 56 -> 28 -> 14 -> 7; 7 passes 24 bits 74 steps later
+            (RULE_5Z, 11, 7, 4, 78, 24),
+        ],
+    )
+    def test_step_budget_edge(self, reuses, rule, seed, u, prefix, total, max_bits):
+        # a hit whose total is exactly the budget is used ...
+        at_limit = OrbitLimits(max_steps=total, max_value_bits=max_bits)
+        outs = self.check_chunk(1, seed, rule, at_limit)
+        assert (u, prefix) == reuses[-1][:2]
+        assert reuses[-1][2] == outs[seed] and outs[seed].steps_taken == total
+        # ... one step over it walks on to the exact STEP_LIMIT result
+        reuses.clear()
+        over = OrbitLimits(max_steps=total - 1, max_value_bits=max_bits)
+        outs = self.check_chunk(1, seed, rule, over)
+        assert (u, prefix, None) in reuses
+        assert outs[seed].undecided_reason is TerminationKind.STEP_LIMIT
+
+    def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, reuses):
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
+        self.check_chunk(1, 199, RULE_3Z, GENEROUS)
+        assert reuses and all(u < 1 + 2 * 8 for u, _, _ in reuses)
+
+    def test_cycle_members_are_not_reused(self, reuses):
+        # 1331 -> 6656 = 13 * 2^9 and 435 -> 2176 = 17 * 2^7 land on the cycle
+        # members 13 and 17, but enter their cycles at 416 and 136: the
+        # members' own results (entry at 13 and 17) would give wrong steps
+        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        assert {(13, 10, None), (17, 8, None)} <= set(reuses)
+        assert outs[1331].steps_taken == 15 and outs[1331].cycle.smallest_odd == 13
+        assert outs[435].steps_taken == 15 and outs[435].cycle.smallest_odd == 17
+        assert outs[13].steps_taken == outs[17].steps_taken == 10
 
 
 class TestScan:
@@ -360,3 +454,36 @@ class TestChunkRunner:
         for chunk in first:
             i = chunk.index
             assert chunk == _scan_chunk(i, 5, 1 + 64 * i, 63 + 64 * i, 10**5, 128)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes: list[int] = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cycles, "ProcessPoolExecutor", InlinePool)
+        serial = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # 16 chunks: three CPUs cap a thousand workers
+        assert scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, 1000, chunk_size=64) == serial
+        # 2 chunks left: the chunk count caps them
+        scan_range(1, 255, RULE_5Z, SCAN_LIMITS, 1000, chunk_size=64)
+        assert sizes == [3, 2]
+        # an unknown CPU count runs in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, 1000, chunk_size=64) == serial
+        assert sizes == [3, 2]
