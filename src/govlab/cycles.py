@@ -7,34 +7,46 @@ range into fixed-size chunks, classifies every odd seed, and folds chunk
 results in index order so the report is independent of worker count and of
 checkpoint interruptions.
 
-A chunk classifies its seeds in ascending order and records each result in
-a seed memo: a kind byte and 64-bit steps and peak per seed, in arrays
-indexed by (seed - lo) >> 1.  When a walk reaches an odd value u in
-[lo, seed) that its own seen map does not hold, the orbit from there on is
-u's orbit, so the result is the prefix plus u's: steps add, peaks take the
-maximum.  That holds unless a value from before u repeats, which needs u to
-lie on a cycle, or the step budget runs out first.  Each storage and lookup
-rule keeps the result exact:
+A chunk keeps an orbit memo: a kind byte and 64-bit steps and peak for
+each odd value of [lo, top), in arrays indexed by (v - lo) >> 1, where top
+covers the chunk's first 2^20 seeds (about 17 MB at most).  Kind 0 means
+unknown.  The memo is filled from every finished walk, not only from the
+chunk's seeds, and a seed whose entry is already filled takes it without a
+walk.
 
-* a converged result is reused: the only cycle through a converged seed is
-  the trivial one, and the seen map catches its odd members first;
-* a value-limit result is reused: if the walk entered u's cycle before u,
-  the values from that entry to u stayed under the cap, so u's orbit passes
-  the cap before it comes back to them;
-* a cycle result is reused only when u is not one of the cycle's odd
-  members, so that u lies on no cycle; an orbit that reaches a member from
+Write.  A walk that ends converged, value-limited or in a cycle records
+each odd value v on it that lies in [lo, top): steps is the walk's total
+minus v's step index, and peak is the largest bit length from v on, a
+suffix maximum over (q*v + 1).bit_length() and the end of the walk (the
+reused entry's peak, when the walk ended on one).  A walk records from the
+first value in [lo, top) after its seed, plus the seed itself from its
+outcome, so a walk that meets no such value writes one entry.  This is v's
+own result unless some value of the walk before v lies on v's suffix; then
+v lies on a cycle.  So:
+
+* a converged result is written: the only cycle it can reach is the
+  trivial one, and trivial members end the walk before they are recorded;
+* a value-limit result is written: an orbit that passes the cap is not
+  periodic;
+* of a cycle result only the values before the cycle's entry point are
+  written, never the cycle's members; an orbit that reaches a member from
   outside enters the cycle at its own entry point, not at the member;
-* step-limit results are cut short, so they are never reused, and a reuse
-  whose total passes the step budget walks on instead, which keeps the
-  step-limit peak exact;
-* the memo is looked up only after the seen map misses, so the trivial and
-  repetition checks come first, as in dynamics.orbit.
+* a step-limit result writes nothing: its steps and peak are cut short.
 
-The memo holds only the chunk's own seeds, so a chunk's result still
-depends only on its bounds, and report bytes do not depend on the worker
-count, the chunk size or resumes.  A walk gains only when it reaches an odd
-value in [lo, seed), so small chunks gain little.  The memo records at most
-a chunk's first 2^20 seeds (about 17 MB), whatever the chunk size.
+Read.  When a walk reaches an odd value u in [lo, top) that its own seen
+map does not hold, and u's entry is filled, the orbit from there on is u's
+orbit, so the result is the prefix plus u's: steps add, peaks take the
+maximum.  By the rules above u lies on no cycle, so no value from before u
+can repeat after it.  The entry is used only when the total stays within
+the step budget; otherwise the walk goes on, which keeps the step-limit
+peak exact.  The memo is read only after the seen map misses, so the
+trivial and repetition checks come first, as in dynamics.orbit.
+
+The memo holds only values of the chunk's own range and is filled only by
+the chunk's own walks, so a chunk's result still depends only on its
+bounds, and report bytes do not depend on the worker count, the chunk size
+or resumes.  Orbits gain only when they meet values of the chunk, so small
+chunks and chunks far from 1 gain little.
 
 The chunks left to run go through one runner: in this process when one is
 left, else in a pool of min(workers, chunks left, CPU count) processes fed
@@ -168,6 +180,13 @@ class Outcome:
     peak_bits: int = 0
 
 
+# an enum member looked up through its class costs about 0.15 us on CPython
+# 3.11, a measurable share of a seed, so the scan path uses these aliases
+_CONVERGED, _CYCLE = OutcomeTag.CONVERGED_TRIVIAL, OutcomeTag.CYCLE
+_UNDECIDED = OutcomeTag.UNDECIDED
+_STEP_LIMIT, _VALUE_LIMIT = TerminationKind.STEP_LIMIT, TerminationKind.VALUE_LIMIT
+
+
 def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
     """Full member list of a cycle given its odd members in orbit order."""
     members: list[int] = []
@@ -202,22 +221,23 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     return _walk(x, rule, limits, None)
 
 
-def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _SeedMemo | None) -> Outcome:
-    """detect_outcome's loop; with a memo it also ends at a recorded seed of the chunk."""
+def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> Outcome:
+    """detect_outcome's loop; with a memo it also ends at a known odd value
+    of the chunk, and records the results the walk determines."""
     q = rule.multiplier
     trivial = rule.trivial_members
     trivial_odds = rule.trivial_odd_members
     max_steps = limits.max_steps
     cap = limits.max_value_bits
-    # odd values in [lo, top) are seeds the memo holds; without one the range is empty
+    # odd values in [lo, top) are the memo's; without one the range is empty
     if memo is None:
         lo = top = x
     else:
-        lo, top = memo.lo, min(x, memo.top)
+        lo, top = memo.lo, memo.top
 
     peak = x.bit_length()
     if x in trivial_odds:
-        return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=0, peak_bits=peak)
+        return Outcome(_CONVERGED, steps_taken=0, peak_bits=peak)
     # odd value -> valuation of the run that entered it (0 for x), or -1 for
     # a trivial odd member, so that one lookup tells the three runs apart
     seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
@@ -225,18 +245,19 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _SeedMemo | None) -> Ou
     order: list[int] = [x]
     cur = x
     s = 0
+    first = 0  # position in order of the first value after x in [lo, top), once met
+    tail = 0  # peak of the memo entry the walk ends on
     while True:
         t = q * cur + 1
         bits = t.bit_length()
         if bits > peak:
             peak = bits
         if bits > cap:
-            return Outcome(
-                OutcomeTag.UNDECIDED,
-                undecided_reason=TerminationKind.VALUE_LIMIT,
-                steps_taken=s + 1,
-                peak_bits=peak,
+            out = Outcome(
+                _UNDECIDED, undecided_reason=_VALUE_LIMIT, steps_taken=s + 1, peak_bits=peak
             )
+            end = len(order)
+            break
         # v2(t) inlined: a call per transition is a measurable share of this loop
         k = (t & -t).bit_length() - 1
         u = t >> k
@@ -245,9 +266,12 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _SeedMemo | None) -> Ou
             # u is neither trivial nor seen, so the orbit goes at least one step past it
             stop = s + k + 2
             if lo <= u < top:
+                if not first:
+                    first = len(order)
                 out = memo.reuse(u, stop - 1, peak, max_steps)
                 if out is not None:
-                    return out
+                    end, tail = len(order), memo.peaks[(u - lo) >> 1]
+                    break
         elif hit < 0:
             # first trivial member along t>>1 .. t>>k; u itself guarantees one
             stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
@@ -256,63 +280,105 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _SeedMemo | None) -> Ou
             stop = s + 1 + k - min(hit, k)
         if stop > max_steps:
             return Outcome(
-                OutcomeTag.UNDECIDED,
-                undecided_reason=TerminationKind.STEP_LIMIT,
-                steps_taken=max_steps,
-                peak_bits=peak,
+                _UNDECIDED, undecided_reason=_STEP_LIMIT, steps_taken=max_steps, peak_bits=peak
             )
         if hit is not None:
             if hit < 0:
-                return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=stop, peak_bits=peak)
-            record = canonical_cycle(_expand_cycle(order[order.index(u) :], rule), rule)
-            return Outcome(OutcomeTag.CYCLE, cycle=record, steps_taken=stop, peak_bits=peak)
+                out = Outcome(_CONVERGED, steps_taken=stop, peak_bits=peak)
+                end = len(order)
+            else:
+                # odd values before u lead into the cycle; u and those after it are members
+                end = order.index(u)
+                record = canonical_cycle(_expand_cycle(order[end:], rule), rule)
+                out = Outcome(_CYCLE, cycle=record, steps_taken=stop, peak_bits=peak)
+            break
         s = stop - 1
         seen[u] = k
         order.append(u)
         cur = u
+    if memo is not None:
+        memo.record(out, order, seen, s, first, end, tail, q)
+    return out
 
 
-# kinds of a seed memo entry; 0 marks a result that must not be reused
+# kinds of an orbit memo entry; 0 marks a value whose result is unknown
 _MEMO_TRIVIAL = 1
 _MEMO_VALUE_LIMIT = 2
-_MEMO_CYCLE = 3  # plus the cycle's position in _SeedMemo.cycles
+_MEMO_CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
 _MEMO_MAX_SEEDS = 1 << 20  # about 17 MB: the table stays bounded for any chunk size
-# an enum member looked up through its class costs about 0.15 us on CPython
-# 3.11, more than half of a whole _SeedMemo.add, so the memo uses these
-_CONVERGED, _CYCLE = OutcomeTag.CONVERGED_TRIVIAL, OutcomeTag.CYCLE
-_VALUE_LIMIT = TerminationKind.VALUE_LIMIT
 
 
-class _SeedMemo:
-    """Results of a chunk's seeds, recorded in ascending order from lo.
+class _OrbitMemo:
+    """Results of the odd values of [lo, top), filled by a chunk's walks.
 
-    Entry (seed - lo) >> 1 holds a kind byte, the steps taken and the peak
-    bits; the module docstring says which results are reused and why that
-    is exact.  The first _MEMO_MAX_SEEDS seeds of a chunk are recorded.
+    Entry (v - lo) >> 1 holds a kind byte, the steps taken and the peak
+    bits of v's orbit; kind 0 means unknown.  The range covers the chunk's
+    first _MEMO_MAX_SEEDS seeds.  The module docstring says which results
+    are written and why each is exact.
     """
 
-    def __init__(self, lo: int) -> None:
+    def __init__(self, lo: int, hi: int) -> None:
+        n = min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
         self.lo = lo
-        self.top = lo + 2 * _MEMO_MAX_SEEDS  # the first seed not recorded
-        self.kinds = bytearray()
-        self.steps = array("q")
-        self.peaks = array("q")
+        self.top = lo + 2 * n  # the first odd value not held
+        self.kinds = bytearray(n)
+        self.steps = array("q", [0]) * n
+        self.peaks = array("q", [0]) * n
         self.cycles: list[CycleRecord] = []
 
-    def add(self, seed: int, out: Outcome) -> None:
-        """Record the outcome of seed, the next seed of the chunk."""
-        if seed >= self.top:
-            return
+    def record(
+        self,
+        out: Outcome,
+        order: list[int],
+        seen: dict[int, int],
+        s: int,
+        first: int,
+        end: int,
+        tail: int,
+        q: int,
+    ) -> None:
+        """Write the results a finished walk determines.
+
+        order holds the walk's odd values, the last of them at step s; seen
+        maps each to the valuation of the run that entered it.  Values from
+        position end on are members of out's cycle and are not written.
+        The seed order[0] is written from out; the values from position
+        first (0 when none lay in range) back from the end of the walk get
+        the walk's total minus their step index and their suffix peak,
+        which starts from tail, the peak of an entry the walk ended on.
+        """
         tag = out.tag
         if tag is _CONVERGED:
             kind = _MEMO_TRIVIAL
         elif tag is _CYCLE:
-            kind = 0 if seed in out.cycle.odd_members else self._cycle_kind(out.cycle)
+            kind = self._cycle_kind(out.cycle)
         else:
-            kind = _MEMO_VALUE_LIMIT if out.undecided_reason is _VALUE_LIMIT else 0
-        self.kinds.append(kind)
-        self.steps.append(out.steps_taken)
-        self.peaks.append(out.peak_bits)
+            kind = _MEMO_VALUE_LIMIT  # a step-limited walk returns without recording
+        if not kind:
+            return
+        lo, top = self.lo, self.top
+        kinds, steps, peaks = self.kinds, self.steps, self.peaks
+        total = out.steps_taken
+        x = order[0]
+        if end and x < top:
+            i = (x - lo) >> 1
+            kinds[i] = kind
+            steps[i] = total
+            peaks[i] = out.peak_bits
+        if not first:
+            return
+        peak = tail
+        for j in range(len(order) - 1, first - 1, -1):
+            v = order[j]
+            bits = (q * v + 1).bit_length()
+            if bits > peak:
+                peak = bits
+            if j < end and lo <= v < top:
+                i = (v - lo) >> 1
+                kinds[i] = kind
+                steps[i] = total - s
+                peaks[i] = peak
+            s -= 1 + seen[v]
 
     def _cycle_kind(self, record: CycleRecord) -> int:
         if record in self.cycles:
@@ -323,22 +389,22 @@ class _SeedMemo:
         return _MEMO_CYCLE + len(self.cycles) - 1
 
     def reuse(self, u: int, prefix: int, peak: int, max_steps: int) -> Outcome | None:
-        """Outcome of an orbit that reaches recorded seed u after prefix steps
-        with peak bits so far, or None when it must keep walking."""
+        """Outcome of an orbit that reaches u, a value of the memo's range,
+        after prefix steps with peak bits so far, or None when it must keep
+        walking."""
         i = (u - self.lo) >> 1
         kind = self.kinds[i]
+        if not kind:
+            return None
         steps = prefix + self.steps[i]
-        if not kind or steps > max_steps:
+        if steps > max_steps:
             return None
         peak = max(peak, self.peaks[i])
         if kind == _MEMO_TRIVIAL:
             return Outcome(_CONVERGED, steps_taken=steps, peak_bits=peak)
         if kind == _MEMO_VALUE_LIMIT:
             return Outcome(
-                OutcomeTag.UNDECIDED,
-                undecided_reason=_VALUE_LIMIT,
-                steps_taken=steps,
-                peak_bits=peak,
+                _UNDECIDED, undecided_reason=_VALUE_LIMIT, steps_taken=steps, peak_bits=peak
             )
         cycle = self.cycles[kind - _MEMO_CYCLE]
         return Outcome(_CYCLE, cycle=cycle, steps_taken=steps, peak_bits=peak)
@@ -347,13 +413,14 @@ class _SeedMemo:
 def _chunk_outcomes(
     lo: int, hi: int, rule: Rule, limits: OrbitLimits
 ) -> Iterator[tuple[int, Outcome]]:
-    """(seed, outcome) for the odd seeds lo..hi, ascending; each seed's walk
-    may end at a seed below it, through the memo of their outcomes."""
-    memo = _SeedMemo(lo)
+    """(seed, outcome) for the odd seeds lo..hi, ascending; a seed that an
+    earlier walk of the chunk passed through takes its result from the memo,
+    and each walk may end at a value of the chunk whose result is known."""
+    memo = _OrbitMemo(lo, hi)
+    top, max_steps = memo.top, limits.max_steps
     for seed in range(lo, hi + 1, 2):
-        out = _walk(seed, rule, limits, memo)
-        memo.add(seed, out)
-        yield seed, out
+        out = memo.reuse(seed, 0, 0, max_steps) if seed < top else None
+        yield seed, out or _walk(seed, rule, limits, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +445,14 @@ class ChunkResult:
 
     def add(self, seed: int, out: Outcome) -> None:
         """Fold in the outcome of one seed, after every seed below it."""
-        if out.tag is OutcomeTag.CONVERGED_TRIVIAL:
+        tag = out.tag
+        if tag is _CONVERGED:
             slot = 0
-        elif out.tag is OutcomeTag.CYCLE:
+        elif tag is _CYCLE:
             slot = 1
             self.cycles.setdefault(out.cycle.smallest_odd, out.cycle)
         else:
-            slot = 2 if out.undecided_reason is TerminationKind.STEP_LIMIT else 3
+            slot = 2 if out.undecided_reason is _STEP_LIMIT else 3
             self.candidates.append(seed)
         self.counts[slot] += 1
         if out.peak_bits > self.max_excursion_bits:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .numerics import governor_index, v2
 
@@ -76,11 +77,12 @@ class Rule:
         """Exact per-transition index drop above the trivial range: v2(q - 1)."""
         return v2(self.multiplier - 1)
 
-    @property
+    # built once per rule: the scan kernel reads both for every seed
+    @cached_property
     def trivial_members(self) -> frozenset[int]:
         return frozenset(self.trivial_cycle)
 
-    @property
+    @cached_property
     def trivial_odd_members(self) -> frozenset[int]:
         return frozenset(x for x in self.trivial_cycle if x % 2)
 

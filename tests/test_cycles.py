@@ -126,32 +126,86 @@ class TestDetectOutcome:
         assert oracle_form(detect_outcome(seed, rule, limits)) == expected
 
 
+def capture_memos(monkeypatch):
+    """The orbit memos that chunks build from now on, in order."""
+    made = []
+    init = cycles._OrbitMemo.__init__
+
+    def spy(memo, *args):
+        init(memo, *args)
+        made.append(memo)
+
+    monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+    return made
+
+
+def memo_entries(memo):
+    """{value: oracle form of its entry} for every filled entry of an orbit memo."""
+    entries = {}
+    for i, kind in enumerate(memo.kinds):
+        if not kind:
+            continue
+        if kind == cycles._MEMO_TRIVIAL:
+            tag, members = "converged_trivial", None
+        elif kind == cycles._MEMO_VALUE_LIMIT:
+            tag, members = "value_limit", None
+        else:
+            tag, members = "cycle", memo.cycles[kind - cycles._MEMO_CYCLE].all_members
+        entries[memo.lo + 2 * i] = (tag, members, memo.steps[i], memo.peaks[i])
+    return entries
+
+
 @pytest.fixture
 def reuses(monkeypatch):
-    """Records (u, prefix, outcome or None) for every lookup in a chunk's seed memo."""
+    """Records (u, prefix, known, outcome or None) for every lookup in a
+    chunk's orbit memo; known tells whether u's entry was filled."""
     calls = []
-    lookup = cycles._SeedMemo.reuse
+    lookup = cycles._OrbitMemo.reuse
 
     def spy(memo, u, prefix, peak, max_steps):
+        known = memo.kinds[(u - memo.lo) >> 1] != 0
         out = lookup(memo, u, prefix, peak, max_steps)
-        calls.append((u, prefix, out))
+        calls.append((u, prefix, known, out))
         return out
 
-    monkeypatch.setattr(cycles._SeedMemo, "reuse", spy)
+    monkeypatch.setattr(cycles._OrbitMemo, "reuse", spy)
     return calls
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Records the seed of every walk a chunk makes with its memo."""
+    seeds = []
+    walk = cycles._walk
+
+    def spy(x, rule, limits, memo):
+        if memo is not None:
+            seeds.append(x)
+        return walk(x, rule, limits, memo)
+
+    monkeypatch.setattr(cycles, "_walk", spy)
+    return seeds
+
+
 class TestSeedMemo:
-    """The chunk kernel, which ends an orbit at an earlier seed of its chunk,
-    against the table-free detect_outcome and the step-by-step oracle."""
+    """The chunk kernel, which ends an orbit at a value of its chunk that an
+    earlier walk recorded, against the table-free detect_outcome and the
+    step-by-step oracle."""
 
     @staticmethod
     def check_chunk(lo, hi, rule, limits):
-        outs = dict(_chunk_outcomes(lo, hi, rule, limits))
+        """Check every seed's outcome and every filled memo entry of the chunk."""
+        with pytest.MonkeyPatch.context() as mp:
+            memos = capture_memos(mp)
+            outs = dict(_chunk_outcomes(lo, hi, rule, limits))
         assert list(outs) == list(range(lo, hi + 1, 2))
         for seed, out in outs.items():
             assert out == detect_outcome(seed, rule, limits), seed
             assert oracle_form(out) == classify_by_orbit(seed, rule, limits), seed
+        # each entry is its value's own result, whichever walk wrote it
+        (memo,) = memos
+        for v, entry in memo_entries(memo).items():
+            assert entry == oracle_form(detect_outcome(v, rule, limits)), v
         return outs
 
     @given(
@@ -166,6 +220,25 @@ class TestSeedMemo:
         limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_bits)
         self.check_chunk(lo, lo + 2 * (n_seeds - 1), rule, limits)
 
+    @pytest.mark.parametrize(
+        "rule, lo, hi, limits",
+        [
+            (RULE_3Z, 1, 999, GENEROUS),
+            (RULE_3Z, 100001, 100999, GENEROUS),
+            (RULE_5Z, 1, 1999, SCAN_LIMITS),
+            (RULE_5Z, 1, 1999, OrbitLimits(max_steps=120, max_value_bits=40)),
+        ],
+        ids=["3z-at-1", "3z-far-from-1", "5z-at-1", "5z-small-limits"],
+    )
+    def test_every_entry_is_the_values_own_result(self, monkeypatch, walks, rule, lo, hi, limits):
+        memos = capture_memos(monkeypatch)
+        outs = self.check_chunk(lo, hi, rule, limits)  # compares each entry with detect_outcome
+        entries = memo_entries(memos[0])
+        # walks also write values of the chunk other than their own seed
+        assert set(entries) - set(walks)
+        # step-limited results are never written
+        assert not any(outs[v].undecided_reason is TerminationKind.STEP_LIMIT for v in entries)
+
     def test_every_outcome_class_is_reused(self, reuses):
         # small limits make all four classes occur, and each reusable one is reused
         limits = OrbitLimits(max_steps=120, max_value_bits=40)
@@ -173,8 +246,27 @@ class TestSeedMemo:
         assert {oracle_form(o)[0] for o in outs.values()} == {
             "converged_trivial", "cycle", "step_limit", "value_limit",
         }
-        reused = {oracle_form(out)[0] for _, _, out in reuses if out is not None}
+        reused = {oracle_form(out)[0] for _, prefix, _, out in reuses if prefix and out is not None}
         assert reused == {"converged_trivial", "cycle", "value_limit"}
+
+    def test_value_reused_before_its_own_turn(self, reuses):
+        # 27's walk passes 91; seed 63 meets 91 at step 15, before 91's turn
+        # as a seed, and ends there: 15 + 90 steps
+        outs = self.check_chunk(1, 99, RULE_3Z, GENEROUS)
+        lookups = [(u, prefix) for u, prefix, _, _ in reuses]
+        at = lookups.index((91, 15))
+        assert reuses[at][2:] == (True, outs[63])
+        assert outs[63].steps_taken == 105
+        assert lookups.index((91, 0)) > at
+
+    def test_seed_read_off_the_table(self, reuses, walks):
+        # an earlier walk of the chunk passes 1331, so its entry is filled
+        # before its turn and the seed takes it without a walk
+        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        assert 1331 not in walks
+        assert (1331, 0, True, outs[1331]) in reuses
+        # in a chunk at 1 many seeds are read off the table
+        assert len(walks) < 2 * len(outs) // 3
 
     @pytest.mark.parametrize(
         "rule, seed, u, prefix, total, max_bits",
@@ -183,35 +275,52 @@ class TestSeedMemo:
             (RULE_3Z, 7, 5, 11, 14, 64),
             # 11 -> 56 -> 28 -> 14 -> 7; 7 passes 24 bits 74 steps later
             (RULE_5Z, 11, 7, 4, 78, 24),
+            # 63 meets 91, which 27's walk wrote, after 15 steps; 91 reaches 4 in 90
+            (RULE_3Z, 63, 91, 15, 105, 64),
         ],
     )
     def test_step_budget_edge(self, reuses, rule, seed, u, prefix, total, max_bits):
+        hi = max(seed, u)
         # a hit whose total is exactly the budget is used ...
         at_limit = OrbitLimits(max_steps=total, max_value_bits=max_bits)
-        outs = self.check_chunk(1, seed, rule, at_limit)
-        assert (u, prefix) == reuses[-1][:2]
-        assert reuses[-1][2] == outs[seed] and outs[seed].steps_taken == total
+        outs = self.check_chunk(1, hi, rule, at_limit)
+        assert (u, prefix, True, outs[seed]) in reuses
+        assert outs[seed].steps_taken == total
         # ... one step over it walks on to the exact STEP_LIMIT result
         reuses.clear()
         over = OrbitLimits(max_steps=total - 1, max_value_bits=max_bits)
-        outs = self.check_chunk(1, seed, rule, over)
-        assert (u, prefix, None) in reuses
+        outs = self.check_chunk(1, hi, rule, over)
+        assert (u, prefix, True, None) in reuses
         assert outs[seed].undecided_reason is TerminationKind.STEP_LIMIT
 
     def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, reuses):
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
+        memos = capture_memos(monkeypatch)
         self.check_chunk(1, 199, RULE_3Z, GENEROUS)
-        assert reuses and all(u < 1 + 2 * 8 for u, _, _ in reuses)
+        assert len(memos[0].kinds) == len(memos[0].steps) == len(memos[0].peaks) == 8
+        assert reuses and all(u < 1 + 2 * 8 for u, _, _, _ in reuses)
 
     def test_cycle_members_are_not_reused(self, reuses):
         # 1331 -> 6656 = 13 * 2^9 and 435 -> 2176 = 17 * 2^7 land on the cycle
         # members 13 and 17, but enter their cycles at 416 and 136: the
         # members' own results (entry at 13 and 17) would give wrong steps
         outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
-        assert {(13, 10, None), (17, 8, None)} <= set(reuses)
+        member_lookups = [r for r in reuses if r[0] in (13, 17) and r[1]]
+        assert member_lookups and all(r[2:] == (False, None) for r in member_lookups)
         assert outs[1331].steps_taken == 15 and outs[1331].cycle.smallest_odd == 13
         assert outs[435].steps_taken == 15 and outs[435].cycle.smallest_odd == 17
         assert outs[13].steps_taken == outs[17].steps_taken == 10
+
+    def test_cycle_members_are_never_written(self, monkeypatch):
+        memos = capture_memos(monkeypatch)
+        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        members = {13, 33, 83, 17, 27, 43}
+        assert {outs[v].cycle.smallest_odd for v in members} == {13, 17}
+        memo = memos[0]
+        assert all(memo.kinds[(v - 1) >> 1] == 0 for v in members)
+        # values that lead into a cycle are written: 5 -> 26 -> 13 -> ... -> 83
+        # -> 416 -> ... -> 26, whose second occurrence is step 11
+        assert memo_entries(memo)[5] == ("cycle", outs[13].cycle.all_members, 11, 9)
 
 
 class TestScan:
@@ -264,6 +373,16 @@ class TestScan:
         for workers in (2, 4):
             other = scan_range(1, 4095, RULE_5Z, SCAN_LIMITS, workers=workers, **kwargs)
             assert other.to_json() == base.to_json()
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z])
+    def test_chunk_size_does_not_change_bytes(self, rule):
+        # each chunk's memo holds different values, so orbits end at different
+        # places; small limits make all four outcome classes occur on 5Z+1
+        limits = OrbitLimits(max_steps=120, max_value_bits=40)
+        base = scan_range(1, 2047, rule, limits)
+        for chunk_size in (1, 3, 100, 512):
+            other = scan_range(1, 2047, rule, limits, chunk_size=chunk_size)
+            assert other.to_json() == base.to_json(), chunk_size
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
