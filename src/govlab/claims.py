@@ -14,10 +14,10 @@ import enum
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cycles import Classification, ScanReport, scan_range
-from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, find_promotions, next_odd
+from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, next_odd
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index
 
@@ -96,16 +96,21 @@ def _scan_evidence(report: ScanReport) -> dict:
     }
 
 
-def _run_scan(params: dict, rule) -> ScanReport:
-    limits = OrbitLimits(
-        max_steps=params["max_steps"],
-        max_value_bits=params["max_value_bits"],
-    )
-    return scan_range(params["lo"], params["hi"], rule, limits, workers=params["workers"])
+def _scan(params: dict, rule: Rule, scans: dict[tuple, ScanReport]) -> ScanReport:
+    """The report of the scan params ask for, run unless scans already holds it.
+
+    Reports are keyed by rule, range and limits, which decide every byte of
+    a report; the worker count does not.
+    """
+    steps, bits = params["max_steps"], params["max_value_bits"]
+    key = (rule.multiplier, params["lo"], params["hi"], steps, bits)
+    if key not in scans:
+        limits = OrbitLimits(max_steps=steps, max_value_bits=bits)
+        scans[key] = scan_range(params["lo"], params["hi"], rule, limits, workers=params["workers"])
+    return scans[key]
 
 
-def _cycle_index_check(params: dict, rule, allowed: frozenset[int]) -> tuple[Verdict, dict]:
-    report = _run_scan(params, rule)
+def _cycle_index_check(report: ScanReport, allowed: frozenset[int]) -> tuple[Verdict, dict]:
     violations = []
     for rec in report.cycles:
         for member, idx in rec.governor_indices:
@@ -123,12 +128,11 @@ def _cycle_index_check(params: dict, rule, allowed: frozenset[int]) -> tuple[Ver
     return (Verdict.PASS if not violations else Verdict.FAIL), evidence
 
 
-def _run_c1(params: dict) -> tuple[Verdict, dict]:
-    return _cycle_index_check(params, RULE_3Z, frozenset({1}))
+def _run_c1(report: ScanReport) -> tuple[Verdict, dict]:
+    return _cycle_index_check(report, frozenset({1}))
 
 
-def _run_c2(params: dict) -> tuple[Verdict, dict]:
-    report = _run_scan(params, RULE_3Z)
+def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
     auxiliary = [
         c.to_doc() for c in report.cycles if c.classification is Classification.AUXILIARY
     ]
@@ -151,12 +155,11 @@ def _run_c2(params: dict) -> tuple[Verdict, dict]:
     return (Verdict.PASS if not auxiliary else Verdict.FAIL), evidence
 
 
-def _run_c3(params: dict) -> tuple[Verdict, dict]:
-    return _cycle_index_check(params, RULE_5Z, frozenset({1, 2}))
+def _run_c3(report: ScanReport) -> tuple[Verdict, dict]:
+    return _cycle_index_check(report, frozenset({1, 2}))
 
 
-def _run_c4(params: dict) -> tuple[Verdict, dict]:
-    report = _run_scan(params, RULE_5Z)
+def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
     bound = 1 << 5
     oversized = [
         c.to_doc()
@@ -317,11 +320,15 @@ def _run_c7(params: dict) -> tuple[Verdict, dict]:
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """A registered claim.  With scan_rule set, the runner takes the report
+    of that rule's scan over the claim's range and limits; else its params."""
+
     claim_id: str
     title: str
     statement: str
     defaults: dict
-    runner: Callable[[dict], tuple[Verdict, dict]]
+    runner: Callable[..., tuple[Verdict, dict]]
+    scan_rule: Rule | None = None
 
 
 _SCAN_3Z_DEFAULTS = {
@@ -347,6 +354,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "3Z+1 has all of its odd members with governor index 1.",
         dict(_SCAN_3Z_DEFAULTS),
         _run_c1,
+        RULE_3Z,
     ),
     ClaimSpec(
         "C2",
@@ -355,6 +363,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "than the known trivial cycle 1 -> 4 -> 2.",
         dict(_SCAN_3Z_DEFAULTS),
         _run_c2,
+        RULE_3Z,
     ),
     ClaimSpec(
         "C3",
@@ -363,6 +372,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "5Z+1 has all of its odd members with governor index 1 or 2.",
         dict(_SCAN_5Z_DEFAULTS),
         _run_c3,
+        RULE_5Z,
     ),
     ClaimSpec(
         "C4",
@@ -371,6 +381,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "under 5Z+1 has its smallest odd member below 2^5.",
         dict(_SCAN_5Z_DEFAULTS),
         _run_c4,
+        RULE_5Z,
     ),
     ClaimSpec(
         "C5",
@@ -446,27 +457,45 @@ def claim_defaults(claim_id: str) -> dict:
     return dict(_spec(claim_id).defaults)
 
 
+def run_claims(
+    claim_ids: Iterable[str], overrides: dict[str, dict] | None = None
+) -> ClaimReport:
+    """Run the claims in the given order, each with its defaults merged under
+    overrides[claim id].
+
+    Each distinct scan (rule, range and limits) runs once, in the first
+    claim that needs it, and its report serves every later claim of this
+    call; so a later claim's runtime_seconds covers only its own checks.
+    """
+    overrides = check_overrides(overrides or {})
+    scans: dict[tuple, ScanReport] = {}
+    results = []
+    for claim_id in claim_ids:
+        spec = _spec(claim_id)
+        params = {**spec.defaults, **overrides.get(claim_id, {})}
+        t0 = time.perf_counter()
+        if spec.scan_rule is None:
+            verdict, evidence = spec.runner(params)
+        else:
+            verdict, evidence = spec.runner(_scan(params, spec.scan_rule, scans))
+        results.append(
+            ClaimResult(
+                claim_id=claim_id,
+                params=params,
+                verdict=verdict,
+                evidence=evidence,
+                runtime_seconds=time.perf_counter() - t0,
+            )
+        )
+    return ClaimReport(results=tuple(results))
+
+
 def run_claim(claim_id: str, params: dict | None = None) -> ClaimResult:
     """Run one claim with defaults merged under the given overrides."""
-    spec = _spec(claim_id)
-    merged = dict(spec.defaults)
-    if params is not None:
-        check_overrides({claim_id: params})
-        merged.update(params)
-    t0 = time.perf_counter()
-    verdict, evidence = spec.runner(merged)
-    dt = time.perf_counter() - t0
-    return ClaimResult(
-        claim_id=claim_id,
-        params=merged,
-        verdict=verdict,
-        evidence=evidence,
-        runtime_seconds=dt,
-    )
+    overrides = None if params is None else {claim_id: params}
+    return run_claims([claim_id], overrides).results[0]
 
 
 def run_all(overrides: dict[str, dict] | None = None) -> ClaimReport:
     """Run C1..C7 with desk-scale defaults; overrides map claim id to params."""
-    overrides = check_overrides(overrides or {})
-    results = tuple(run_claim(spec.claim_id, overrides.get(spec.claim_id)) for spec in CLAIMS)
-    return ClaimReport(results=results)
+    return run_claims([spec.claim_id for spec in CLAIMS], overrides)

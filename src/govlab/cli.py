@@ -252,13 +252,12 @@ def _cmd_claims(ns: argparse.Namespace) -> int:
             print(f"govlab claims: --params is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_USAGE
     ids = ns.ids if ns.ids else [claim_id for claim_id, _, _ in claims_mod.list_claims()]
-    results = []
+    per_claim: dict[str, dict] = {}
     for claim_id in ids:
-        params = dict(overrides.get(claim_id, {}))
+        params = per_claim[claim_id] = dict(overrides.get(claim_id, {}))
         if "workers" in claims_mod.claim_defaults(claim_id):
             params.setdefault("workers", ns.workers)
-        results.append(claims_mod.run_claim(claim_id, params))
-    report = claims_mod.ClaimReport(results=tuple(results))
+    report = claims_mod.run_claims(ids, per_claim)
     sys.stdout.write(report.to_json())
     return EXIT_CLAIM_FAILURE if report.any_failed else EXIT_OK
 

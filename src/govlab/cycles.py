@@ -7,12 +7,13 @@ range into fixed-size chunks, classifies every odd seed, and folds chunk
 results in index order so the report is independent of worker count and of
 checkpoint interruptions.
 
-A chunk keeps an orbit memo: a kind byte and 64-bit steps and peak for
-each odd value of [lo, top), in arrays indexed by (v - lo) >> 1, where top
-covers the chunk's first 2^20 seeds (about 17 MB at most).  Kind 0 means
-unknown.  The memo is filled from every finished walk, not only from the
-chunk's seeds, and a seed whose entry is already filled takes it without a
-walk.
+A scan keeps an orbit memo in each process that runs its chunks: a kind
+byte, steps and peak for each odd value of [lo, top), in arrays indexed by
+(v - lo) >> 1, where lo is the scan's first seed and top covers its first
+2^20 seeds (about 7 MB at most).  Kind 0 means unknown.  The memo is filled
+from every finished walk of every chunk the process runs for the scan, not
+only from the seeds, and a seed whose entry is already filled takes it
+without a walk.
 
 Write.  A walk that ends converged, value-limited or in a cycle records
 each odd value v on it that lies in [lo, top): steps is the walk's total
@@ -42,11 +43,15 @@ the step budget; otherwise the walk goes on, which keeps the step-limit
 peak exact.  The memo is read only after the seen map misses, so the
 trivial and repetition checks come first, as in dynamics.orbit.
 
-The memo holds only values of the chunk's own range and is filled only by
-the chunk's own walks, so a chunk's result still depends only on its
-bounds, and report bytes do not depend on the worker count, the chunk size
-or resumes.  Orbits gain only when they meet values of the chunk, so small
-chunks and chunks far from 1 gain little.
+Every filled entry is its value's own result under the scan's rule and
+limits, whichever walk wrote it, so the order in which chunks fill the
+memo, and which process fills it, cannot change an outcome: chunk results,
+checkpoints and report bytes do not depend on the worker count, the chunk
+size or resumes.  A resumed scan starts with an empty memo, which its walks
+fill over the whole range, completed chunks included.  A memo lives only as
+long as its scan (the in-process runner's local, or the pool worker
+processes), because its entries hold only for one rule and one set of
+limits.
 
 The chunks left to run go through one runner: in this process when one is
 left, else in a pool of min(workers, chunks left, CPU count) processes fed
@@ -223,7 +228,7 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
 
 def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> Outcome:
     """detect_outcome's loop; with a memo it also ends at a known odd value
-    of the chunk, and records the results the walk determines."""
+    of the scan, and records the results the walk determines."""
     q = rule.multiplier
     trivial = rule.trivial_members
     trivial_odds = rule.trivial_odd_members
@@ -305,25 +310,38 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> O
 _MEMO_TRIVIAL = 1
 _MEMO_VALUE_LIMIT = 2
 _MEMO_CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
-_MEMO_MAX_SEEDS = 1 << 20  # about 17 MB: the table stays bounded for any chunk size
+# about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
+# the table stays bounded for any range
+_MEMO_MAX_SEEDS = 1 << 20
+
+
+def _zeros(code: str, n: int, bound: int) -> array:
+    """n zeros in an array of typecode code if it holds 0..bound, else of 'q'
+    (storing a value the typecode cannot hold raises OverflowError)."""
+    if bound >> (8 * array(code).itemsize):
+        code = "q"
+    return array(code, [0]) * n
 
 
 class _OrbitMemo:
-    """Results of the odd values of [lo, top), filled by a chunk's walks.
+    """Results of the odd values of [lo, top), filled by the walks of one
+    scan's chunks.
 
     Entry (v - lo) >> 1 holds a kind byte, the steps taken and the peak
-    bits of v's orbit; kind 0 means unknown.  The range covers the chunk's
-    first _MEMO_MAX_SEEDS seeds.  The module docstring says which results
-    are written and why each is exact.
+    bits of v's orbit under limits; kind 0 means unknown.  The range covers
+    the first _MEMO_MAX_SEEDS seeds of lo..hi.  The module docstring says
+    which results are written and why each is exact.
     """
 
-    def __init__(self, lo: int, hi: int) -> None:
+    def __init__(self, lo: int, hi: int, limits: OrbitLimits) -> None:
         n = min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
         self.lo = lo
         self.top = lo + 2 * n  # the first odd value not held
         self.kinds = bytearray(n)
-        self.steps = array("q", [0]) * n
-        self.peaks = array("q", [0]) * n
+        # an entry's steps are at most max_steps; its peak is the bit length
+        # of some q*v + 1 with v under the cap or below top (q < 8)
+        self.steps = _zeros("I", n, limits.max_steps)
+        self.peaks = _zeros("H", n, max(limits.max_value_bits, self.top.bit_length()) + 8)
         self.cycles: list[CycleRecord] = []
 
     def record(
@@ -411,12 +429,14 @@ class _OrbitMemo:
 
 
 def _chunk_outcomes(
-    lo: int, hi: int, rule: Rule, limits: OrbitLimits
+    lo: int, hi: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None = None
 ) -> Iterator[tuple[int, Outcome]]:
-    """(seed, outcome) for the odd seeds lo..hi, ascending; a seed that an
-    earlier walk of the chunk passed through takes its result from the memo,
-    and each walk may end at a value of the chunk whose result is known."""
-    memo = _OrbitMemo(lo, hi)
+    """(seed, outcome) for the odd seeds lo..hi, ascending, with the memo of
+    a scan that holds them (by default one of its own); a seed that an
+    earlier walk passed through takes its result from the memo, and each
+    walk may end at a value whose result is known."""
+    if memo is None:
+        memo = _OrbitMemo(lo, hi, limits)
     top, max_steps = memo.top, limits.max_steps
     for seed in range(lo, hi + 1, 2):
         out = memo.reuse(seed, 0, 0, max_steps) if seed < top else None
@@ -492,13 +512,30 @@ class ChunkResult:
         )
 
 
+# the orbit memo of the scan whose chunks this pool worker process runs
+_worker_memo: _OrbitMemo | None = None
+
+
+def _init_worker(lo: int, hi: int, limits: OrbitLimits) -> None:
+    global _worker_memo
+    _worker_memo = _OrbitMemo(lo, hi, limits)
+
+
 def _scan_chunk(
-    index: int, multiplier: int, lo: int, hi: int, max_steps: int, max_value_bits: int
+    index: int,
+    multiplier: int,
+    lo: int,
+    hi: int,
+    max_steps: int,
+    max_value_bits: int,
+    memo: _OrbitMemo | None = None,
 ) -> ChunkResult:
+    """Fold the chunk lo..hi, reading and filling memo, else the memo of the
+    pool worker this runs in, else one of the chunk's own."""
     rule = rule_for(multiplier)
     limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_value_bits)
     chunk = ChunkResult(index)
-    for seed, out in _chunk_outcomes(lo, hi, rule, limits):
+    for seed, out in _chunk_outcomes(lo, hi, rule, limits, memo or _worker_memo):
         chunk.add(seed, out)
     return chunk
 
@@ -681,20 +718,27 @@ def _merge(state: ScanState, rule: Rule, n_chunks: int) -> ScanReport:
     )
 
 
-def _run_chunks(tasks: Iterable[tuple], workers: int) -> Iterator[ChunkResult]:
+def _run_chunks(
+    tasks: Iterable[tuple], workers: int, scan: tuple[int, int, OrbitLimits]
+) -> Iterator[ChunkResult]:
     """Run _scan_chunk on each argument tuple in tasks; yield results as they finish.
 
-    Workers are capped at the CPU count.  One worker runs the chunks in this
-    process.  More run them in a pool of that size, which reads tasks lazily
-    and holds at most 2 * workers chunks.
+    scan is the (lo, hi, limits) of the scan the chunks belong to; each
+    process that runs chunks builds one orbit memo for it, which every chunk
+    it runs reads and fills.  Workers are capped at the CPU count.  One
+    worker runs the chunks in this process.  More run them in a pool of that
+    size, which reads tasks lazily and holds at most 2 * workers chunks.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
+        memo = _OrbitMemo(*scan)
         for args in tasks:
-            yield _scan_chunk(*args)
+            yield _scan_chunk(*args, memo)
         return
     tasks = iter(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=scan
+    ) as pool:
         running: set = set()
         while True:
             for args in islice(tasks, 2 * workers - len(running)):
@@ -718,9 +762,10 @@ def scan_range(
 ) -> ScanReport:
     """Classify every odd seed in [lo, hi] and fold the results into a report.
 
-    Chunks are computed independently (in a pool of up to `workers`
-    processes when more than one chunk is left to run) and merged in index
-    order, so the report bytes do not depend on the worker count.  With
+    Chunks are computed in this process, or in a pool of up to `workers`
+    processes when more than one chunk is left to run, each process with one
+    orbit memo for the scan, and merged in index order; the report bytes do
+    not depend on the worker count.  With
     checkpoint_path set, the state is rewritten after every completed chunk
     and a matching existing checkpoint is resumed.
     """
@@ -751,7 +796,8 @@ def scan_range(
         for i in range(n_chunks)
         if i not in state.completed
     )
-    for chunk in _run_chunks(tasks, min(workers, n_chunks - len(state.completed))):
+    workers = min(workers, n_chunks - len(state.completed))
+    for chunk in _run_chunks(tasks, workers, (lo, hi, limits)):
         state.completed[chunk.index] = chunk
         if checkpoint_path is not None:
             checkpoint_save(state, checkpoint_path)

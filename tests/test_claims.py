@@ -1,5 +1,6 @@
 import pytest
 
+from govlab import claims
 from govlab.claims import (
     ClaimReport,
     Verdict,
@@ -8,6 +9,7 @@ from govlab.claims import (
     replay_steps,
     run_all,
     run_claim,
+    run_claims,
 )
 
 # small scan bounds so the full registry can run in unit-test time
@@ -192,3 +194,53 @@ class TestReports:
         assert doc["schema_version"] == 1
         result = doc["results"][0]
         assert set(result) == {"claim_id", "params", "verdict", "evidence", "runtime_seconds"}
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Records (multiplier, lo, hi, limits) of every scan a claim runs."""
+    calls = []
+    scan_range = claims.scan_range
+
+    def spy(lo, hi, rule, limits, **kwargs):
+        calls.append((rule.multiplier, lo, hi, limits))
+        return scan_range(lo, hi, rule, limits, **kwargs)
+
+    monkeypatch.setattr(claims, "scan_range", spy)
+    return calls
+
+
+def one_by_one(overrides):
+    """The report of C1..C7 run one claim at a time, each with its own scans."""
+    return ClaimReport(
+        results=tuple(run_claim(cid, overrides.get(cid)) for cid, _, _ in list_claims())
+    )
+
+
+class TestSharedScans:
+    SAME = {"C1": SMALL_3Z, "C2": SMALL_3Z, "C3": SMALL_5Z, "C4": SMALL_5Z}
+
+    def test_run_all_scans_each_range_once(self, scans):
+        report = run_all(self.SAME)
+        assert [(q, lo, hi) for q, lo, hi, _ in scans] == [(3, 1, 8191), (5, 1, 8191)]
+        assert report.canonical_doc() == one_by_one(self.SAME).canonical_doc()
+
+    def test_claims_with_other_limits_scan_again(self, scans):
+        # C2's step budget leaves long 3Z+1 orbits undecided, which a report
+        # shared with C1 by range alone would not show
+        overrides = {"C1": SMALL_3Z, "C2": dict(SMALL_3Z, max_steps=60), "C4": {"hi": 4095}}
+        report = run_claims(["C1", "C2", "C4", "C1"], overrides)
+        assert [(q, hi, limits.max_steps) for q, _, hi, limits in scans] == [
+            (3, 8191, 10**5), (3, 8191, 60), (5, 4095, 10**5),
+        ]
+        c2 = report.results[1]
+        assert c2.evidence["divergence_candidate_count"] > 0
+        assert c2.canonical_doc() == run_claim("C2", overrides["C2"]).canonical_doc()
+        assert report.results[3].canonical_doc() == report.results[0].canonical_doc()
+
+    def test_shared_reports_last_one_batch(self, scans):
+        run_all(self.SAME)
+        scans.clear()
+        run_claim("C2", SMALL_3Z)
+        run_claims(["C2"], {"C2": SMALL_3Z})
+        assert len(scans) == 2

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from govlab import cli
-from govlab.claims import run_claim
+from govlab import claims, cli
+from govlab.claims import ClaimReport, list_claims, run_claim
 from govlab.cycles import checkpoint_load, scan_range
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
@@ -289,6 +289,31 @@ class TestClaimsVerb:
         assert code == 1
         doc = json.loads(out)
         assert doc["results"][0]["verdict"] == "fail"
+
+    def test_all_scans_each_range_once(self, capsys, monkeypatch):
+        scans = []
+        scan_range = claims.scan_range
+
+        def spy(lo, hi, rule, limits, **kwargs):
+            scans.append((rule.multiplier, lo, hi))
+            return scan_range(lo, hi, rule, limits, **kwargs)
+
+        monkeypatch.setattr(claims, "scan_range", spy)
+        monkeypatch.delenv("GOVLAB_WORKERS", raising=False)
+        small = {"C1": {"hi": 4095}, "C2": {"hi": 4095}, "C3": {"hi": 2047}, "C4": {"hi": 2047}}
+        code, out, _ = run_cli(capsys, "claims", "--all", "--params", json.dumps(small))
+        assert code == 0
+        assert scans == [(3, 1, 4095), (5, 1, 2047)]
+        # the same canonical bytes as running each claim with its own scan
+        doc = json.loads(out)
+        for result in doc["results"]:
+            del result["runtime_seconds"]
+        one_by_one = ClaimReport(
+            results=tuple(run_claim(cid, small.get(cid)) for cid, _, _ in list_claims())
+        )
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            one_by_one.canonical_doc(), sort_keys=True
+        )
 
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "claims", "--id", "C7", "--params", "{oops")

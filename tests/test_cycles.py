@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import os
+import weakref
 from concurrent.futures import Future
 from contextlib import closing
 from itertools import count, islice
@@ -323,6 +325,166 @@ class TestSeedMemo:
         assert memo_entries(memo)[5] == ("cycle", outs[13].cycle.all_members, 11, 9)
 
 
+def oracle_report(lo, hi, rule, limits):
+    """(counts by oracle tag, candidates, largest steps, largest peak) of the
+    seeds lo..hi, read off their full orbits."""
+    counts = dict.fromkeys(("converged_trivial", "cycle", "step_limit", "value_limit"), 0)
+    candidates, steps, peak = [], 0, 0
+    for seed in range(lo, hi + 1, 2):
+        tag, _, taken, bits = classify_by_orbit(seed, rule, limits)
+        counts[tag] += 1
+        if tag in ("step_limit", "value_limit"):
+            candidates.append(seed)
+        steps, peak = max(steps, taken), max(peak, bits)
+    return counts, tuple(candidates), steps, peak
+
+
+def report_form(report):
+    """A ScanReport in oracle_report's form."""
+    c = report.counts
+    counts = {
+        "converged_trivial": c["converged_trivial"],
+        "cycle": c["entered_cycle"],
+        "step_limit": c["undecided_step_limit"],
+        "value_limit": c["undecided_value_limit"],
+    }
+    stats = (report.max_steps_observed, report.max_excursion_bits)
+    return (counts, report.divergence_candidates, *stats)
+
+
+class TestScanMemo:
+    """One orbit memo per scan and process, read and filled by all its chunks."""
+
+    SMALL = OrbitLimits(max_steps=120, max_value_bits=40)
+
+    @pytest.mark.parametrize(
+        "rule, limits", [(RULE_3Z, GENEROUS), (RULE_5Z, SMALL)], ids=["3z", "5z-small-limits"]
+    )
+    def test_one_memo_for_a_serial_scan_holds_own_results(self, monkeypatch, rule, limits):
+        memos = capture_memos(monkeypatch)
+        scan_range(1, 1999, rule, limits, chunk_size=100)
+        (memo,) = memos  # one table for the scan's 10 chunks
+        assert (memo.lo, memo.top) == (1, 2001)
+        entries = memo_entries(memo)
+        assert entries
+        for v, entry in entries.items():
+            assert entry == oracle_form(detect_outcome(v, rule, limits)), v
+
+    def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch):
+        filled_at_start = []  # (chunk index, kind bytes when the chunk started)
+        scan_chunk = cycles._scan_chunk
+
+        def chunk_spy(index, *args):
+            filled_at_start.append((index, bytes(args[-1].kinds)))
+            return scan_chunk(index, *args)
+
+        inherited = []  # (chunk index, u) for walks that ended on an earlier chunk's entry
+        lookup = cycles._OrbitMemo.reuse
+
+        def reuse_spy(memo, u, prefix, peak, max_steps):
+            out = lookup(memo, u, prefix, peak, max_steps)
+            index, kinds = filled_at_start[-1]
+            if prefix and out is not None and kinds[(u - memo.lo) >> 1]:
+                inherited.append((index, u))
+            return out
+
+        monkeypatch.setattr(cycles, "_scan_chunk", chunk_spy)
+        monkeypatch.setattr(cycles._OrbitMemo, "reuse", reuse_spy)
+        scan_range(1, 4095, RULE_3Z, GENEROUS, chunk_size=512)
+        assert [i for i, _ in filled_at_start] == list(range(4))
+        # every later chunk ends walks on values an earlier chunk's walks wrote
+        assert {i for i, _ in inherited} == {1, 2, 3}
+
+    def test_resume_reuses_values_of_completed_chunks(self, tmp_path, reuses, walks):
+        path = str(tmp_path / "ckpt.json")
+        scan_range(1, 2047, RULE_3Z, GENEROUS, chunk_size=128, checkpoint_path=path)
+        state = checkpoint_load(path)
+        half = {i: state.completed[i] for i in range(4)}
+        checkpoint_save(dataclasses.replace(state, completed=half), path)
+        reuses.clear(), walks.clear()
+        resumed = scan_range(1, 2047, RULE_3Z, GENEROUS, chunk_size=128, checkpoint_path=path)
+        assert min(walks) > 1023  # completed chunks are not run again ...
+        # ... but their values are filled and reused by the resumed chunks' walks
+        assert any(u < 1024 and prefix and out is not None for u, prefix, _, out in reuses)
+        assert resumed.to_json() == scan_range(1, 2047, RULE_3Z, GENEROUS).to_json()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((10**5, 40), (10**5, 64)),
+            ((10**5, 64), (10**5, 40)),
+            ((200, 64), (60, 64)),
+            ((60, 64), (200, 64)),
+        ],
+        ids=["cap-up", "cap-down", "budget-down", "budget-up"],
+    )
+    def test_back_to_back_scans_with_other_limits(self, first, second):
+        # the same range under other limits: a table kept from the first scan
+        # would hand the second entries that hold only under the first's limits
+        for limits in (OrbitLimits(*first), OrbitLimits(*second)):
+            report = scan_range(1, 1023, RULE_5Z, limits, chunk_size=64)
+            assert report_form(report) == oracle_report(1, 1023, RULE_5Z, limits)
+
+    def test_pool_worker_chunks_share_the_worker_memo(self, monkeypatch):
+        # what a pool worker does: the initializer builds the scan's memo,
+        # then each chunk it runs, passed no memo, reads and fills that one
+        monkeypatch.setattr(cycles, "_worker_memo", None)
+        cycles._init_worker(1, 1023, SCAN_LIMITS)
+        memo = cycles._worker_memo
+        args = (SCAN_LIMITS.max_steps, SCAN_LIMITS.max_value_bits)
+        low = _scan_chunk(0, 5, 1, 511, *args)
+        assert any(memo.kinds[256:])  # chunk 0's walks wrote values of chunk 1
+        high = _scan_chunk(1, 5, 513, 1023, *args)
+        assert cycles._worker_memo is memo
+        assert (low, high) == (
+            _scan_chunk(0, 5, 1, 511, *args, cycles._OrbitMemo(1, 511, SCAN_LIMITS)),
+            _scan_chunk(1, 5, 513, 1023, *args, cycles._OrbitMemo(513, 1023, SCAN_LIMITS)),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_memo_outlives_its_scan(self, monkeypatch, workers):
+        made = []
+        init = cycles._OrbitMemo.__init__
+
+        def spy(memo, *args):
+            init(memo, *args)
+            made.append(weakref.ref(memo))
+
+        monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+        report = scan_range(1, 4095, RULE_5Z, SCAN_LIMITS, workers, chunk_size=256)
+        gc.collect()
+        # pool workers build theirs in their own processes
+        assert len(made) == (workers == 1)
+        assert all(ref() is None for ref in made)
+        assert cycles._worker_memo is None
+        assert not any(isinstance(o, cycles._OrbitMemo) for o in gc.get_objects())
+        assert report.to_json() == scan_range(1, 4095, RULE_5Z, SCAN_LIMITS).to_json()
+
+    def test_narrow_arrays_follow_the_limits(self):
+        memo = cycles._OrbitMemo(1, 99, SCAN_LIMITS)
+        assert (memo.steps.typecode, memo.peaks.typecode) == ("I", "H")
+        edge = cycles._OrbitMemo(1, 99, OrbitLimits(max_steps=2**32 - 1, max_value_bits=2**16 - 9))
+        assert (edge.steps.typecode, edge.peaks.typecode) == ("I", "H")
+        wide = cycles._OrbitMemo(1, 99, OrbitLimits(max_steps=2**32, max_value_bits=2**16 - 8))
+        assert (wide.steps.typecode, wide.peaks.typecode) == ("q", "q")
+
+    def test_wide_fallback(self):
+        limits = OrbitLimits(max_steps=2**33, max_value_bits=70000)
+        memo = cycles._OrbitMemo(1, 99, limits)
+        assert (memo.steps.typecode, memo.peaks.typecode) == ("q", "q")
+        report = scan_range(1, 999, RULE_3Z, limits, chunk_size=100)
+        assert report_form(report) == oracle_report(1, 999, RULE_3Z, limits)
+
+    def test_seeds_above_the_cap_fit_the_peak_array(self):
+        # seeds of 70001 bits pass a 64-bit cap at their first step, so their
+        # entries hold 70003-bit peaks, which a 16-bit peak array cannot
+        lo = (1 << 70000) + 1
+        limits = OrbitLimits(max_steps=10**5, max_value_bits=64)
+        report = scan_range(lo, lo + 18, RULE_5Z, limits, chunk_size=4)
+        assert report.counts["undecided_value_limit"] == 10
+        assert report.max_excursion_bits == 70003
+
+
 class TestScan:
     def test_against_per_seed_oracle(self):
         lo, hi = 1, 1023
@@ -376,13 +538,15 @@ class TestScan:
 
     @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z])
     def test_chunk_size_does_not_change_bytes(self, rule):
-        # each chunk's memo holds different values, so orbits end at different
-        # places; small limits make all four outcome classes occur on 5Z+1
+        # chunks fill the scan's memo in another order, and each pool worker
+        # fills its own, so orbits end at different places; small limits make
+        # all four outcome classes occur on 5Z+1
         limits = OrbitLimits(max_steps=120, max_value_bits=40)
         base = scan_range(1, 2047, rule, limits)
-        for chunk_size in (1, 3, 100, 512):
-            other = scan_range(1, 2047, rule, limits, chunk_size=chunk_size)
-            assert other.to_json() == base.to_json(), chunk_size
+        for workers in (1, 2):
+            for chunk_size in (1, 3, 100, 512):
+                other = scan_range(1, 2047, rule, limits, workers, chunk_size=chunk_size)
+                assert other.to_json() == base.to_json(), (workers, chunk_size)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -567,7 +731,8 @@ class TestChunkRunner:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pulls_tasks_lazily(self, workers):
         pulled: list[int] = []
-        with closing(_run_chunks(self._tasks(pulled), workers)) as results:
+        scan = (1, 64 * 64 - 1, SCAN_LIMITS)  # the 64 chunks _tasks yields at most
+        with closing(_run_chunks(self._tasks(pulled), workers, scan)) as results:
             first = list(islice(results, 3))
         assert len(pulled) <= 3 + 2 * workers
         for chunk in first:
@@ -580,8 +745,9 @@ class TestChunkRunner:
         class InlinePool:
             """Stands in for ProcessPoolExecutor: records its size, starts no process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -595,6 +761,7 @@ class TestChunkRunner:
                 return fut
 
         monkeypatch.setattr(cycles, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cycles, "_worker_memo", None)  # the initializer sets it here
         serial = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # 16 chunks: three CPUs cap a thousand workers
