@@ -13,7 +13,9 @@ byte, steps and peak for each odd value of [lo, top), in arrays indexed by
 2^20 seeds (about 7 MB at most).  Kind 0 means unknown.  The memo is filled
 from every finished walk of every chunk the process runs for the scan, not
 only from the seeds, and a seed whose entry is already filled takes it
-without a walk.
+without a walk.  In a scan of more than 2^20 seeds, the values from top on
+are held by no memo, but walks from them still end on the entries below
+top that their orbits reach.
 
 Write.  A walk that ends converged, value-limited or in a cycle records
 each odd value v on it that lies in [lo, top): steps is the walk's total
@@ -731,8 +733,9 @@ def _run_chunks(
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        memo = _OrbitMemo(*scan)
+        memo = None  # built with the first task, so no chunks left builds none
         for args in tasks:
+            memo = memo or _OrbitMemo(*scan)
             yield _scan_chunk(*args, memo)
         return
     tasks = iter(tasks)

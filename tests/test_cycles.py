@@ -451,6 +451,7 @@ class TestScanMemo:
             made.append(weakref.ref(memo))
 
         monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers start a pool on any host
         report = scan_range(1, 4095, RULE_5Z, SCAN_LIMITS, workers, chunk_size=256)
         gc.collect()
         # pool workers build theirs in their own processes
@@ -459,6 +460,27 @@ class TestScanMemo:
         assert cycles._worker_memo is None
         assert not any(isinstance(o, cycles._OrbitMemo) for o in gc.get_objects())
         assert report.to_json() == scan_range(1, 4095, RULE_5Z, SCAN_LIMITS).to_json()
+
+    def test_chunks_past_the_memo_top_read_the_scan_memo(self, monkeypatch, reuses, walks):
+        # with the cap at 32 seeds the scan's memo holds 1..63; the chunks
+        # past it build no memo of their own, and their walks end on its entries
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 32)
+        memos = capture_memos(monkeypatch)
+        report = scan_range(1, 511, RULE_3Z, GENEROUS, chunk_size=16)
+        assert [(m.lo, m.top) for m in memos] == [(1, 65)]
+        hits = [u for u, prefix, _, out in reuses if prefix and out is not None]
+        assert all(u < 65 for u in hits)
+        # a walk ends on at most one entry, so more hits than walks from the
+        # seeds below 65 means walks from seeds past the top ended on entries
+        assert len(hits) > sum(1 for x in walks if x < 65)
+        assert report_form(report) == oracle_report(1, 511, RULE_3Z, GENEROUS)
+
+    def test_completed_resume_builds_no_memo(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        full = scan_range(1, 1023, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
+        memos = capture_memos(monkeypatch)
+        again = scan_range(1, 1023, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
+        assert memos == [] and again == full
 
     def test_narrow_arrays_follow_the_limits(self):
         memo = cycles._OrbitMemo(1, 99, SCAN_LIMITS)
