@@ -226,8 +226,9 @@ SUCCESSOR_FAMILIES: tuple[tuple[str, int, tuple[tuple[str, int, int], ...]], ...
 )
 
 
-def replay_steps(x: int, steps: str, multiplier: int = 5) -> tuple[int, bool]:
-    """Apply a literal O/E step string; returns (value, parity_respected).
+def replay_steps(x: int, steps: str) -> tuple[int, bool]:
+    """Apply a literal O/E step string of 5Z+1, the rule of the successor
+    families; returns (value, parity_respected).
 
     parity_respected is False when an O lands on an even value or an E on an
     odd one; replay continues arithmetically (E uses floor halving) so the
@@ -239,7 +240,7 @@ def replay_steps(x: int, steps: str, multiplier: int = 5) -> tuple[int, bool]:
         if ch == "O":
             if v % 2 == 0:
                 ok = False
-            v = multiplier * v + 1
+            v = RULE_5Z.multiplier * v + 1
         elif ch == "E":
             if v % 2 == 1:
                 ok = False

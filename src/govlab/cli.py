@@ -284,6 +284,10 @@ def execute(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # values print exactly at any size, so lift CPython's cap on int <-> str
+    # conversion (Python 3.10.0-3.10.6 have neither the cap nor this call)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ns = parse_args(sys.argv[1:] if argv is None else argv)
     return execute(ns)
 

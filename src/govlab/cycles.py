@@ -7,15 +7,24 @@ range into fixed-size chunks, classifies every odd seed, and folds chunk
 results in index order so the report is independent of worker count and of
 checkpoint interruptions.
 
-A scan keeps an orbit memo in each process that runs its chunks: a kind
-byte, steps and peak for each odd value of [lo, top), in arrays indexed by
+The scan kernel (walks, the orbit memo and the chunk fold) passes an
+orbit's result as one (code, steps, peak) triple.  The code is 0 for a
+step-limited result, 1 converged, 2 value-limited, and 3 + i for cycle i of
+the memo's list of cycles met so far.  Only detect_outcome turns a result
+into the public Outcome, through _OrbitMemo.outcome.
+
+A scan keeps an orbit memo in each process that runs its chunks, which also
+carries the scan's rule and limits: a kind byte holding the result code,
+steps and peak for each odd value of [lo, top), in arrays indexed by
 (v - lo) >> 1, where lo is the scan's first seed and top covers its first
-2^20 seeds (about 7 MB at most).  Kind 0 means unknown.  The memo is filled
-from every finished walk of every chunk the process runs for the scan, not
-only from the seeds, and a seed whose entry is already filled takes it
-without a walk.  In a scan of more than 2^20 seeds, the values from top on
-are held by no memo, but walks from them still end on the entries below
-top that their orbits reach.
+2^20 seeds (about 7 MB at most).  A step-limited result is never written,
+so code 0 reads back as unknown, and only codes below 256 fit the byte and
+are written; a cycle with a larger code is walked each time.  The memo is
+filled from every finished walk of every chunk the process runs for the
+scan, not only from the seeds, and a seed whose entry is already filled
+takes it without a walk.  In a scan of more than 2^20 seeds, the values
+from top on are held by no memo, but walks from them still end on the
+entries below top that their orbits reach.
 
 Write.  A walk that ends converged, value-limited or in a cycle records
 each odd value v on it that lies in [lo, top): steps is the walk's total
@@ -53,7 +62,7 @@ size or resumes.  A resumed scan starts with an empty memo, which its walks
 fill over the whole range, completed chunks included.  A memo lives only as
 long as its scan (the in-process runner's local, or the pool worker
 processes), because its entries hold only for one rule and one set of
-limits.
+limits.  detect_outcome walks with a memo that holds no value.
 
 The chunks left to run go through one runner: in this process when one is
 left, else in a pool of min(workers, chunks left, CPU count) processes fed
@@ -187,13 +196,6 @@ class Outcome:
     peak_bits: int = 0
 
 
-# an enum member looked up through its class costs about 0.15 us on CPython
-# 3.11, a measurable share of a seed, so the scan path uses these aliases
-_CONVERGED, _CYCLE = OutcomeTag.CONVERGED_TRIVIAL, OutcomeTag.CYCLE
-_UNDECIDED = OutcomeTag.UNDECIDED
-_STEP_LIMIT, _VALUE_LIMIT = TerminationKind.STEP_LIMIT, TerminationKind.VALUE_LIMIT
-
-
 def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
     """Full member list of a cycle given its odd members in orbit order."""
     members: list[int] = []
@@ -225,26 +227,35 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     """
     if x % 2 == 0 or x < 1:
         raise ValueError(f"detect_outcome requires a positive odd seed, got {x}")
-    return _walk(x, rule, limits, None)
+    memo = _OrbitMemo(x, x - 2, rule, limits)  # holds no value
+    return memo.outcome(*_walk(x, memo))
 
 
-def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> Outcome:
-    """detect_outcome's loop; with a memo it also ends at a known odd value
-    of the scan, and records the results the walk determines."""
+# the result code of an orbit, shared by walks, orbit memo entries and the
+# chunk fold; a step-limited result is never written to the memo, so its
+# code 0 reads back as unknown
+_STEP_LIMIT, _TRIVIAL, _VALUE_LIMIT = 0, 1, 2
+_CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
+# about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
+# the table stays bounded for any range
+_MEMO_MAX_SEEDS = 1 << 20
+
+
+def _walk(x: int, memo: _OrbitMemo) -> tuple[int, int, int]:
+    """detect_outcome's loop, as (code, steps, peak) under the memo's rule
+    and limits; it also ends at a filled entry of the memo, and records the
+    results the walk determines."""
+    rule = memo.rule
     q = rule.multiplier
     trivial = rule.trivial_members
     trivial_odds = rule.trivial_odd_members
-    max_steps = limits.max_steps
-    cap = limits.max_value_bits
-    # odd values in [lo, top) are the memo's; without one the range is empty
-    if memo is None:
-        lo = top = x
-    else:
-        lo, top = memo.lo, memo.top
+    max_steps = memo.limits.max_steps
+    cap = memo.limits.max_value_bits
+    lo, top = memo.lo, memo.top
 
     peak = x.bit_length()
     if x in trivial_odds:
-        return Outcome(_CONVERGED, steps_taken=0, peak_bits=peak)
+        return _TRIVIAL, 0, peak
     # odd value -> valuation of the run that entered it (0 for x), or -1 for
     # a trivial odd member, so that one lookup tells the three runs apart
     seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
@@ -260,10 +271,7 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> O
         if bits > peak:
             peak = bits
         if bits > cap:
-            out = Outcome(
-                _UNDECIDED, undecided_reason=_VALUE_LIMIT, steps_taken=s + 1, peak_bits=peak
-            )
-            end = len(order)
+            code, steps, end = _VALUE_LIMIT, s + 1, len(order)
             break
         # v2(t) inlined: a call per transition is a measurable share of this loop
         k = (t & -t).bit_length() - 1
@@ -275,9 +283,12 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> O
             if lo <= u < top:
                 if not first:
                     first = len(order)
-                out = memo.reuse(u, stop - 1, peak, max_steps)
-                if out is not None:
-                    end, tail = len(order), memo.peaks[(u - lo) >> 1]
+                known = memo.reuse(u, stop - 1)
+                if known is not None:
+                    code, steps, tail = known
+                    steps += stop - 1
+                    peak = max(peak, tail)
+                    end = len(order)
                     break
         elif hit < 0:
             # first trivial member along t>>1 .. t>>k; u itself guarantees one
@@ -286,57 +297,46 @@ def _walk(x: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None) -> O
             # second occurrence of the first repeated value u << min(entry valuations)
             stop = s + 1 + k - min(hit, k)
         if stop > max_steps:
-            return Outcome(
-                _UNDECIDED, undecided_reason=_STEP_LIMIT, steps_taken=max_steps, peak_bits=peak
-            )
+            return _STEP_LIMIT, max_steps, peak
         if hit is not None:
+            steps = stop
             if hit < 0:
-                out = Outcome(_CONVERGED, steps_taken=stop, peak_bits=peak)
-                end = len(order)
+                code, end = _TRIVIAL, len(order)
             else:
                 # odd values before u lead into the cycle; u and those after it are members
                 end = order.index(u)
-                record = canonical_cycle(_expand_cycle(order[end:], rule), rule)
-                out = Outcome(_CYCLE, cycle=record, steps_taken=stop, peak_bits=peak)
+                code = memo.cycle_code(canonical_cycle(_expand_cycle(order[end:], rule), rule))
             break
         s = stop - 1
         seen[u] = k
         order.append(u)
         cur = u
-    if memo is not None:
-        memo.record(out, order, seen, s, first, end, tail, q)
-    return out
+    memo.record(code, steps, peak, order, seen, s, first, end, tail)
+    return code, steps, peak
 
 
-# kinds of an orbit memo entry; 0 marks a value whose result is unknown
-_MEMO_TRIVIAL = 1
-_MEMO_VALUE_LIMIT = 2
-_MEMO_CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
-# about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
-# the table stays bounded for any range
-_MEMO_MAX_SEEDS = 1 << 20
-
-
-def _zeros(code: str, n: int, bound: int) -> array:
-    """n zeros in an array of typecode code if it holds 0..bound, else of 'q'
+def _zeros(typecode: str, n: int, bound: int) -> array:
+    """n zeros in an array of typecode if it holds 0..bound, else of 'q'
     (storing a value the typecode cannot hold raises OverflowError)."""
-    if bound >> (8 * array(code).itemsize):
-        code = "q"
-    return array(code, [0]) * n
+    if bound >> (8 * array(typecode).itemsize):
+        typecode = "q"
+    return array(typecode, [0]) * n
 
 
 class _OrbitMemo:
-    """Results of the odd values of [lo, top), filled by the walks of one
-    scan's chunks.
+    """One scan's rule and limits, and the results of the odd values of
+    [lo, top), filled by the walks of the scan's chunks.
 
-    Entry (v - lo) >> 1 holds a kind byte, the steps taken and the peak
-    bits of v's orbit under limits; kind 0 means unknown.  The range covers
-    the first _MEMO_MAX_SEEDS seeds of lo..hi.  The module docstring says
-    which results are written and why each is exact.
+    Entry (v - lo) >> 1 holds the result code, the steps taken and the peak
+    bits of v's orbit; code 0 means unknown.  The range covers the first
+    _MEMO_MAX_SEEDS seeds of lo..hi, and is empty when hi is lo - 2.  The
+    module docstring says which results are written and why each is exact.
     """
 
-    def __init__(self, lo: int, hi: int, limits: OrbitLimits) -> None:
+    def __init__(self, lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
         n = min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
+        self.rule = rule
+        self.limits = limits
         self.lo = lo
         self.top = lo + 2 * n  # the first odd value not held
         self.kinds = bytearray(n)
@@ -346,47 +346,59 @@ class _OrbitMemo:
         self.peaks = _zeros("H", n, max(limits.max_value_bits, self.top.bit_length()) + 8)
         self.cycles: list[CycleRecord] = []
 
+    def cycle_code(self, record: CycleRecord) -> int:
+        if record not in self.cycles:
+            self.cycles.append(record)
+        return _CYCLE + self.cycles.index(record)
+
+    def outcome(self, code: int, steps: int, peak: int) -> Outcome:
+        """The public form of a (code, steps, peak) result."""
+        if code == _TRIVIAL:
+            return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=steps, peak_bits=peak)
+        if code >= _CYCLE:
+            cycle = self.cycles[code - _CYCLE]
+            return Outcome(OutcomeTag.CYCLE, cycle=cycle, steps_taken=steps, peak_bits=peak)
+        reason = TerminationKind.STEP_LIMIT if code == _STEP_LIMIT else TerminationKind.VALUE_LIMIT
+        return Outcome(
+            OutcomeTag.UNDECIDED, undecided_reason=reason, steps_taken=steps, peak_bits=peak
+        )
+
     def record(
         self,
-        out: Outcome,
+        code: int,
+        total: int,
+        peak: int,
         order: list[int],
         seen: dict[int, int],
         s: int,
         first: int,
         end: int,
         tail: int,
-        q: int,
     ) -> None:
         """Write the results a finished walk determines.
 
         order holds the walk's odd values, the last of them at step s; seen
         maps each to the valuation of the run that entered it.  Values from
-        position end on are members of out's cycle and are not written.
-        The seed order[0] is written from out; the values from position
-        first (0 when none lay in range) back from the end of the walk get
-        the walk's total minus their step index and their suffix peak,
+        position end on are members of the result's cycle and are not
+        written.  The seed order[0] is written from the result; the values
+        from position first (0 when none lay in range) back from the end of
+        the walk get the total minus their step index and their suffix peak,
         which starts from tail, the peak of an entry the walk ended on.
+        Only codes that fit the kind byte are written.
         """
-        tag = out.tag
-        if tag is _CONVERGED:
-            kind = _MEMO_TRIVIAL
-        elif tag is _CYCLE:
-            kind = self._cycle_kind(out.cycle)
-        else:
-            kind = _MEMO_VALUE_LIMIT  # a step-limited walk returns without recording
-        if not kind:
+        if code > 255:
             return
         lo, top = self.lo, self.top
         kinds, steps, peaks = self.kinds, self.steps, self.peaks
-        total = out.steps_taken
         x = order[0]
         if end and x < top:
             i = (x - lo) >> 1
-            kinds[i] = kind
+            kinds[i] = code
             steps[i] = total
-            peaks[i] = out.peak_bits
+            peaks[i] = peak
         if not first:
             return
+        q = self.rule.multiplier
         peak = tail
         for j in range(len(order) - 1, first - 1, -1):
             v = order[j]
@@ -395,54 +407,33 @@ class _OrbitMemo:
                 peak = bits
             if j < end and lo <= v < top:
                 i = (v - lo) >> 1
-                kinds[i] = kind
+                kinds[i] = code
                 steps[i] = total - s
                 peaks[i] = peak
             s -= 1 + seen[v]
 
-    def _cycle_kind(self, record: CycleRecord) -> int:
-        if record in self.cycles:
-            return _MEMO_CYCLE + self.cycles.index(record)
-        if _MEMO_CYCLE + len(self.cycles) > 255:
-            return 0  # the kind byte is full; later cycles are walked
-        self.cycles.append(record)
-        return _MEMO_CYCLE + len(self.cycles) - 1
-
-    def reuse(self, u: int, prefix: int, peak: int, max_steps: int) -> Outcome | None:
-        """Outcome of an orbit that reaches u, a value of the memo's range,
-        after prefix steps with peak bits so far, or None when it must keep
-        walking."""
+    def reuse(self, u: int, prefix: int) -> tuple[int, int, int] | None:
+        """The stored (code, steps, peak) of u, a value of the memo's range,
+        for an orbit that reaches it after prefix steps, or None when its
+        entry is unknown or would pass the step budget."""
         i = (u - self.lo) >> 1
-        kind = self.kinds[i]
-        if not kind:
-            return None
-        steps = prefix + self.steps[i]
-        if steps > max_steps:
-            return None
-        peak = max(peak, self.peaks[i])
-        if kind == _MEMO_TRIVIAL:
-            return Outcome(_CONVERGED, steps_taken=steps, peak_bits=peak)
-        if kind == _MEMO_VALUE_LIMIT:
-            return Outcome(
-                _UNDECIDED, undecided_reason=_VALUE_LIMIT, steps_taken=steps, peak_bits=peak
-            )
-        cycle = self.cycles[kind - _MEMO_CYCLE]
-        return Outcome(_CYCLE, cycle=cycle, steps_taken=steps, peak_bits=peak)
+        code = self.kinds[i]
+        if code and prefix + self.steps[i] <= self.limits.max_steps:
+            return code, self.steps[i], self.peaks[i]
+        return None
 
 
 def _chunk_outcomes(
-    lo: int, hi: int, rule: Rule, limits: OrbitLimits, memo: _OrbitMemo | None = None
-) -> Iterator[tuple[int, Outcome]]:
-    """(seed, outcome) for the odd seeds lo..hi, ascending, with the memo of
-    a scan that holds them (by default one of its own); a seed that an
-    earlier walk passed through takes its result from the memo, and each
-    walk may end at a value whose result is known."""
-    if memo is None:
-        memo = _OrbitMemo(lo, hi, limits)
-    top, max_steps = memo.top, limits.max_steps
+    lo: int, hi: int, memo: _OrbitMemo
+) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """(seed, (code, steps, peak)) for the odd seeds lo..hi, ascending, with
+    the memo of a scan that holds them; a seed that an earlier walk passed
+    through takes its result from the memo, and each walk may end at a
+    value whose result is known."""
+    top = memo.top
     for seed in range(lo, hi + 1, 2):
-        out = memo.reuse(seed, 0, 0, max_steps) if seed < top else None
-        yield seed, out or _walk(seed, rule, limits, memo)
+        known = memo.reuse(seed, 0) if seed < top else None
+        yield seed, known or _walk(seed, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +456,23 @@ class ChunkResult:
     max_excursion_bits: int = 0
     max_steps_observed: int = 0
 
-    def add(self, seed: int, out: Outcome) -> None:
-        """Fold in the outcome of one seed, after every seed below it."""
-        tag = out.tag
-        if tag is _CONVERGED:
+    def add(self, seed: int, code: int, steps: int, peak: int, cycles: list[CycleRecord]) -> None:
+        """Fold in the (code, steps, peak) result of one seed, after every
+        seed below it; cycles maps cycle codes to their records."""
+        if code == _TRIVIAL:
             slot = 0
-        elif tag is _CYCLE:
+        elif code >= _CYCLE:
             slot = 1
-            self.cycles.setdefault(out.cycle.smallest_odd, out.cycle)
+            cycle = cycles[code - _CYCLE]
+            self.cycles.setdefault(cycle.smallest_odd, cycle)
         else:
-            slot = 2 if out.undecided_reason is _STEP_LIMIT else 3
+            slot = 3 if code == _VALUE_LIMIT else 2
             self.candidates.append(seed)
         self.counts[slot] += 1
-        if out.peak_bits > self.max_excursion_bits:
-            self.max_excursion_bits = out.peak_bits
-        if out.steps_taken > self.max_steps_observed:
-            self.max_steps_observed = out.steps_taken
+        if peak > self.max_excursion_bits:
+            self.max_excursion_bits = peak
+        if steps > self.max_steps_observed:
+            self.max_steps_observed = steps
 
     def merge(self, other: "ChunkResult") -> None:
         """Fold in the result of the seeds that follow this one's."""
@@ -518,27 +510,19 @@ class ChunkResult:
 _worker_memo: _OrbitMemo | None = None
 
 
-def _init_worker(lo: int, hi: int, limits: OrbitLimits) -> None:
+def _init_worker(lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
     global _worker_memo
-    _worker_memo = _OrbitMemo(lo, hi, limits)
+    _worker_memo = _OrbitMemo(lo, hi, rule, limits)
 
 
-def _scan_chunk(
-    index: int,
-    multiplier: int,
-    lo: int,
-    hi: int,
-    max_steps: int,
-    max_value_bits: int,
-    memo: _OrbitMemo | None = None,
-) -> ChunkResult:
-    """Fold the chunk lo..hi, reading and filling memo, else the memo of the
-    pool worker this runs in, else one of the chunk's own."""
-    rule = rule_for(multiplier)
-    limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_value_bits)
+def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) -> ChunkResult:
+    """Fold the chunk lo..hi of the scan that memo belongs to, reading and
+    filling it; without one, the memo of the pool worker this runs in."""
+    memo = memo or _worker_memo
     chunk = ChunkResult(index)
-    for seed, out in _chunk_outcomes(lo, hi, rule, limits, memo or _worker_memo):
-        chunk.add(seed, out)
+    cycles = memo.cycles
+    for seed, (code, steps, peak) in _chunk_outcomes(lo, hi, memo):
+        chunk.add(seed, code, steps, peak, cycles)
     return chunk
 
 
@@ -721,11 +705,11 @@ def _merge(state: ScanState, rule: Rule, n_chunks: int) -> ScanReport:
 
 
 def _run_chunks(
-    tasks: Iterable[tuple], workers: int, scan: tuple[int, int, OrbitLimits]
+    tasks: Iterable[tuple], workers: int, scan: tuple[int, int, Rule, OrbitLimits]
 ) -> Iterator[ChunkResult]:
-    """Run _scan_chunk on each argument tuple in tasks; yield results as they finish.
+    """Run _scan_chunk on each (index, lo, hi) in tasks; yield results as they finish.
 
-    scan is the (lo, hi, limits) of the scan the chunks belong to; each
+    scan is the (lo, hi, rule, limits) of the scan the chunks belong to; each
     process that runs chunks builds one orbit memo for it, which every chunk
     it runs reads and fills.  Workers are capped at the CPU count.  One
     worker runs the chunks in this process.  More run them in a pool of that
@@ -794,13 +778,12 @@ def scan_range(
         state = loaded
 
     tasks = (
-        (i, rule.multiplier, *_chunk_bounds(lo, n_seeds, chunk_size, i),
-         limits.max_steps, limits.max_value_bits)
+        (i, *_chunk_bounds(lo, n_seeds, chunk_size, i))
         for i in range(n_chunks)
         if i not in state.completed
     )
     workers = min(workers, n_chunks - len(state.completed))
-    for chunk in _run_chunks(tasks, workers, (lo, hi, limits)):
+    for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
         state.completed[chunk.index] = chunk
         if checkpoint_path is not None:
             checkpoint_save(state, checkpoint_path)

@@ -397,20 +397,23 @@ CLOSED_FORM_FAMILIES = {
 }
 
 
+def _closed_form_family(family: str) -> ClosedFormFamily:
+    try:
+        return CLOSED_FORM_FAMILIES[family]
+    except KeyError:
+        raise ValueError(
+            f"unknown closed-form family {family!r}; "
+            f"known: {sorted(CLOSED_FORM_FAMILIES)}"
+        ) from None
+
+
 def eval_closed_form(family: str, param: int) -> list[tuple[str, int]]:
     """Evaluate one family's rows at the given parameter.
 
     Returns (row label, predicted value) pairs, starting with the X row.
     Rejects parameters below the family's validity threshold.
     """
-    try:
-        fam = CLOSED_FORM_FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown closed-form family {family!r}; "
-            f"known: {sorted(CLOSED_FORM_FAMILIES)}"
-        ) from None
-    return [(row.label, row.value) for row in fam.rows(param)]
+    return [(row.label, row.value) for row in _closed_form_family(family).rows(param)]
 
 
 @dataclass(frozen=True)
@@ -434,9 +437,7 @@ def check_closed_form(
     mismatches over param_lo..param_hi inclusive (an empty list means the
     formulas are exact on that range).
     """
-    fam = CLOSED_FORM_FAMILIES.get(family)
-    if fam is None:
-        raise ValueError(f"unknown closed-form family {family!r}")
+    fam = _closed_form_family(family)
     if fam.rule_multiplier != rule.multiplier:
         raise ValueError(
             f"{family} is a {fam.rule_multiplier}Z+1 family, got rule {rule.name}"

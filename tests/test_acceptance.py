@@ -13,6 +13,7 @@ from govlab.claims import Verdict, run_claim
 from govlab.cycles import (
     Classification,
     ScanState,
+    _OrbitMemo,
     _scan_chunk,
     checkpoint_save,
     scan_range,
@@ -178,8 +179,8 @@ def test_criterion_8_engineering_determinism(tmp_path):
     for i in (0, 5):
         c_lo = lo + 2 * i * chunk
         c_hi = lo + 2 * (min((i + 1) * chunk, n_seeds) - 1)
-        partial.completed[i] = _scan_chunk(i, 5, c_lo, c_hi, limits.max_steps,
-                                           limits.max_value_bits)
+        partial.completed[i] = _scan_chunk(i, c_lo, c_hi,
+                                           _OrbitMemo(c_lo, c_hi, RULE_5Z, limits))
     checkpoint_save(partial, ckpt)
     resumed = scan_range(lo, hi, RULE_5Z, limits, workers=1, chunk_size=chunk,
                          checkpoint_path=ckpt)

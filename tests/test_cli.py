@@ -80,6 +80,30 @@ class TestParsing:
         assert ns.workers == 2
 
 
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, which starts with CPython's
+    default cap on int <-> str conversion; returns (exit_code, stdout, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "govlab.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def huge_int_strings():
+    """Lifts this process's cap on int <-> str conversion for the test, so
+    that it can write and read values of any size; restores it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
 class TestOrbitVerb:
     def test_record_stream_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--rule", "3", "--start", "27")
@@ -126,6 +150,28 @@ class TestOrbitVerb:
         last = json.loads(out.splitlines()[-1])
         assert last["termination"] == "entered_cycle"
         assert "13" in last["cycle_members"]
+
+    def test_values_past_4300_digits_print_exactly(self, huge_int_strings):
+        # 5 * (2^19998 + 1) + 1 has 20001 bits (6021 digits), so the orbit
+        # passes the 20000-bit cap at its first step, as 7's does after
+        # 187686 rows
+        start = (1 << 19998) + 1
+        code, out, err = run_cli_process(
+            "orbit", "--rule", "5", "--start", str(start),
+            "--value-limit-bits", "20000", "--step-limit", "1000000",
+        )
+        assert (code, err) == (0, "")
+        last = json.loads(out.splitlines()[-1])
+        assert last["termination"] == "value_limit"
+        assert int(last["value"]) == 5 * start + 1
+        assert int(last["value"]).bit_length() == 20001
+
+    def test_start_past_4300_digits_accepted(self, huge_int_strings):
+        start = 10**4400 + 1
+        code, out, err = run_cli_process("orbit", "--rule", "3", "--start", str(start),
+                                         "--step-limit", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[0])["value"] == str(start)
 
 
 class TestTraceVerb:

@@ -129,7 +129,7 @@ class TestDetectOutcome:
 
 
 def capture_memos(monkeypatch):
-    """The orbit memos that chunks build from now on, in order."""
+    """The orbit memos built from now on, in order."""
     made = []
     init = cycles._OrbitMemo.__init__
 
@@ -143,32 +143,26 @@ def capture_memos(monkeypatch):
 
 def memo_entries(memo):
     """{value: oracle form of its entry} for every filled entry of an orbit memo."""
-    entries = {}
-    for i, kind in enumerate(memo.kinds):
-        if not kind:
-            continue
-        if kind == cycles._MEMO_TRIVIAL:
-            tag, members = "converged_trivial", None
-        elif kind == cycles._MEMO_VALUE_LIMIT:
-            tag, members = "value_limit", None
-        else:
-            tag, members = "cycle", memo.cycles[kind - cycles._MEMO_CYCLE].all_members
-        entries[memo.lo + 2 * i] = (tag, members, memo.steps[i], memo.peaks[i])
-    return entries
+    return {
+        memo.lo + 2 * i: oracle_form(memo.outcome(code, memo.steps[i], memo.peaks[i]))
+        for i, code in enumerate(memo.kinds)
+        if code
+    }
 
 
 @pytest.fixture
 def reuses(monkeypatch):
-    """Records (u, prefix, known, outcome or None) for every lookup in a
-    chunk's orbit memo; known tells whether u's entry was filled."""
+    """Records (u, prefix, known, entry or None) for every lookup in a
+    chunk's orbit memo; known tells whether u's entry was filled, and entry
+    is the Outcome of u's own result that the lookup returned."""
     calls = []
     lookup = cycles._OrbitMemo.reuse
 
-    def spy(memo, u, prefix, peak, max_steps):
+    def spy(memo, u, prefix):
         known = memo.kinds[(u - memo.lo) >> 1] != 0
-        out = lookup(memo, u, prefix, peak, max_steps)
-        calls.append((u, prefix, known, out))
-        return out
+        result = lookup(memo, u, prefix)
+        calls.append((u, prefix, known, result and memo.outcome(*result)))
+        return result
 
     monkeypatch.setattr(cycles._OrbitMemo, "reuse", spy)
     return calls
@@ -180,10 +174,10 @@ def walks(monkeypatch):
     seeds = []
     walk = cycles._walk
 
-    def spy(x, rule, limits, memo):
-        if memo is not None:
+    def spy(x, memo):
+        if memo.top > memo.lo:  # detect_outcome walks with an empty memo
             seeds.append(x)
-        return walk(x, rule, limits, memo)
+        return walk(x, memo)
 
     monkeypatch.setattr(cycles, "_walk", spy)
     return seeds
@@ -196,19 +190,18 @@ class TestSeedMemo:
 
     @staticmethod
     def check_chunk(lo, hi, rule, limits):
-        """Check every seed's outcome and every filled memo entry of the chunk."""
-        with pytest.MonkeyPatch.context() as mp:
-            memos = capture_memos(mp)
-            outs = dict(_chunk_outcomes(lo, hi, rule, limits))
+        """Check every seed's outcome and every filled memo entry of the
+        chunk; returns the outcomes by seed and the chunk's memo."""
+        memo = cycles._OrbitMemo(lo, hi, rule, limits)
+        outs = {seed: memo.outcome(*result) for seed, result in _chunk_outcomes(lo, hi, memo)}
         assert list(outs) == list(range(lo, hi + 1, 2))
         for seed, out in outs.items():
             assert out == detect_outcome(seed, rule, limits), seed
             assert oracle_form(out) == classify_by_orbit(seed, rule, limits), seed
         # each entry is its value's own result, whichever walk wrote it
-        (memo,) = memos
         for v, entry in memo_entries(memo).items():
             assert entry == oracle_form(detect_outcome(v, rule, limits)), v
-        return outs
+        return outs, memo
 
     @given(
         st.sampled_from([RULE_3Z, RULE_5Z]),
@@ -232,10 +225,10 @@ class TestSeedMemo:
         ],
         ids=["3z-at-1", "3z-far-from-1", "5z-at-1", "5z-small-limits"],
     )
-    def test_every_entry_is_the_values_own_result(self, monkeypatch, walks, rule, lo, hi, limits):
-        memos = capture_memos(monkeypatch)
-        outs = self.check_chunk(lo, hi, rule, limits)  # compares each entry with detect_outcome
-        entries = memo_entries(memos[0])
+    def test_every_entry_is_the_values_own_result(self, walks, rule, lo, hi, limits):
+        # check_chunk compares each entry with detect_outcome
+        outs, memo = self.check_chunk(lo, hi, rule, limits)
+        entries = memo_entries(memo)
         # walks also write values of the chunk other than their own seed
         assert set(entries) - set(walks)
         # step-limited results are never written
@@ -244,7 +237,7 @@ class TestSeedMemo:
     def test_every_outcome_class_is_reused(self, reuses):
         # small limits make all four classes occur, and each reusable one is reused
         limits = OrbitLimits(max_steps=120, max_value_bits=40)
-        outs = self.check_chunk(1, 1999, RULE_5Z, limits)
+        outs, _ = self.check_chunk(1, 1999, RULE_5Z, limits)
         assert {oracle_form(o)[0] for o in outs.values()} == {
             "converged_trivial", "cycle", "step_limit", "value_limit",
         }
@@ -254,17 +247,17 @@ class TestSeedMemo:
     def test_value_reused_before_its_own_turn(self, reuses):
         # 27's walk passes 91; seed 63 meets 91 at step 15, before 91's turn
         # as a seed, and ends there: 15 + 90 steps
-        outs = self.check_chunk(1, 99, RULE_3Z, GENEROUS)
+        outs, _ = self.check_chunk(1, 99, RULE_3Z, GENEROUS)
         lookups = [(u, prefix) for u, prefix, _, _ in reuses]
         at = lookups.index((91, 15))
-        assert reuses[at][2:] == (True, outs[63])
-        assert outs[63].steps_taken == 105
+        assert reuses[at][2:] == (True, outs[91])
+        assert outs[63].steps_taken == 15 + outs[91].steps_taken == 105
         assert lookups.index((91, 0)) > at
 
     def test_seed_read_off_the_table(self, reuses, walks):
         # an earlier walk of the chunk passes 1331, so its entry is filled
         # before its turn and the seed takes it without a walk
-        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        outs, _ = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
         assert 1331 not in walks
         assert (1331, 0, True, outs[1331]) in reuses
         # in a chunk at 1 many seeds are read off the table
@@ -285,44 +278,57 @@ class TestSeedMemo:
         hi = max(seed, u)
         # a hit whose total is exactly the budget is used ...
         at_limit = OrbitLimits(max_steps=total, max_value_bits=max_bits)
-        outs = self.check_chunk(1, hi, rule, at_limit)
-        assert (u, prefix, True, outs[seed]) in reuses
-        assert outs[seed].steps_taken == total
+        outs, _ = self.check_chunk(1, hi, rule, at_limit)
+        assert (u, prefix, True, outs[u]) in reuses
+        assert outs[seed].steps_taken == prefix + outs[u].steps_taken == total
         # ... one step over it walks on to the exact STEP_LIMIT result
         reuses.clear()
         over = OrbitLimits(max_steps=total - 1, max_value_bits=max_bits)
-        outs = self.check_chunk(1, hi, rule, over)
+        outs, _ = self.check_chunk(1, hi, rule, over)
         assert (u, prefix, True, None) in reuses
         assert outs[seed].undecided_reason is TerminationKind.STEP_LIMIT
 
     def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, reuses):
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
-        memos = capture_memos(monkeypatch)
-        self.check_chunk(1, 199, RULE_3Z, GENEROUS)
-        assert len(memos[0].kinds) == len(memos[0].steps) == len(memos[0].peaks) == 8
+        _, memo = self.check_chunk(1, 199, RULE_3Z, GENEROUS)
+        assert len(memo.kinds) == len(memo.steps) == len(memo.peaks) == 8
         assert reuses and all(u < 1 + 2 * 8 for u, _, _, _ in reuses)
 
     def test_cycle_members_are_not_reused(self, reuses):
         # 1331 -> 6656 = 13 * 2^9 and 435 -> 2176 = 17 * 2^7 land on the cycle
         # members 13 and 17, but enter their cycles at 416 and 136: the
         # members' own results (entry at 13 and 17) would give wrong steps
-        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        outs, _ = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
         member_lookups = [r for r in reuses if r[0] in (13, 17) and r[1]]
         assert member_lookups and all(r[2:] == (False, None) for r in member_lookups)
         assert outs[1331].steps_taken == 15 and outs[1331].cycle.smallest_odd == 13
         assert outs[435].steps_taken == 15 and outs[435].cycle.smallest_odd == 17
         assert outs[13].steps_taken == outs[17].steps_taken == 10
 
-    def test_cycle_members_are_never_written(self, monkeypatch):
-        memos = capture_memos(monkeypatch)
-        outs = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+    def test_cycle_members_are_never_written(self):
+        outs, memo = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
         members = {13, 33, 83, 17, 27, 43}
         assert {outs[v].cycle.smallest_odd for v in members} == {13, 17}
-        memo = memos[0]
         assert all(memo.kinds[(v - 1) >> 1] == 0 for v in members)
         # values that lead into a cycle are written: 5 -> 26 -> 13 -> ... -> 83
         # -> 416 -> ... -> 26, whose second occurrence is step 11
         assert memo_entries(memo)[5] == ("cycle", outs[13].cycle.all_members, 11, 9)
+
+    def test_cycle_codes_past_the_kind_byte_are_not_written(self, monkeypatch):
+        # with the first cycle code at 255, cycle 13 (met first, from seed 5)
+        # takes 255, the last code the kind byte holds; cycle 17 takes 256
+        monkeypatch.setattr(cycles, "_CYCLE", 255)
+        outs, memo = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        assert [c.smallest_odd for c in memo.cycles] == [13, 17]
+        basins = {13: [], 17: []}
+        for v, out in outs.items():
+            if out.tag is OutcomeTag.CYCLE:
+                basins[out.cycle.smallest_odd].append(memo.kinds[(v - 1) >> 1])
+        assert 255 in basins[13] and set(basins[13]) <= {0, 255}
+        assert basins[17] and set(basins[17]) == {0}
+        report = scan_range(1, 1331, RULE_5Z, SCAN_LIMITS, chunk_size=100)
+        assert report_form(report) == oracle_report(1, 1331, RULE_5Z, SCAN_LIMITS)
+        assert [c.smallest_odd for c in report.cycles] == [1, 13, 17]
 
 
 def oracle_report(lo, hi, rule, limits):
@@ -381,8 +387,8 @@ class TestScanMemo:
         inherited = []  # (chunk index, u) for walks that ended on an earlier chunk's entry
         lookup = cycles._OrbitMemo.reuse
 
-        def reuse_spy(memo, u, prefix, peak, max_steps):
-            out = lookup(memo, u, prefix, peak, max_steps)
+        def reuse_spy(memo, u, prefix):
+            out = lookup(memo, u, prefix)
             index, kinds = filled_at_start[-1]
             if prefix and out is not None and kinds[(u - memo.lo) >> 1]:
                 inherited.append((index, u))
@@ -429,16 +435,15 @@ class TestScanMemo:
         # what a pool worker does: the initializer builds the scan's memo,
         # then each chunk it runs, passed no memo, reads and fills that one
         monkeypatch.setattr(cycles, "_worker_memo", None)
-        cycles._init_worker(1, 1023, SCAN_LIMITS)
+        cycles._init_worker(1, 1023, RULE_5Z, SCAN_LIMITS)
         memo = cycles._worker_memo
-        args = (SCAN_LIMITS.max_steps, SCAN_LIMITS.max_value_bits)
-        low = _scan_chunk(0, 5, 1, 511, *args)
+        low = _scan_chunk(0, 1, 511)
         assert any(memo.kinds[256:])  # chunk 0's walks wrote values of chunk 1
-        high = _scan_chunk(1, 5, 513, 1023, *args)
+        high = _scan_chunk(1, 513, 1023)
         assert cycles._worker_memo is memo
         assert (low, high) == (
-            _scan_chunk(0, 5, 1, 511, *args, cycles._OrbitMemo(1, 511, SCAN_LIMITS)),
-            _scan_chunk(1, 5, 513, 1023, *args, cycles._OrbitMemo(513, 1023, SCAN_LIMITS)),
+            _scan_chunk(0, 1, 511, cycles._OrbitMemo(1, 511, RULE_5Z, SCAN_LIMITS)),
+            _scan_chunk(1, 513, 1023, cycles._OrbitMemo(513, 1023, RULE_5Z, SCAN_LIMITS)),
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -483,16 +488,18 @@ class TestScanMemo:
         assert memos == [] and again == full
 
     def test_narrow_arrays_follow_the_limits(self):
-        memo = cycles._OrbitMemo(1, 99, SCAN_LIMITS)
+        memo = cycles._OrbitMemo(1, 99, RULE_3Z, SCAN_LIMITS)
         assert (memo.steps.typecode, memo.peaks.typecode) == ("I", "H")
-        edge = cycles._OrbitMemo(1, 99, OrbitLimits(max_steps=2**32 - 1, max_value_bits=2**16 - 9))
+        edge_limits = OrbitLimits(max_steps=2**32 - 1, max_value_bits=2**16 - 9)
+        edge = cycles._OrbitMemo(1, 99, RULE_3Z, edge_limits)
         assert (edge.steps.typecode, edge.peaks.typecode) == ("I", "H")
-        wide = cycles._OrbitMemo(1, 99, OrbitLimits(max_steps=2**32, max_value_bits=2**16 - 8))
+        wide_limits = OrbitLimits(max_steps=2**32, max_value_bits=2**16 - 8)
+        wide = cycles._OrbitMemo(1, 99, RULE_3Z, wide_limits)
         assert (wide.steps.typecode, wide.peaks.typecode) == ("q", "q")
 
     def test_wide_fallback(self):
         limits = OrbitLimits(max_steps=2**33, max_value_bits=70000)
-        memo = cycles._OrbitMemo(1, 99, limits)
+        memo = cycles._OrbitMemo(1, 99, RULE_3Z, limits)
         assert (memo.steps.typecode, memo.peaks.typecode) == ("q", "q")
         report = scan_range(1, 999, RULE_3Z, limits, chunk_size=100)
         assert report_form(report) == oracle_report(1, 999, RULE_3Z, limits)
@@ -584,9 +591,8 @@ class TestCheckpoint:
         for i in indices:
             c_lo = lo + 2 * i * chunk_size
             c_hi = lo + 2 * (min((i + 1) * chunk_size, n_seeds) - 1)
-            state.completed[i] = _scan_chunk(
-                i, 5, c_lo, c_hi, SCAN_LIMITS.max_steps, SCAN_LIMITS.max_value_bits
-            )
+            memo = cycles._OrbitMemo(c_lo, c_hi, RULE_5Z, SCAN_LIMITS)
+            state.completed[i] = _scan_chunk(i, c_lo, c_hi, memo)
         return state
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -748,18 +754,20 @@ class TestChunkRunner:
             pulled.append(i)
             if len(pulled) > 64:
                 raise AssertionError("the runner read the task iterator too far ahead")
-            yield (i, 5, 1 + 64 * i, 63 + 64 * i, SCAN_LIMITS.max_steps, SCAN_LIMITS.max_value_bits)
+            yield (i, 1 + 64 * i, 63 + 64 * i)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pulls_tasks_lazily(self, workers):
         pulled: list[int] = []
-        scan = (1, 64 * 64 - 1, SCAN_LIMITS)  # the 64 chunks _tasks yields at most
+        scan = (1, 64 * 64 - 1, RULE_5Z, SCAN_LIMITS)  # the 64 chunks _tasks yields at most
         with closing(_run_chunks(self._tasks(pulled), workers, scan)) as results:
             first = list(islice(results, 3))
         assert len(pulled) <= 3 + 2 * workers
         for chunk in first:
             i = chunk.index
-            assert chunk == _scan_chunk(i, 5, 1 + 64 * i, 63 + 64 * i, 10**5, 128)
+            c_lo, c_hi = 1 + 64 * i, 63 + 64 * i
+            memo = cycles._OrbitMemo(c_lo, c_hi, RULE_5Z, SCAN_LIMITS)
+            assert chunk == _scan_chunk(i, c_lo, c_hi, memo)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         sizes: list[int] = []

@@ -200,6 +200,17 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             eval_closed_form("T9_7Z", 10)
 
+    def test_unknown_family_same_error_everywhere(self):
+        # both entry points look the family up one way and list the known ones
+        errors = []
+        for call in (lambda: eval_closed_form("T9_7Z", 10),
+                     lambda: check_closed_form("T9_7Z", 1, 2, RULE_3Z)):
+            with pytest.raises(ValueError, match="known: ") as exc:
+                call()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert all(name in errors[0] for name in CLOSED_FORM_FAMILIES)
+
     @pytest.mark.parametrize(
         "family,lo,hi,rule",
         [
