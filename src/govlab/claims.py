@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from .cycles import Classification, ScanReport, scan_range
 from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, next_odd
 from .genealogy import solve_ancestor_conditions
-from .numerics import governor_index
+from .numerics import governor_index, int_to_decimal
 
 SCHEMA_VERSION = 1
 
@@ -89,7 +89,7 @@ class ClaimReport:
 
 def _scan_evidence(report: ScanReport) -> dict:
     return {
-        "range": {"lo": str(report.lo), "hi": str(report.hi)},
+        "range": {"lo": int_to_decimal(report.lo), "hi": int_to_decimal(report.hi)},
         "counts": dict(report.counts),
         "cycles": [c.to_doc() for c in report.cycles],
         "divergence_candidate_count": len(report.divergence_candidates),
@@ -117,8 +117,8 @@ def _cycle_index_check(report: ScanReport, allowed: frozenset[int]) -> tuple[Ver
             if idx not in allowed:
                 violations.append(
                     {
-                        "cycle_smallest_odd": str(rec.smallest_odd),
-                        "member": str(member),
+                        "cycle_smallest_odd": int_to_decimal(rec.smallest_odd),
+                        "member": int_to_decimal(member),
                         "governor_index": idx,
                         "allowed": sorted(allowed),
                     }
@@ -145,9 +145,9 @@ def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
     p = _C2_SUCCESSOR_SAMPLE_EXPONENT
     val = (3 * ((1 << p) + 1) + 1) // 2
     evidence["successor_congruence_note"] = {
-        "start": str((1 << p) + 1),
+        "start": int_to_decimal((1 << p) + 1),
         "steps": "OE",
-        "computed_value": str(val),
+        "computed_value": int_to_decimal(val),
         "stated_low": "2",
         "modulus_exponent": p - 1,
         "match": val % (1 << (p - 1)) == 2,
@@ -167,7 +167,7 @@ def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
         if c.classification is Classification.AUXILIARY and c.smallest_odd >= bound
     ]
     evidence = _scan_evidence(report)
-    evidence["bound"] = str(bound)
+    evidence["bound"] = int_to_decimal(bound)
     evidence["oversized_auxiliary_cycles"] = oversized
     return (Verdict.PASS if not oversized else Verdict.FAIL), evidence
 
@@ -193,20 +193,20 @@ def _run_c5(params: dict) -> tuple[Verdict, dict]:
         witness.extend(cur << j for j in range(k, -1, -1))
         seq.append((cur, governor_index(cur)))
     evidence = {
-        "start": str(x),
-        "target": str(target),
+        "start": int_to_decimal(x),
+        "target": int_to_decimal(target),
         "promotions": [
             {
-                "source": str(p.source),
-                "target": str(p.target),
+                "source": int_to_decimal(p.source),
+                "target": int_to_decimal(p.target),
                 "old_index": p.old_index,
                 "new_index": p.new_index,
             }
             for p in promotions
         ],
-        "witness_orbit_prefix": [str(v) for v in witness],
+        "witness_orbit_prefix": [int_to_decimal(v) for v in witness],
         "odd_governor_sequence": [
-            {"value": str(v), "index": m} for v, m in seq
+            {"value": int_to_decimal(v), "index": m} for v, m in seq
         ],
     }
     return (Verdict.PASS if hit else Verdict.FAIL), evidence
@@ -270,12 +270,12 @@ def _run_c6(params: dict) -> tuple[Verdict, dict]:
             rows.append(
                 {
                     "family": family,
-                    "start": str(x),
+                    "start": int_to_decimal(x),
                     "steps": steps,
-                    "stated_low": str(stated_low),
+                    "stated_low": int_to_decimal(stated_low),
                     "modulus_exponent": mod_exp,
-                    "computed_value": str(value),
-                    "computed_residue": str(residue),
+                    "computed_value": int_to_decimal(value),
+                    "computed_residue": int_to_decimal(residue),
                     "computed_parity": "odd" if value % 2 else "even",
                     "stated_parity": "odd" if stated_low % 2 else "even",
                     "step_parities_respected": parity_ok,

@@ -54,6 +54,44 @@ the step budget; otherwise the walk goes on, which keeps the step-limit
 peak exact.  The memo is read only after the seen map misses, so the
 trivial and repetition checks come first, as in dynamics.orbit.
 
+Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
+and most seeds of a 5Z+1 census end at the value cap far above the memo.
+Once per walk, at its first odd value whose q*v + 1 is wider than the
+memo's gate, which puts v at or past the memo's floor (at least top, past
+the trivial cycle's members and at least 2^K), the walk hands the orbit to
+a lean walk.  That walk keeps no seen map and no order list and reads no
+memo; it returns a result only when the orbit passes the cap, and returns
+None when a value falls below the floor or the step budget runs out, and
+then the walk goes on from where it handed the orbit over.  The budget also
+ends a lean walk caught in a cycle above the floor.  A result it returns is
+the exact one:
+
+* an orbit that passes the cap has not repeated a value before: from a
+  repeat on it stays among values it has already produced, all within the
+  cap.  It has met no trivial member either, because every member of the
+  trivial cycle lies within the cap (the gate is below the cap only when
+  the cap is wider than q times the floor).  And it has not run out of
+  budget, because the odd value whose step passes the cap is reached within
+  the budget.  So the orbit ends there as value-limited, whatever memo
+  entries it passed: those hold the same orbit's exact result;
+* the value that passes the cap is wider than every value before it, so
+  its bit length is the orbit's peak, and also the peak of every suffix,
+  which record writes without recomputing;
+* a jump moves K = 8 Terras steps at once, T(v) = (q*v + 1) / 2 for odd v
+  and v / 2 for even v (Terras 1976): for v = a*2^K + b, T^K(v) = q^c*a +
+  T^K(b), which is K + c plain steps, with c the odd values among b, T(b),
+  ..., T^(K-1)(b).  The table holds, for each residue b, a margin that
+  bounds how much wider than v any value inside the jump can be, so a jump
+  is taken only when v's bit length plus the margin is within the cap: no
+  jump passes over a crossing, and the step at which the orbit passes the
+  cap is found by plain steps.  A jump may pass a trivial member or a value
+  of the memo's range; by the first point, that can end no orbit that
+  passes the cap, and the lean walk returns nothing for any other orbit.
+
+3Z+1 orbits shrink on average and every seed of a 3Z+1 census converges,
+so a lean walk there would be thrown away: its gate is the cap, and the
+loop runs no extra test per transition.
+
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
@@ -79,11 +117,12 @@ import os
 from array import array
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .dynamics import OrbitLimits, Rule, TerminationKind, next_odd, rule_for
-from .numerics import governor_index
+from .numerics import decimal_to_int, governor_index, int_to_decimal
 
 SCHEMA_VERSION = 1
 
@@ -115,18 +154,18 @@ class CycleRecord:
 
     def to_doc(self) -> dict:
         return {
-            "smallest_odd": str(self.smallest_odd),
+            "smallest_odd": int_to_decimal(self.smallest_odd),
             "classification": self.classification.value,
-            "odd_members": [str(v) for v in self.odd_members],
-            "all_members": [str(v) for v in self.all_members],
+            "odd_members": [int_to_decimal(v) for v in self.odd_members],
+            "all_members": [int_to_decimal(v) for v in self.all_members],
             "governor_indices": [
-                {"member": str(v), "index": m} for v, m in self.governor_indices
+                {"member": int_to_decimal(v), "index": m} for v, m in self.governor_indices
             ],
         }
 
     @staticmethod
     def from_doc(doc: dict, rule: Rule) -> "CycleRecord":
-        return canonical_cycle([int(v) for v in doc["all_members"]], rule)
+        return canonical_cycle([decimal_to_int(v) for v in doc["all_members"]], rule)
 
 
 def _is_cyclic_rotation(seq: tuple[int, ...], ref: tuple[int, ...]) -> bool:
@@ -243,14 +282,16 @@ _MEMO_MAX_SEEDS = 1 << 20
 
 def _walk(x: int, memo: _OrbitMemo) -> tuple[int, int, int]:
     """detect_outcome's loop, as (code, steps, peak) under the memo's rule
-    and limits; it also ends at a filled entry of the memo, and records the
-    results the walk determines."""
+    and limits; it also ends at a filled entry of the memo, tries a lean
+    walk once past the memo's gate, and records the results the walk
+    determines."""
     rule = memo.rule
     q = rule.multiplier
     trivial = rule.trivial_members
     trivial_odds = rule.trivial_odd_members
     max_steps = memo.limits.max_steps
     cap = memo.limits.max_value_bits
+    gate = memo.gate  # cap, or below it where a value past it may start a lean walk
     lo, top = memo.lo, memo.top
 
     peak = x.bit_length()
@@ -264,15 +305,24 @@ def _walk(x: int, memo: _OrbitMemo) -> tuple[int, int, int]:
     cur = x
     s = 0
     first = 0  # position in order of the first value after x in [lo, top), once met
-    tail = 0  # peak of the memo entry the walk ends on
+    tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
     while True:
         t = q * cur + 1
         bits = t.bit_length()
         if bits > peak:
             peak = bits
-        if bits > cap:
-            code, steps, end = _VALUE_LIMIT, s + 1, len(order)
-            break
+        if bits > gate:
+            if bits > cap:
+                code, steps, end, tail = _VALUE_LIMIT, s + 1, len(order), bits
+                break
+            # cur is past the memo's floor: once per walk, try whether the
+            # orbit passes the cap without this loop's bookkeeping
+            gate = cap
+            lean = _lean_walk(cur, s, memo)
+            if lean is not None:
+                code, steps, peak = lean
+                end, tail = len(order), peak
+                break
         # v2(t) inlined: a call per transition is a measurable share of this loop
         k = (t & -t).bit_length() - 1
         u = t >> k
@@ -315,6 +365,72 @@ def _walk(x: int, memo: _OrbitMemo) -> tuple[int, int, int]:
     return code, steps, peak
 
 
+# Terras steps per jump of the lean walk: T(v) = (q*v + 1) / 2 for odd v,
+# v / 2 for even v
+_JUMP = 8
+_JUMP_MASK = (1 << _JUMP) - 1
+
+
+@cache
+def _jump_table(q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(q^c, T^K(b), K + c, margin) for each residue b mod 2^K, K = _JUMP.
+
+    c is the number of odd values among b, T(b), ..., T^(K-1)(b), which is
+    the same for every v = a*2^K + b, so T^K(v) = q^c*a + T^K(b): K + c plain
+    steps, c odd steps and K halvings.  Each value those steps produce is
+    alpha*a + beta for v = a*2^K + b.  For a >= 1 it is at most max(alpha /
+    2^K, (alpha + beta) / (2^K + b)) times v, so margin, the least m with
+    both ratios at most 2^m for every such value, bounds how many bits wider
+    than v any of them is.
+    """
+    table = []
+    for b in range(1 << _JUMP):
+        alpha, beta, c, margin = 1 << _JUMP, b, 0, 0
+        for _ in range(_JUMP):
+            if beta & 1:
+                alpha, beta, c = q * alpha, q * beta + 1, c + 1
+                while alpha > 1 << (margin + _JUMP) or alpha + beta > ((1 << _JUMP) + b) << margin:
+                    margin += 1
+            # alpha is even before the K-th halving, so halving is exact
+            alpha, beta = alpha >> 1, beta >> 1
+        table.append((q**c, beta, _JUMP + c, margin))
+    return tuple(table)
+
+
+def _lean_walk(x: int, s: int, memo: _OrbitMemo) -> tuple[int, int, int] | None:
+    """The (code, steps, peak) of the orbit from odd x, reached at step s,
+    when it passes the cap; None when a value falls below memo.floor or the
+    step budget runs out first.
+
+    The walk keeps no seen map and reads no memo: it moves K Terras steps
+    at once whenever the table's margin shows that none of them can pass
+    the cap, and one plain step otherwise.  The module docstring says why a
+    crossing it finds is the exact result.
+    """
+    q = memo.rule.multiplier
+    cap = memo.limits.max_value_bits
+    max_steps = memo.limits.max_steps
+    floor = memo.floor
+    table = _jump_table(q)
+    cur = x
+    while True:
+        mult, low, n, margin = table[cur & _JUMP_MASK]
+        if cur.bit_length() + margin <= cap:
+            cur = mult * (cur >> _JUMP) + low
+            s += n
+        elif cur & 1:
+            cur = q * cur + 1
+            s += 1
+            if cur.bit_length() > cap:
+                return _VALUE_LIMIT, s, cur.bit_length()
+        else:
+            k = (cur & -cur).bit_length() - 1
+            cur >>= k
+            s += k
+        if s >= max_steps or cur < floor:
+            return None
+
+
 def _zeros(typecode: str, n: int, bound: int) -> array:
     """n zeros in an array of typecode if it holds 0..bound, else of 'q'
     (storing a value the typecode cannot hold raises OverflowError)."""
@@ -340,11 +456,21 @@ class _OrbitMemo:
         self.lo = lo
         self.top = lo + 2 * n  # the first odd value not held
         self.kinds = bytearray(n)
-        # an entry's steps are at most max_steps; its peak is the bit length
-        # of some q*v + 1 with v under the cap or below top (q < 8)
-        self.steps = _zeros("I", n, limits.max_steps)
-        self.peaks = _zeros("H", n, max(limits.max_value_bits, self.top.bit_length()) + 8)
+        if n:
+            # an entry's steps are at most max_steps; its peak is the bit length
+            # of some q*v + 1 with v under the cap or below top (q < 8)
+            self.steps = _zeros("I", n, limits.max_steps)
+            self.peaks = _zeros("H", n, max(limits.max_value_bits, self.top.bit_length()) + 8)
+        else:  # detect_outcome's memo: nothing is read or written
+            self.steps = self.peaks = ()
         self.cycles: list[CycleRecord] = []
+        # a lean walk runs on values from floor up: past the memo's range and
+        # the trivial cycle, and from 2^K, where the jump margins hold.  Only
+        # orbits of rules with q > 4 grow on average; for those, a walk whose
+        # q*v + 1 is wider than gate (and not than the cap) is at v >= floor.
+        q, cap = rule.multiplier, limits.max_value_bits
+        self.floor = max(self.top, max(rule.trivial_cycle) + 1, 1 << _JUMP)
+        self.gate = cap if q < 5 else min(cap, (q * self.floor).bit_length())
 
     def cycle_code(self, record: CycleRecord) -> int:
         if record not in self.cycles:
@@ -400,11 +526,15 @@ class _OrbitMemo:
             return
         q = self.rule.multiplier
         peak = tail
+        # a value-limited orbit's crossing is wider than every value before
+        # it, so it is every suffix's peak
+        bounded = code != _VALUE_LIMIT
         for j in range(len(order) - 1, first - 1, -1):
             v = order[j]
-            bits = (q * v + 1).bit_length()
-            if bits > peak:
-                peak = bits
+            if bounded:
+                bits = (q * v + 1).bit_length()
+                if bits > peak:
+                    peak = bits
             if j < end and lo <= v < top:
                 i = (v - lo) >> 1
                 kinds[i] = code
@@ -488,7 +618,7 @@ class ChunkResult:
             "index": self.index,
             "counts": dict(zip(COUNT_KEYS, self.counts)),
             "cycles": [self.cycles[k].to_doc() for k in sorted(self.cycles)],
-            "candidates": [str(v) for v in self.candidates],
+            "candidates": [int_to_decimal(v) for v in self.candidates],
             "max_excursion_bits": self.max_excursion_bits,
             "max_steps_observed": self.max_steps_observed,
         }
@@ -500,7 +630,7 @@ class ChunkResult:
             index=int(doc["index"]),
             counts=[int(doc["counts"][k]) for k in COUNT_KEYS],
             cycles={rec.smallest_odd: rec for rec in cycles},
-            candidates=[int(v) for v in doc["candidates"]],
+            candidates=[decimal_to_int(v) for v in doc["candidates"]],
             max_excursion_bits=int(doc["max_excursion_bits"]),
             max_steps_observed=int(doc["max_steps_observed"]),
         )
@@ -544,14 +674,14 @@ class ScanReport:
             "schema_version": self.schema_version,
             "kind": "govlab-scan-report",
             "rule": f"{self.rule_multiplier}Z+1",
-            "range": {"lo": str(self.lo), "hi": str(self.hi)},
+            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
             "limits": {
                 "max_steps": self.limits.max_steps,
                 "max_value_bits": self.limits.max_value_bits,
             },
             "counts": dict(self.counts),
             "cycles": [c.to_doc() for c in self.cycles],
-            "divergence_candidates": [str(v) for v in self.divergence_candidates],
+            "divergence_candidates": [int_to_decimal(v) for v in self.divergence_candidates],
             "stats": {
                 "max_excursion_bits": self.max_excursion_bits,
                 "max_steps_observed": self.max_steps_observed,
@@ -583,7 +713,7 @@ class ScanState:
             "kind": "govlab-scan-checkpoint",
             "rule": f"{self.rule_multiplier}Z+1",
             "multiplier": self.rule_multiplier,
-            "range": {"lo": str(self.lo), "hi": str(self.hi)},
+            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
             "limits": {
                 "max_steps": self.limits.max_steps,
                 "max_value_bits": self.limits.max_value_bits,
@@ -628,8 +758,8 @@ def checkpoint_load(path: str) -> ScanState:
         )
         state = ScanState(
             rule_multiplier=rule.multiplier,
-            lo=int(doc["range"]["lo"]),
-            hi=int(doc["range"]["hi"]),
+            lo=decimal_to_int(doc["range"]["lo"]),
+            hi=decimal_to_int(doc["range"]["hi"]),
             limits=limits,
             chunk_size=int(doc["chunk_size"]),
             completed={},

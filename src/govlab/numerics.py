@@ -1,4 +1,5 @@
-"""Trailing-ones decomposition of odd integers and 2-adic valuation primitives.
+"""Trailing-ones decomposition of odd integers, 2-adic valuation primitives,
+and exact int <-> decimal string conversion at any length.
 
 Every odd integer x splits uniquely as
 
@@ -19,6 +20,54 @@ def v2(x: int) -> int:
     if x <= 0:
         raise ValueError(f"v2 requires a positive integer, got {x}")
     return (x & -x).bit_length() - 1
+
+
+# CPython caps int <-> decimal str conversion at 4300 digits by default, and
+# at no fewer than 640; pieces this long convert under any cap
+_PIECE_DIGITS = 600
+_PIECE_BITS = 1993  # 2^1993 < 10^600
+
+
+def int_to_decimal(x: int) -> str:
+    """str(x) at any length, without touching the interpreter's digit cap.
+
+    A value too long for one conversion is split at a power of ten and its
+    halves are converted on their own.
+    """
+    if x.bit_length() <= _PIECE_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + int_to_decimal(-x)
+    k = x.bit_length() * 3 // 20  # about half of x's digits (log10 2 > 3/10)
+    high, low = divmod(x, 10**k)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
+
+
+def decimal_to_int(text: str) -> int:
+    """int(text), also for decimal strings past the interpreter's digit cap.
+
+    Whatever int() accepts is returned as int() returns it; a string it
+    rejects only for its length, an optional sign and then ASCII digits, is
+    converted in pieces.  Anything else raises int()'s ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not isinstance(text, str):
+            raise
+        body = text.strip()
+        sign = -1 if body[:1] == "-" else 1
+        body = body[1:] if body[:1] in "+-" else body
+        if len(body) <= _PIECE_DIGITS or not (body.isascii() and body.isdigit()):
+            raise
+    return sign * _digits_to_int(body)
+
+
+def _digits_to_int(digits: str) -> int:
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_to_int(digits[:-k]) * 10**k + _digits_to_int(digits[-k:])
 
 
 def governor_index(x: int) -> int:

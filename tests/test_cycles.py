@@ -2,10 +2,13 @@ import dataclasses
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future
 from contextlib import closing
 from itertools import count, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -514,6 +517,160 @@ class TestScanMemo:
         assert report.max_excursion_bits == 70003
 
 
+@pytest.fixture
+def leans(monkeypatch):
+    """Records (x, s, result) for every lean walk, result None when it fell back."""
+    calls = []
+    lean = cycles._lean_walk
+
+    def spy(x, s, memo):
+        result = lean(x, s, memo)
+        calls.append((x, s, result))
+        return result
+
+    monkeypatch.setattr(cycles, "_lean_walk", spy)
+    return calls
+
+
+def filled_memo(lo, n_seeds, rule, limits, lean=True):
+    """The memo of a scan of n_seeds seeds from lo after all of them are
+    classified; with lean False its walks never start a lean walk."""
+    hi = lo + 2 * (n_seeds - 1)
+    memo = cycles._OrbitMemo(lo, hi, rule, limits)
+    if not lean:
+        memo.gate = limits.max_value_bits
+    for _ in _chunk_outcomes(lo, hi, memo):
+        pass
+    return memo
+
+
+class TestLeanWalk:
+    """The lean walk of orbits past the memo, which ends only where it finds
+    that the orbit passes the value cap, against the exact walk and the
+    step-by-step oracle."""
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z], ids=["3z", "5z"])
+    def test_jump_table(self, rule):
+        # K + c raw steps take a*2^K + b to q^c*a + T^K(b), and no value on
+        # the way is wider than the start plus the entry's margin
+        q, k = rule.multiplier, cycles._JUMP
+        table = cycles._jump_table(q)
+        assert len(table) == 1 << k
+        for b, (mult, low, n, margin) in enumerate(table):
+            c = n - k
+            assert mult == q**c
+            for a in (1, 2, 3, 5, 255, 256, 2**20 + 7, 3**40, 2**64 - 1):
+                x = (a << k) + b
+                v, widest, odd = x, 0, 0
+                for _ in range(n):
+                    odd += v % 2
+                    v = rule.step(v)
+                    widest = max(widest, v.bit_length())
+                assert odd == c and v == mult * a + low, (b, a)
+                assert widest <= x.bit_length() + margin, (b, a)
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z], ids=["3z", "5z"])
+    def test_margins_are_tight(self, rule):
+        # some start comes within one bit of each entry's margin, so no
+        # entry holds jumps back by more than a bit
+        q, k = rule.multiplier, cycles._JUMP
+        for b, (_, _, n, margin) in enumerate(cycles._jump_table(q)):
+            reached = 0
+            for x in ((1 << k) + b, (((1 << 40) - 1) >> k << k) + b, (1 << 60) + b):
+                v = x
+                for _ in range(n):
+                    v = rule.step(v)
+                    reached = max(reached, v.bit_length() - x.bit_length())
+            assert reached >= margin - 1, b
+
+    @given(
+        st.sampled_from([RULE_3Z, RULE_5Z]),
+        st.sampled_from([1, (1 << 18) + 1]),
+        st.integers(min_value=16, max_value=256),
+        st.integers(min_value=20, max_value=256),
+        st.integers(min_value=0, max_value=1 << 12),
+        st.sampled_from(["generous", "own", "one_below"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_walk_and_oracle(self, rule, lo, n_seeds, cap, offset, budget):
+        # seeds from floor * 2^K on, where every jump's values lie past the
+        # memo and the trivial cycle, with memos filled by their scans' walks
+        # (lean and exact); budgets at a value-limited seed's own steps_taken
+        # and one below it; caps from below the gate's width up
+        generous = OrbitLimits(max_steps=10**5, max_value_bits=cap)
+        memo = filled_memo(lo, n_seeds, rule, generous)
+        seed = (memo.floor << cycles._JUMP) + 2 * offset + 1
+        out = classify_by_orbit(seed, rule, generous)
+        if budget != "generous":
+            steps = out[2] - (budget == "one_below")
+            limits = OrbitLimits(max_steps=max(steps, 1), max_value_bits=cap)
+            memo = filled_memo(lo, n_seeds, rule, limits)
+            out = classify_by_orbit(seed, rule, limits)
+        else:
+            limits = generous
+        exact = filled_memo(lo, n_seeds, rule, limits, lean=False)
+        assert memo.gate <= cap and exact.gate == cap
+        result = cycles._walk(seed, memo)
+        assert result == cycles._walk(seed, exact)
+        assert oracle_form(memo.outcome(*result)) == out
+        assert oracle_form(detect_outcome(seed, rule, limits)) == out
+
+    def test_budget_edge_of_a_value_limited_seed(self, leans):
+        # 9's walk starts a lean walk at 573 after 14 steps, which passes 64
+        # bits at step 732: a budget of 732 keeps that result, and at 731 the
+        # lean walk falls back and the exact walk ends at the step limit
+        for steps, reason in ((10**5, TerminationKind.VALUE_LIMIT),
+                              (732, TerminationKind.VALUE_LIMIT),
+                              (731, TerminationKind.STEP_LIMIT)):
+            leans.clear()
+            limits = OrbitLimits(max_steps=steps, max_value_bits=64)
+            out = detect_outcome(9, RULE_5Z, limits)
+            assert oracle_form(out) == classify_by_orbit(9, RULE_5Z, limits)
+            assert (out.undecided_reason, out.steps_taken) == (reason, min(steps, 732))
+            passed = reason is TerminationKind.VALUE_LIMIT
+            assert leans == [(573, 14, (cycles._VALUE_LIMIT, 732, 66) if passed else None)]
+
+    def test_fallbacks_end_on_memo_entries(self, leans, reuses):
+        # orbits that climb past the memo, fall back below it and end on an
+        # entry: every seed's result matches the exact walk and the oracle
+        memo = cycles._OrbitMemo(1, 2047, RULE_5Z, SCAN_LIMITS)
+        results, fell_back = {}, 0
+        for seed, result in _chunk_outcomes(1, 2047, memo):
+            results[seed] = result
+            if leans and leans[-1][2] is None and reuses[-1][3] is not None:
+                fell_back += 1
+            leans.clear()
+        assert fell_back > 10
+        exact = filled_memo(1, 1024, RULE_5Z, SCAN_LIMITS, lean=False)
+        for seed, result in results.items():
+            assert result == cycles._walk(seed, exact), seed
+            out = oracle_form(memo.outcome(*result))
+            assert out == classify_by_orbit(seed, RULE_5Z, SCAN_LIMITS), seed
+
+    def test_no_3z_walk_starts_a_lean_walk(self, leans):
+        # 3Z+1 orbits shrink on average, so their gate is the cap itself
+        for limits in (GENEROUS, SCAN_LIMITS, OrbitLimits(max_steps=300, max_value_bits=20)):
+            assert cycles._OrbitMemo(1, 4095, RULE_3Z, limits).gate == limits.max_value_bits
+            scan_range(1, 4095, RULE_3Z, limits, chunk_size=1000)
+            scan_range((1 << 40) + 1, (1 << 40) + 999, RULE_3Z, limits)
+            for seed in (27, 2**61 - 1, 3**50):
+                detect_outcome(seed, RULE_3Z, limits)
+        assert leans == []
+        scan_range(1, 4095, RULE_5Z, SCAN_LIMITS)
+        assert leans
+
+    def test_small_caps_keep_the_gate_at_the_cap(self):
+        # the gate never rises above the cap, which would skip its check; in
+        # a scan below 2^10 the floor is 1025, whose 5*v + 1 has 13 bits, so
+        # caps up to 13 start no lean walk and caps from 14 do
+        for cap in range(2, 24):
+            limits = OrbitLimits(max_steps=10**5, max_value_bits=cap)
+            memo = cycles._OrbitMemo(1, 1023, RULE_5Z, limits)
+            assert memo.gate == min(cap, 13)
+            report = scan_range(1, 1023, RULE_5Z, limits, chunk_size=100)
+            assert report_form(report) == oracle_report(1, 1023, RULE_5Z, limits), cap
+
+
 class TestScan:
     def test_against_per_seed_oracle(self):
         lo, hi = 1, 1023
@@ -594,6 +751,46 @@ class TestCheckpoint:
             memo = cycles._OrbitMemo(c_lo, c_hi, RULE_5Z, SCAN_LIMITS)
             state.completed[i] = _scan_chunk(i, c_lo, c_hi, memo)
         return state
+
+    # scans seeds of 70001 bits (21073 digits) with a checkpoint, in a fresh
+    # interpreter; argv[1] "lift" lifts the digit cap first
+    HUGE_SCAN = """
+import hashlib, sys
+if sys.argv[1] == "lift" and hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+from govlab import RULE_5Z, OrbitLimits, checkpoint_load, scan_range
+from govlab.cycles import checkpoint_save
+lo, limits, path = (1 << 70000) + 1, OrbitLimits(10**5, 64), sys.argv[2]
+report = scan_range(lo, lo + 40, RULE_5Z, limits, chunk_size=4, checkpoint_path=path)
+with open(path, encoding="utf-8") as fh:
+    saved = fh.read()
+state = checkpoint_load(path)
+assert state.completed[3].candidates == [lo + 24, lo + 26, lo + 28, lo + 30]
+checkpoint_save(state, path)
+with open(path, encoding="utf-8") as fh:
+    assert fh.read() == saved
+resumed = scan_range(lo, lo + 40, RULE_5Z, limits, chunk_size=4, checkpoint_path=path)
+assert resumed.to_json() == report.to_json()
+for text in (report.to_json(), saved):
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+    def test_values_past_4300_digits_without_lifting_the_cap(self, tmp_path):
+        # a process that keeps CPython's default cap on int <-> str
+        # conversion writes, reads and resumes the same bytes as one that
+        # lifts it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        digests = []
+        for mode in ("keep", "lift"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.HUGE_SCAN, mode, str(tmp_path / f"{mode}.json")],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1] and len(digests[0].split()) == 2
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

@@ -1,11 +1,16 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab.numerics import (
     GovernorForm,
+    decimal_to_int,
     decompose,
     governor_index,
+    int_to_decimal,
     reconstruct,
     trailing_ones,
     v2,
@@ -106,3 +111,48 @@ class TestTrailingOnes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             trailing_ones(0)
+
+
+@pytest.fixture
+def least_digit_cap():
+    """Sets this process's cap on int <-> str conversion to 640 digits, the
+    least CPython allows, for the test; restores it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6
+        pytest.skip("this interpreter has no cap on int <-> str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+class TestDecimalStrings:
+    def test_exact_past_the_digit_cap(self, least_digit_cap):
+        rng = random.Random(7)
+        values = [0, 1, -1, 10**600, 10**600 - 1, 2**1993, 2**1994, -(10**5000)]
+        widths = [rng.randrange(1, 80000) for _ in range(60)]
+        values += [rng.choice((1, -1)) * rng.getrandbits(w) for w in widths]
+        texts = [int_to_decimal(v) for v in values]
+        assert [decimal_to_int(t) for t in texts] == values
+        with pytest.raises(ValueError):
+            str(10**700)  # the cap holds: the helpers did not lift it
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        assert texts == [str(v) for v in values]
+        assert [int(t) for t in texts] == values
+
+    @given(st.integers(min_value=-(10**1500), max_value=10**1500))
+    def test_round_trip(self, v):
+        assert decimal_to_int(int_to_decimal(v)) == v
+
+    def test_parses_what_int_parses(self):
+        for text in ("12", " -7 ", "+3", "1_000", 42):
+            assert decimal_to_int(text) == int(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "12.5", "0x1f", "1" * 5000 + "x", "1" * 3000 + " 1" * 1000, "--" + "1" * 5000,
+         float("nan")],
+    )
+    def test_rejects_what_is_not_a_decimal_integer(self, text):
+        with pytest.raises(ValueError):
+            decimal_to_int(text)
