@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from .cycles import Classification, ScanReport, scan_range
 from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, next_odd
 from .genealogy import solve_ancestor_conditions
-from .numerics import governor_index, int_to_decimal
+from .numerics import governor_index, int_to_decimal, require, show
 
 SCHEMA_VERSION = 1
 
@@ -173,10 +173,8 @@ def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
 
 
 def _run_c5(params: dict) -> tuple[Verdict, dict]:
-    a = params["a"]
+    a = require(params["a"], "C5 parameter a", 4)
     horizon = params["horizon"]
-    if a < 4:
-        raise ValueError(f"promotion construction needs a >= 4, got {a}")
     x = (1 << a) + (1 << 3) + (1 << 2) - 1
     target = (1 << (a + 1)) - 1
     promotions = find_promotions(x, RULE_3Z, horizon)
@@ -251,12 +249,8 @@ def replay_steps(x: int, steps: str) -> tuple[int, bool]:
 
 
 def _run_c6(params: dict) -> tuple[Verdict, dict]:
-    q_exp = params["placeholder_exponent"]
-    if q_exp < 12:
-        raise ValueError(
-            f"placeholder exponent must be >= 12 so no family's stated residue "
-            f"collides with the placeholder, got {q_exp}"
-        )
+    # from 12 on, no family's stated residue collides with the placeholder
+    q_exp = require(params["placeholder_exponent"], "C6 parameter placeholder_exponent", 12)
     rows = []
     any_mismatch = False
     for family, tail, family_rows in SUCCESSOR_FAMILIES:
@@ -426,7 +420,7 @@ def list_claims() -> list[tuple[str, str, str]]:
 def _spec(claim_id: str) -> ClaimSpec:
     spec = _BY_ID.get(claim_id)
     if spec is None:
-        raise ValueError(f"unknown claim {claim_id!r}; known: {sorted(_BY_ID)}")
+        raise ValueError(f"unknown claim {show(claim_id)}; known: {sorted(_BY_ID)}")
     return spec
 
 
@@ -439,7 +433,7 @@ def check_overrides(overrides: object) -> dict[str, dict]:
     for claim_id, params in overrides.items():
         spec = _spec(claim_id)
         if not isinstance(params, dict):
-            raise ValueError(f"parameters for {claim_id} must be an object, got {params!r}")
+            raise ValueError(f"parameters for {claim_id} must be an object, got {show(params)}")
         for name, value in params.items():
             if name not in spec.defaults:
                 raise ValueError(
@@ -448,7 +442,7 @@ def check_overrides(overrides: object) -> dict[str, dict]:
                 )
             if type(value) is not int:
                 raise ValueError(
-                    f"{claim_id} parameter {name} must be an integer, got {value!r}"
+                    f"{claim_id} parameter {name} must be an integer, got {show(value)}"
                 )
     return overrides
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 claim failure detected, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import claims as claims_mod
 from .cycles import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
 from .dynamics import OrbitLimits, next_odd, orbit, rule_for
 from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
-from .numerics import governor_index
+from .numerics import decimal_to_int, governor_index, require
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -27,35 +28,23 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _odd_natural(text: str) -> int:
+def _positive_int(text: str, what: str = "value", minimum: int = 1, odd: bool = False) -> int:
+    """An integer argument at least minimum, and odd when odd is set."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive odd integer, got {text}")
-    return value
+        return require(decimal_to_int(text), what, minimum, odd)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+_odd_natural = functools.partial(_positive_int, odd=True)
 
 
 def _odd_range(text: str) -> tuple[int, int]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    lo = _odd_natural(lo_text)
-    hi = _odd_natural(hi_text)
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+    lo = _odd_natural(lo_text, "LO")
+    return lo, _odd_natural(hi_text, "HI", lo)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -284,12 +273,18 @@ def execute(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # values print exactly at any size, so lift CPython's cap on int <-> str
-    # conversion (Python 3.10.0-3.10.6 have neither the cap nor this call)
-    if hasattr(sys, "set_int_max_str_digits"):
+    # values are read and printed exactly at any size, so CPython's cap on
+    # int <-> str conversion is lifted while the command runs and the
+    # caller's cap put back after it (Python 3.10.0-3.10.6 have no cap)
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    ns = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(ns)
+    try:
+        return execute(parse_args(sys.argv[1:] if argv is None else argv))
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -122,7 +122,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .dynamics import OrbitLimits, Rule, TerminationKind, next_odd, rule_for
-from .numerics import decimal_to_int, governor_index, int_to_decimal
+from .numerics import decimal_to_int, governor_index, int_to_decimal, require, show
 
 SCHEMA_VERSION = 1
 
@@ -264,8 +264,7 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     Each run works out the step at which it would end the orbit, and one
     comparison with the budget decides whether the step limit comes first.
     """
-    if x % 2 == 0 or x < 1:
-        raise ValueError(f"detect_outcome requires a positive odd seed, got {x}")
+    require(x, "detect_outcome seed", odd=True)
     memo = _OrbitMemo(x, x - 2, rule, limits)  # holds no value
     return memo.outcome(*_walk(x, memo))
 
@@ -741,12 +740,12 @@ def checkpoint_load(path: str) -> ScanState:
             doc = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an int past the digit cap
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise CheckpointError(
-                f"checkpoint schema_version {doc['schema_version']} is not "
+                f"checkpoint schema_version {show(doc['schema_version'])} is not "
                 f"{SCHEMA_VERSION}"
             )
         if doc.get("kind") != "govlab-scan-checkpoint":
@@ -776,12 +775,9 @@ def checkpoint_load(path: str) -> ScanState:
 
 def _layout(lo: int, hi: int, chunk_size: int) -> tuple[int, int]:
     """Seed count and chunk count of a scan, after checking its bounds."""
-    if lo % 2 == 0 or hi % 2 == 0 or lo < 1:
-        raise ValueError(f"scan bounds must be positive odd integers, got {lo}:{hi}")
-    if lo > hi:
-        raise ValueError(f"empty scan range {lo}:{hi}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    require(lo, "scan_range lo", odd=True)
+    require(hi, "scan_range hi", lo, odd=True)
+    require(chunk_size, "scan_range chunk_size")
     n_seeds = (hi - lo) // 2 + 1
     return n_seeds, (n_seeds + chunk_size - 1) // chunk_size
 
@@ -798,16 +794,26 @@ def _check_chunk(
     """Raise ValueError unless the chunk's counts and candidates fit its seeds."""
     i = chunk.index
     if not 0 <= i < n_chunks:
-        raise ValueError(f"chunk index {i} is outside 0..{n_chunks - 1}")
+        raise ValueError(
+            f"chunk index {int_to_decimal(i)} is outside 0..{int_to_decimal(n_chunks - 1)}"
+        )
+    chunk_name = f"chunk {int_to_decimal(i)}"
     c_lo, c_hi = _chunk_bounds(lo, n_seeds, chunk_size, i)
-    seeds = range(c_lo, c_hi + 1, 2)
-    if min(chunk.counts) < 0 or sum(chunk.counts) != len(seeds):
-        raise ValueError(f"chunk {i} counts {chunk.counts} do not add up to {len(seeds)} seeds")
+    n = (c_hi - c_lo) // 2 + 1  # len() of the seed range overflows past sys.maxsize
+    if min(chunk.counts) < 0 or sum(chunk.counts) != n:
+        counts = ", ".join(map(int_to_decimal, chunk.counts))
+        raise ValueError(
+            f"{chunk_name} counts [{counts}] do not add up to {int_to_decimal(n)} seeds"
+        )
     cands = chunk.candidates
     if len(cands) != chunk.counts[2] + chunk.counts[3]:
-        raise ValueError(f"chunk {i} has {len(cands)} candidates, not one per undecided seed")
+        raise ValueError(f"{chunk_name} has {len(cands)} candidates, not one per undecided seed")
+    seeds = range(c_lo, c_hi + 1, 2)
     if not all(v in seeds for v in cands) or any(a >= b for a, b in zip(cands, cands[1:])):
-        raise ValueError(f"chunk {i} candidates are not ascending odd seeds in {c_lo}:{c_hi}")
+        raise ValueError(
+            f"{chunk_name} candidates are not ascending odd seeds in "
+            f"{int_to_decimal(c_lo)}:{int_to_decimal(c_hi)}"
+        )
 
 
 def _merge(state: ScanState, rule: Rule, n_chunks: int) -> ScanReport:
@@ -886,8 +892,7 @@ def scan_range(
     checkpoint_path set, the state is rewritten after every completed chunk
     and a matching existing checkpoint is resumed.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    require(workers, "scan_range workers")
     n_seeds, n_chunks = _layout(lo, hi, chunk_size)
 
     state = ScanState(

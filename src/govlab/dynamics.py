@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .numerics import governor_index, v2
+from .numerics import governor_index, int_to_decimal, require, show, v2
 
 
 class StepKind(enum.Enum):
@@ -42,18 +42,17 @@ class Rule:
     trivial_cycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = self.multiplier
-        if q % 2 == 0 or q < 3:
-            raise ValueError(f"multiplier must be an odd integer >= 3, got {q}")
+        require(self.multiplier, "Rule multiplier", 3, odd=True)
         cyc = self.trivial_cycle
         if not cyc:
             raise ValueError("trivial cycle must be nonempty")
         self.check_closed(cyc)
         indices = frozenset(governor_index(x) for x in cyc if x % 2)
         if indices != self.trivial_indices:
+            shown = ", ".join(map(show, sorted(self.trivial_indices)))
             raise ValueError(
-                f"trivial indices {set(self.trivial_indices)} disagree with "
-                f"cycle odd members (indices {set(indices)})"
+                f"trivial indices {shown} disagree with the governor indices "
+                f"{sorted(indices)} of the cycle's odd members"
             )
 
     def step(self, x: int) -> int:
@@ -68,8 +67,8 @@ class Rule:
             expected = self.step(x)
             if succ != expected:
                 raise ValueError(
-                    f"not a closed cycle at position {i}: "
-                    f"{x} steps to {expected}, list has {succ}"
+                    f"not a closed cycle at position {i}: {show(x)} steps "
+                    f"to {show(expected)}, list has {show(succ)}"
                 )
 
     @property
@@ -88,7 +87,7 @@ class Rule:
 
     @property
     def name(self) -> str:
-        return f"{self.multiplier}Z+1"
+        return f"{int_to_decimal(self.multiplier)}Z+1"
 
 
 RULE_3Z = Rule(multiplier=3, trivial_indices=frozenset({1}), trivial_cycle=(1, 4, 2))
@@ -106,27 +105,26 @@ def rule_for(multiplier: int) -> Rule:
     try:
         return RULES[multiplier]
     except KeyError:
-        raise ValueError(f"unsupported multiplier {multiplier}; supported: 3, 5") from None
+        raise ValueError(f"unsupported multiplier {show(multiplier)}; supported: 3, 5") from None
 
 
 def odd_step(x: int, rule: Rule) -> int:
     """q*x + 1 for odd x; the result is always even."""
     if x % 2 == 0:
-        raise ValueError(f"odd_step requires an odd value, got {x}")
+        raise ValueError(f"odd_step requires an odd value, got {show(x)}")
     return rule.multiplier * x + 1
 
 
 def even_step(x: int) -> int:
     """x / 2 for even x."""
     if x % 2:
-        raise ValueError(f"even_step requires an even value, got {x}")
+        raise ValueError(f"even_step requires an even value, got {show(x)}")
     return x // 2
 
 
 def next_odd(x: int, rule: Rule) -> tuple[int, int]:
     """Accelerated odd-to-odd map: ((q*x + 1) / 2^k, k) with k = v2(q*x + 1)."""
-    if x % 2 == 0:
-        raise ValueError(f"next_odd requires an odd value, got {x}")
+    require(x, "next_odd x", odd=True)
     t = rule.multiplier * x + 1
     k = v2(t)
     return t >> k, k
@@ -144,8 +142,8 @@ class OrbitLimits:
     max_value_bits: int
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1 or self.max_value_bits < 1:
-            raise ValueError("orbit limits must both be >= 1")
+        require(self.max_steps, "OrbitLimits max_steps")
+        require(self.max_value_bits, "OrbitLimits max_value_bits")
 
 
 class TerminationKind(enum.Enum):
@@ -188,8 +186,7 @@ def orbit(x: int, rule: Rule, limits: OrbitLimits) -> OrbitTrace:
     bit cap and repetition of an earlier value.  Limit breaches terminate
     the trace; they are never errors.
     """
-    if x % 2 == 0 or x < 1:
-        raise ValueError(f"orbit requires a positive odd seed, got {x}")
+    require(x, "orbit seed", odd=True)
     trivial = rule.trivial_members
     steps: list[tuple[int, StepKind]] = [(x, step_kind_of(x))]
     odd_governors: list[tuple[int, int]] = [(x, governor_index(x))]
@@ -232,10 +229,8 @@ def governor_trace(x: int, rule: Rule, n_odd: int) -> list[int]:
     The odd-to-odd map is total, so the trace always has exactly n_odd
     entries for a valid odd seed.
     """
-    if x % 2 == 0 or x < 1:
-        raise ValueError(f"governor_trace requires a positive odd seed, got {x}")
-    if n_odd < 1:
-        raise ValueError(f"n_odd must be >= 1, got {n_odd}")
+    require(x, "governor_trace seed", odd=True)
+    require(n_odd, "governor_trace n_odd")
     out = [governor_index(x)]
     cur = x
     for _ in range(n_odd - 1):
@@ -266,8 +261,8 @@ def verify_descent(x: int, rule: Rule) -> DescentCheck:
     m = governor_index(x)
     if m <= max(rule.trivial_indices):
         raise ValueError(
-            f"descent law applies only above the trivial range: index {m} of {x} "
-            f"is within {sorted(rule.trivial_indices)}"
+            f"descent law applies only above the trivial range: index {m} of "
+            f"{int_to_decimal(x)} is within {sorted(rule.trivial_indices)}"
         )
     delta = rule.descent_delta
     nxt, k = next_odd(x, rule)
@@ -315,14 +310,8 @@ class ClosedFormFamily:
     param_min: int
     row_builder: object = field(repr=False)
 
-    def start(self, param: int) -> int:
-        return self.rows(param)[0].value
-
     def rows(self, param: int) -> list[ClosedFormRow]:
-        if param < self.param_min:
-            raise ValueError(
-                f"{self.name} requires {self.param_name} >= {self.param_min}, got {param}"
-            )
+        require(param, f"{self.name} parameter {self.param_name}", self.param_min)
         return self.row_builder(param)  # type: ignore[operator]
 
 
@@ -447,26 +436,23 @@ def check_closed_form(
         rows = fam.rows(param)
         cur = rows[0].value
         for row in rows[1:]:
-            bad_kind = False
             for _ in range(row.repeat):
                 if step_kind_of(cur) is not row.kind:
-                    mismatches.append(
-                        ClosedFormMismatch(
-                            family, param, row.label, row.value, cur,
-                            f"row expects an {row.kind.value} step but the value "
-                            f"{cur} takes an {step_kind_of(cur).value} step",
-                        )
+                    reason = (
+                        f"row expects an {row.kind.value} step but the value "
+                        f"{int_to_decimal(cur)} takes an {step_kind_of(cur).value} step"
                     )
-                    bad_kind = True
                     break
                 cur = rule.step(cur)
-            if bad_kind:
-                break
-            if cur != row.value:
-                mismatches.append(
-                    ClosedFormMismatch(family, param, row.label, row.value, cur, "value")
-                )
-                break
+            else:
+                if cur == row.value:
+                    continue
+                reason = "value"
+            # the first mismatch ends the family's replay at this param
+            mismatches.append(
+                ClosedFormMismatch(family, param, row.label, row.value, cur, reason)
+            )
+            break
     return mismatches
 
 
@@ -482,10 +468,8 @@ class Promotion:
 
 def find_promotions(x: int, rule: Rule, horizon: int) -> list[Promotion]:
     """Scan up to horizon odd-to-odd transitions for index increases."""
-    if x % 2 == 0 or x < 1:
-        raise ValueError(f"find_promotions requires a positive odd seed, got {x}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    require(x, "find_promotions seed", odd=True)
+    require(horizon, "find_promotions horizon")
     out: list[Promotion] = []
     cur = x
     m = governor_index(cur)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import Rule
-from .numerics import governor_index, v2
+from .numerics import governor_index, require, v2
 
 
 class AncestorEntry(NamedTuple):
@@ -23,9 +23,7 @@ class AncestorEntry(NamedTuple):
 
 def even_ancestor(x: int, i: int) -> int:
     """The even ancestor 2^i * x (i >= 1)."""
-    if i < 1:
-        raise ValueError(f"doubling count must be >= 1, got {i}")
-    return x << i
+    return x << require(i, "even_ancestor i")
 
 
 def odd_ancestors(x: int, rule: Rule, max_doublings: int) -> list[AncestorEntry]:
@@ -35,10 +33,8 @@ def odd_ancestors(x: int, rule: Rule, max_doublings: int) -> list[AncestorEntry]
     (q*a + 1 even forces a odd), so divisibility is the whole test; the
     oddness is asserted rather than filtered.
     """
-    if x % 2 == 0 or x < 1:
-        raise ValueError(f"odd_ancestors requires a positive odd integer, got {x}")
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
+    require(x, "odd_ancestors x", odd=True)
+    require(max_doublings, "odd_ancestors max_doublings")
     q = rule.multiplier
     out: list[AncestorEntry] = []
     for i in range(1, max_doublings + 1):
@@ -72,8 +68,7 @@ def ancestor_tree(x: int, rule: Rule, depth: int, max_doublings: int) -> Ancesto
     a value may legitimately recur at different depths; no cross-level
     pruning is applied.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    require(depth, "ancestor_tree depth")
 
     def build(value: int, level: int) -> AncestorNode:
         if level < depth:
@@ -126,8 +121,8 @@ def solve_ancestor_conditions(
     exponentially, so any solutions sit at tiny indices; the default bound
     of 64 in callers is a bounded verification, not a proof.
     """
-    if mu_max < 1 or i_max < 1:
-        raise ValueError("search bounds must both be >= 1")
+    require(mu_max, "solve_ancestor_conditions mu_max")
+    require(i_max, "solve_ancestor_conditions i_max")
     q = rule.multiplier
     out: list[ConditionSolution] = []
     for mu in range(1, mu_max + 1):

@@ -1,5 +1,6 @@
 """Trailing-ones decomposition of odd integers, 2-adic valuation primitives,
-and exact int <-> decimal string conversion at any length.
+exact int <-> decimal string conversion at any length, and the one integer
+precondition of the package.
 
 Every odd integer x splits uniquely as
 
@@ -8,6 +9,11 @@ Every odd integer x splits uniquely as
 where m is the length of the maximal run of trailing one-bits (the governor
 index) and every high exponent is strictly above m.  All arithmetic is exact;
 Python ints carry arbitrary precision, so no width limits apply anywhere.
+
+Every entry point of the package that takes a count, a bound or an odd value
+checks it with require, which rejects anything but an int (bool included) at
+or above a minimum, and odd where asked, and shows the rejected value exactly
+at any length.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ from dataclasses import dataclass
 
 def v2(x: int) -> int:
     """2-adic valuation: exponent of the largest power of 2 dividing x (x >= 1)."""
-    if x <= 0:
-        raise ValueError(f"v2 requires a positive integer, got {x}")
+    require(x, "v2 x")
     return (x & -x).bit_length() - 1
 
 
@@ -70,14 +75,28 @@ def _digits_to_int(digits: str) -> int:
     return _digits_to_int(digits[:-k]) * 10**k + _digits_to_int(digits[-k:])
 
 
+def show(value: object) -> str:
+    """An int in exact decimal at any length (a bool as True or False); any
+    other value by repr."""
+    return int_to_decimal(value) if isinstance(value, int) else repr(value)
+
+
+def require(value: object, what: str, minimum: int = 1, odd: bool = False) -> int:
+    """Return value if it is an int, not a bool, at least minimum, and odd
+    when odd is set; else raise ValueError naming what."""
+    if type(value) is int and value >= minimum and (value & 1 or not odd):
+        return value
+    kind = "an odd integer" if odd else "an integer"
+    raise ValueError(f"{what} must be {kind} >= {int_to_decimal(minimum)}, got {show(value)}")
+
+
 def governor_index(x: int) -> int:
     """Length of the maximal trailing run of one-bits of odd x.
 
     Computed as v2(x + 1), which equals the trailing-ones count: the run of
     ones carries into a single power of two when 1 is added.
     """
-    if x <= 0 or x % 2 == 0:
-        raise ValueError(f"governor_index requires a positive odd integer, got {x}")
+    require(x, "governor_index x", odd=True)
     return v2(x + 1)
 
 
@@ -93,17 +112,9 @@ class GovernorForm:
     governor_index: int
 
     def __post_init__(self) -> None:
-        m = self.governor_index
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"governor index must be a positive integer, got {m}")
-        prev = m
+        prev = require(self.governor_index, "GovernorForm governor_index")
         for e in self.high_exponents:
-            if not isinstance(e, int) or e <= prev:
-                raise ValueError(
-                    f"high exponents must be strictly ascending and above the "
-                    f"governor index {m}, got {self.high_exponents}"
-                )
-            prev = e
+            prev = require(e, "GovernorForm high exponent", prev + 1)
 
 
 def decompose(x: int) -> GovernorForm:
@@ -112,8 +123,7 @@ def decompose(x: int) -> GovernorForm:
     The bits of x + 1 are exactly {m} plus the high exponents of x, so the
     decomposition falls out of one increment and a bit scan.
     """
-    if x <= 0 or x % 2 == 0:
-        raise ValueError(f"decompose requires a positive odd integer, got {x}")
+    require(x, "decompose x", odd=True)
     h = x + 1
     m = v2(h)
     highs = []
@@ -143,8 +153,7 @@ def trailing_ones(x: int) -> int:
     Independent of governor_index; kept as the cross-check route for the
     identity m = v2(x + 1).
     """
-    if x <= 0:
-        raise ValueError(f"trailing_ones requires a positive integer, got {x}")
+    require(x, "trailing_ones x")
     n = 0
     while x & 1:
         n += 1

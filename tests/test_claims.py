@@ -1,6 +1,8 @@
 import pytest
 
 from govlab import claims
+from govlab.cycles import scan_range
+from govlab.dynamics import RULE_5Z, OrbitLimits
 from govlab.claims import (
     ClaimReport,
     Verdict,
@@ -84,6 +86,19 @@ class TestScanClaims:
         assert res.evidence["oversized_auxiliary_cycles"] == []
         assert res.evidence["divergence_candidate_count"] > 0
 
+    def test_3z_checks_fail_on_a_5z_census(self):
+        # the 5Z+1 cycles hold members of governor index 2, and two of them
+        # are auxiliary, so both 3Z+1 checks must fail on this report
+        report = scan_range(1, 127, RULE_5Z, OrbitLimits(10**5, 128))
+        verdict, evidence = claims._run_c1(report)
+        assert verdict is Verdict.FAIL
+        violations = [(v["member"], v["governor_index"]) for v in evidence["violations"]]
+        assert violations == [("3", 2), ("83", 2), ("43", 2), ("27", 2)]
+        assert all(v["allowed"] == [1] for v in evidence["violations"])
+        verdict, evidence = claims._run_c2(report)
+        assert verdict is Verdict.FAIL
+        assert [c["smallest_odd"] for c in evidence["auxiliary_cycles"]] == ["13", "17"]
+
 
 class TestPromotionClaim:
     def test_default_passes_with_expected_witness(self):
@@ -137,6 +152,12 @@ class TestSuccessorCongruences:
     def test_small_placeholder_rejected(self):
         with pytest.raises(ValueError):
             run_claim("C6", {"placeholder_exponent": 8})
+
+    def test_replay_flags_a_step_against_parity(self):
+        # replay goes on arithmetically, but the parity flag drops
+        assert replay_steps(4, "O") == (21, False)
+        assert replay_steps(3, "E") == (1, False)
+        assert replay_steps(3, "OE") == (8, True)
 
     def test_replay_rejects_bad_step_chars(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from govlab.claims import ClaimReport, list_claims, run_claim
 from govlab.cycles import checkpoint_load, scan_range
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
+from govlab.numerics import int_to_decimal
 
 
 def run_cli(capsys, *args):
@@ -102,6 +103,42 @@ def huge_int_strings():
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(before)
+
+
+class TestDigitCap:
+    """main lifts the cap on int <-> str conversion only while a command runs."""
+
+    @pytest.fixture
+    def cap(self):
+        if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6
+            pytest.skip("this interpreter has no cap on int <-> str conversion")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        yield 5000
+        sys.set_int_max_str_digits(before)
+
+    def test_restored_after_success_usage_error_and_io_error(self, capsys, tmp_path, cap):
+        ckpt = tmp_path / "scan.ckpt"
+        ckpt.write_text("{", encoding="utf-8")
+        runs = [
+            ("claims", "--list"),
+            ("orbit", "--start", "28"),
+            ("scan", "--odd-range", "1:9", "--checkpoint", str(ckpt)),
+        ]
+        codes = []
+        for args in runs:
+            codes.append(run_cli(capsys, *args)[0])
+            assert sys.get_int_max_str_digits() == cap
+        assert codes == [0, 2, 3]
+
+    def test_lifted_while_the_command_runs(self, capsys, cap):
+        seed = (1 << 20000) - 1  # 6021 digits, past the cap
+        code, out, err = run_cli(
+            capsys, "trace-governor", "--start", int_to_decimal(seed), "--count", "1"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == int_to_decimal(seed)
+        assert sys.get_int_max_str_digits() == cap
 
 
 class TestOrbitVerb:

@@ -922,6 +922,21 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
 
+    def test_numbers_too_large_to_handle_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        # a chunk whose seed count is past sys.maxsize
+        wide = dict(doc, range={"lo": "1", "hi": str(4 * 10**25 + 1)}, chunk_size=2 * 10**25)
+        path.write_text(json.dumps(wide), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="do not add up"):
+            checkpoint_load(str(path))
+        # a JSON int past the digit cap, which json rejects with a plain ValueError
+        text = json.dumps(doc).replace('"chunk_size": 128', '"chunk_size": ' + "9" * 5000)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            checkpoint_load(str(path))
+
     def test_zero_chunk_size_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         checkpoint_save(ScanState(5, 1, 1023, SCAN_LIMITS, 128, {}), str(path))

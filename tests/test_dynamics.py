@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,6 +229,32 @@ class TestClosedForms:
     def test_rule_pairing_enforced(self):
         with pytest.raises(ValueError):
             check_closed_form("T1_3Z", 5, 10, RULE_5Z)
+
+    def test_mismatches_are_reported_with_their_reason(self, monkeypatch):
+        fam = CLOSED_FORM_FAMILIES["T1_3Z"]
+
+        def patched(row, **changes):
+            def build(m):
+                rows = fam.row_builder(m)
+                rows[row] = dataclasses.replace(rows[row], **changes)
+                return rows
+            return dataclasses.replace(fam, row_builder=build)
+
+        # E{1} predicts one more than the steps give
+        e1 = fam.row_builder(5)[2].value
+        monkeypatch.setitem(CLOSED_FORM_FAMILIES, "T1_3Z", patched(2, value=e1 + 1))
+        found = check_closed_form("T1_3Z", 5, 5, RULE_3Z)
+        assert [(f.param, f.label, f.predicted, f.actual, f.reason) for f in found] == [
+            (5, "E{1}", e1 + 1, e1, "value")
+        ]
+        # O{1} claims an even step, but the X row 2^m - 1 is odd
+        monkeypatch.setitem(CLOSED_FORM_FAMILIES, "T1_3Z", patched(1, kind=StepKind.E))
+        found = check_closed_form("T1_3Z", 5, 6, RULE_3Z)
+        assert [(f.param, f.label, f.actual, f.reason) for f in found] == [
+            (m, "O{1}", (1 << m) - 1,
+             f"row expects an E step but the value {(1 << m) - 1} takes an O step")
+            for m in (5, 6)
+        ]
 
 
 class TestPromotions:

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -5,6 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import claims
+from govlab.cycles import CheckpointError, checkpoint_load, detect_outcome, scan_range
+from govlab.dynamics import (
+    RULE_3Z,
+    OrbitLimits,
+    Rule,
+    eval_closed_form,
+    find_promotions,
+    governor_trace,
+    next_odd,
+    orbit,
+)
+from govlab.genealogy import (
+    ancestor_tree,
+    even_ancestor,
+    odd_ancestors,
+    solve_ancestor_conditions,
+)
 from govlab.numerics import (
     GovernorForm,
     decimal_to_int,
@@ -12,6 +31,7 @@ from govlab.numerics import (
     governor_index,
     int_to_decimal,
     reconstruct,
+    require,
     trailing_ones,
     v2,
 )
@@ -156,3 +176,105 @@ class TestDecimalStrings:
     def test_rejects_what_is_not_a_decimal_integer(self, text):
         with pytest.raises(ValueError):
             decimal_to_int(text)
+
+
+class TestRequire:
+    def test_returns_a_valid_value(self):
+        assert require(1, "x") == 1
+        assert require(7, "x", 7, odd=True) == 7
+        assert require(-4, "x", -10) == -4
+
+    @pytest.mark.parametrize(
+        "value,minimum,odd,shown",
+        [(0, 1, False, "0"), (4, 1, True, "4"), (3, 5, True, "3"), (True, 1, False, "True"),
+         (3.0, 1, False, "3.0"), ("7", 1, False, "'7'"), (None, 1, False, "None")],
+    )
+    def test_message_names_what_and_shows_value_and_minimum(self, value, minimum, odd, shown):
+        with pytest.raises(ValueError) as exc:
+            require(value, "thing", minimum, odd)
+        kind = "an odd integer" if odd else "an integer"
+        assert str(exc.value) == f"thing must be {kind} >= {minimum}, got {shown}"
+
+
+HUGE = 10**5000
+HUGE_LO = HUGE + 1  # the least scan bound of the 5000-digit case
+LIMITS = OrbitLimits(10, 64)
+
+# (name in the message, minimum, odd, call with the checked value): every
+# entry point whose checks go through require, one row per checked argument
+ENTRY_POINTS = [
+    ("v2 x", 1, False, v2),
+    ("governor_index x", 1, True, governor_index),
+    ("GovernorForm governor_index", 1, False, lambda v: GovernorForm((), v)),
+    ("GovernorForm high exponent", 3, False, lambda v: GovernorForm((v,), 2)),
+    ("decompose x", 1, True, decompose),
+    ("trailing_ones x", 1, False, trailing_ones),
+    ("Rule multiplier", 3, True, lambda v: Rule(v, frozenset({1}), (1, 4, 2))),
+    ("next_odd x", 1, True, lambda v: next_odd(v, RULE_3Z)),
+    ("OrbitLimits max_steps", 1, False, lambda v: OrbitLimits(v, 64)),
+    ("OrbitLimits max_value_bits", 1, False, lambda v: OrbitLimits(10, v)),
+    ("orbit seed", 1, True, lambda v: orbit(v, RULE_3Z, LIMITS)),
+    ("governor_trace seed", 1, True, lambda v: governor_trace(v, RULE_3Z, 3)),
+    ("governor_trace n_odd", 1, False, lambda v: governor_trace(27, RULE_3Z, v)),
+    ("T1_3Z parameter m", 4, False, lambda v: eval_closed_form("T1_3Z", v)),
+    ("find_promotions seed", 1, True, lambda v: find_promotions(v, RULE_3Z, 5)),
+    ("find_promotions horizon", 1, False, lambda v: find_promotions(27, RULE_3Z, v)),
+    ("even_ancestor i", 1, False, lambda v: even_ancestor(5, v)),
+    ("odd_ancestors x", 1, True, lambda v: odd_ancestors(v, RULE_3Z, 8)),
+    ("odd_ancestors max_doublings", 1, False, lambda v: odd_ancestors(5, RULE_3Z, v)),
+    ("ancestor_tree depth", 1, False, lambda v: ancestor_tree(5, RULE_3Z, v, 8)),
+    ("solve_ancestor_conditions mu_max", 1, False, lambda v: solve_ancestor_conditions(RULE_3Z, v, 8)),
+    ("solve_ancestor_conditions i_max", 1, False, lambda v: solve_ancestor_conditions(RULE_3Z, 8, v)),
+    ("detect_outcome seed", 1, True, lambda v: detect_outcome(v, RULE_3Z, LIMITS)),
+    ("scan_range lo", 1, True, lambda v: scan_range(v, HUGE_LO, RULE_3Z, LIMITS)),
+    ("scan_range hi", HUGE_LO, True, lambda v: scan_range(HUGE_LO, v, RULE_3Z, LIMITS)),
+    ("scan_range chunk_size", 1, False, lambda v: scan_range(1, 9, RULE_3Z, LIMITS, chunk_size=v)),
+    ("scan_range workers", 1, False, lambda v: scan_range(1, 9, RULE_3Z, LIMITS, v)),
+    ("C5 parameter a", 4, False, lambda v: claims.run_claim("C5", {"a": v})),
+    ("C6 parameter placeholder_exponent", 12, False,
+     lambda v: claims.run_claim("C6", {"placeholder_exponent": v})),
+]
+
+
+def _invalid_values(minimum, odd):
+    """Below the minimum, even where odd is required, a bool, a float, and
+    a 5000-digit value: even where odd is required, else far below."""
+    values = [minimum - 2 if odd else minimum - 1]
+    if odd:
+        values.append(minimum + 1)
+    values += [True, 3.0, 2 * HUGE if odd else -HUGE]
+    return values
+
+
+@pytest.mark.parametrize(
+    "what,call,value",
+    [
+        pytest.param(what, call, value, id=f"{what}-{type(value).__name__}-{i}")
+        for what, minimum, odd, call in ENTRY_POINTS
+        for i, value in enumerate(_invalid_values(minimum, odd))
+    ],
+)
+def test_entry_points_reject_invalid_values_by_name(least_digit_cap, what, call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    message = str(exc.value)
+    # a bool or a float for C5 or C6 stops in check_overrides, which names
+    # the parameter the same way
+    assert what in message
+    shown = int_to_decimal(value) if type(value) is int else repr(value)
+    assert message.endswith(f"got {shown}")
+
+
+def test_checkpoint_with_huge_bounds_reports_its_bad_chunk(least_digit_cap, tmp_path):
+    path = tmp_path / "huge.json"
+    scan_range(HUGE_LO, HUGE_LO + 14, RULE_3Z, LIMITS, chunk_size=4, checkpoint_path=str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # every seed passes the 64-bit value cap, so each is a candidate
+    doc["chunks"][1]["candidates"][0] = int_to_decimal(HUGE_LO - 2)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CheckpointError) as exc:
+        checkpoint_load(str(path))
+    bounds = f"{int_to_decimal(HUGE_LO + 8)}:{int_to_decimal(HUGE_LO + 14)}"
+    assert str(exc.value) == (
+        f"corrupt checkpoint {path}: chunk 1 candidates are not ascending odd seeds in {bounds}"
+    )
