@@ -106,7 +106,11 @@ The chunks left to run go through one runner: in this process when one is
 left, else in a pool of min(workers, chunks left, CPU count) processes fed
 lazily.  A checkpoint is written after each chunk and validated on load
 against its own range and chunk size; a chunk that does not fit raises
-CheckpointError.
+CheckpointError.  Each write replaces the whole file atomically (a .tmp file
+and os.replace) with the bytes of json.dump(state.to_doc(), sort_keys=True,
+indent=2) and a newline, but a scan encodes each chunk's text only once, when
+the chunk is loaded or finishes: a finished chunk's text never changes, so
+the write joins the cached texts under a freshly encoded header.
 """
 
 from __future__ import annotations
@@ -724,10 +728,28 @@ class ScanState:
 
 def checkpoint_save(state: ScanState, path: str) -> None:
     """Atomically write the scan state as a self-describing JSON document."""
+    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
+    _write_checkpoint(state, texts, path)
+
+
+def _chunk_text(chunk: ChunkResult) -> str:
+    """The chunk as an item of a checkpoint's chunk list: its own
+    json.dumps(..., sort_keys=True, indent=2) text, indented to depth 2."""
+    return json.dumps(chunk.to_doc(), sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+def _write_checkpoint(state: ScanState, texts: dict[int, str], path: str) -> None:
+    """Atomically write state, whose chunk i has the _chunk_text texts[i],
+    as the bytes of json.dump(state.to_doc(), fh, sort_keys=True, indent=2)
+    and a newline; only the header is encoded here."""
+    header = json.dumps(replace(state, completed={}).to_doc(), sort_keys=True, indent=2)
+    head, chunks, tail = header.partition('"chunks": []')
+    if state.completed:
+        items = ",\n    ".join(texts[i] for i in sorted(state.completed))
+        chunks = f'"chunks": [\n    {items}\n  ]'
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state.to_doc(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(f"{head}{chunks}{tail}\n")
     os.replace(tmp, path)
 
 
@@ -911,6 +933,8 @@ def scan_range(
                 f"(rule/range/limits/chunk_size mismatch)"
             )
         state = loaded
+    # the checkpoint text of each completed chunk, encoded once
+    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
 
     tasks = (
         (i, *_chunk_bounds(lo, n_seeds, chunk_size, i))
@@ -921,5 +945,6 @@ def scan_range(
     for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
         state.completed[chunk.index] = chunk
         if checkpoint_path is not None:
-            checkpoint_save(state, checkpoint_path)
+            texts[chunk.index] = _chunk_text(chunk)
+            _write_checkpoint(state, texts, checkpoint_path)
     return _merge(state, rule, n_chunks)

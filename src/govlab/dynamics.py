@@ -431,6 +431,9 @@ def check_closed_form(
         raise ValueError(
             f"{family} is a {fam.rule_multiplier}Z+1 family, got rule {rule.name}"
         )
+    what = f"{fam.name} parameter {fam.param_name}"
+    require(param_lo, what, fam.param_min)
+    require(param_hi, what, fam.param_min)
     mismatches: list[ClosedFormMismatch] = []
     for param in range(param_lo, param_hi + 1):
         rows = fam.rows(param)

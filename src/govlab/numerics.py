@@ -76,9 +76,14 @@ def _digits_to_int(digits: str) -> int:
 
 
 def show(value: object) -> str:
-    """An int in exact decimal at any length (a bool as True or False); any
-    other value by repr."""
-    return int_to_decimal(value) if isinstance(value, int) else repr(value)
+    """An int in exact decimal at any length (a bool as True or False), a
+    str, float or None by repr, and any other value by its type name, so
+    that no int inside a container is converted."""
+    if isinstance(value, int):
+        return int_to_decimal(value)
+    if value is None or isinstance(value, (str, float)):
+        return repr(value)
+    return f"a value of type {type(value).__name__}"
 
 
 def require(value: object, what: str, minimum: int = 1, odd: bool = False) -> int:

@@ -9,14 +9,16 @@ from concurrent.futures import Future
 from contextlib import closing
 from itertools import count, islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from govlab import cycles
 from govlab.cycles import (
     CheckpointError,
+    ChunkResult,
     Classification,
     OutcomeTag,
     ScanState,
@@ -846,6 +848,113 @@ for text in (report.to_json(), saved):
             scan_range(1, 1023, RULE_3Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
         with pytest.raises(CheckpointError):
             scan_range(1, 1023, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+
+
+HUGE_LO = (1 << 70000) + 1  # 70001 bits, past any digit cap
+# the 5Z+1 cycles other than the trivial one
+AUX_5Z = (canonical_cycle(AUX_13, RULE_5Z), canonical_cycle(
+    [17, 86, 43, 216, 108, 54, 27, 136, 68, 34], RULE_5Z))
+
+
+def _checkpoint_json(state):
+    """The bytes a checkpoint of state must have."""
+    return json.dumps(state.to_doc(), sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _scan_states(draw):
+    """A ScanState with any chunks, in any completion order, of made-up
+    results: counts, cycle records, candidates and maxima (the writer does
+    not check them); small bounds or 70001-bit ones."""
+    rule = draw(st.sampled_from([RULE_3Z, RULE_5Z]))
+    records = (trivial_cycle_record(rule),) + (AUX_5Z if rule is RULE_5Z else ())
+    lo = draw(st.sampled_from([1, HUGE_LO])) + 2 * draw(st.integers(0, 100))
+    chunk_size = draw(st.integers(1, 6))
+    n_chunks = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n_chunks)))
+    completed = {}
+    for i in order[: draw(st.integers(0, n_chunks))]:
+        seeds = range(lo + 2 * i * chunk_size, lo + 2 * (i + 1) * chunk_size, 2)
+        cycles_met = draw(st.lists(st.sampled_from(records)))
+        completed[i] = ChunkResult(
+            index=i,
+            counts=draw(st.lists(st.integers(0, 10**6), min_size=4, max_size=4)),
+            cycles={rec.smallest_odd: rec for rec in cycles_met},
+            candidates=sorted(draw(st.sets(st.sampled_from(seeds)))),
+            max_excursion_bits=draw(st.integers(0, 10**5)),
+            max_steps_observed=draw(st.integers(0, 10**6)),
+        )
+    limits = OrbitLimits(draw(st.integers(1, 10**6)), draw(st.integers(1, 4096)))
+    hi = lo + 2 * (n_chunks * chunk_size - 1)
+    return ScanState(rule.multiplier, lo, hi, limits, chunk_size, completed)
+
+
+class TestCheckpointWriter:
+    """Every checkpoint file is the json.dump of its state's to_doc, however
+    the chunk texts were cached."""
+
+    @given(state=_scan_states())
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_save_writes_the_to_doc_encoding(self, least_digit_cap, tmp_path, state):
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(state, str(path))
+        assert path.read_text(encoding="utf-8") == _checkpoint_json(state)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(data=st.data())
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_scan_writes_the_to_doc_encoding(self, least_digit_cap, tmp_path, workers, data):
+        # 3Z+1 converges, 5Z+1 at a 128-bit cap meets cycles and candidates;
+        # 70001-bit seeds are all candidates
+        rule, limits = data.draw(st.sampled_from([(RULE_3Z, GENEROUS), (RULE_5Z, SCAN_LIMITS)]))
+        lo = data.draw(st.sampled_from([1, 301, HUGE_LO]))
+        n_seeds, chunk_size = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 8))
+        hi = lo + 2 * (n_seeds - 1)
+        n_chunks = -(-n_seeds // chunk_size)
+        chunks = {}
+        for i in range(n_chunks):
+            c_lo = lo + 2 * i * chunk_size
+            c_hi = lo + 2 * (min((i + 1) * chunk_size, n_seeds) - 1)
+            chunks[i] = _scan_chunk(i, c_lo, c_hi, cycles._OrbitMemo(c_lo, c_hi, rule, limits))
+        path = tmp_path / "ckpt.json"
+        path.unlink(missing_ok=True)
+        done = data.draw(st.permutations(range(n_chunks)))[: data.draw(st.integers(0, n_chunks))]
+        if done or data.draw(st.booleans()):
+            loaded = {i: chunks[i] for i in done}
+            checkpoint_save(ScanState(rule.multiplier, lo, hi, limits, chunk_size, loaded), str(path))
+
+        writes = []
+        write = cycles._write_checkpoint
+
+        def write_spy(state, texts, at):
+            write(state, texts, at)
+            writes.append(Path(at).read_text(encoding="utf-8") == _checkpoint_json(state))
+
+        with mock.patch.object(cycles, "_write_checkpoint", write_spy):
+            scan_range(lo, hi, rule, limits, workers, chunk_size=chunk_size,
+                       checkpoint_path=str(path))
+        assert writes == [True] * (n_chunks - len(done))
+        final = ScanState(rule.multiplier, lo, hi, limits, chunk_size, chunks)
+        assert path.read_text(encoding="utf-8") == _checkpoint_json(final)
+
+    def test_resume_encodes_each_chunk_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ckpt.json")
+        scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        state = checkpoint_load(path)  # 16 chunks; keep every other one
+        kept = {i: state.completed[i] for i in range(0, 16, 2)}
+        checkpoint_save(dataclasses.replace(state, completed=kept), path)
+        encoded = []
+        to_doc = ChunkResult.to_doc
+        monkeypatch.setattr(ChunkResult, "to_doc", lambda c: encoded.append(c.index) or to_doc(c))
+        scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        # at most once per loaded chunk plus once per new one, not once per save
+        assert len(encoded) == len(set(encoded)) <= 16
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == _checkpoint_json(state)
 
 
 def _append_chunk_40(doc):

@@ -12,6 +12,7 @@ from govlab.dynamics import (
     RULE_3Z,
     OrbitLimits,
     Rule,
+    check_closed_form,
     eval_closed_form,
     find_promotions,
     governor_trace,
@@ -133,18 +134,6 @@ class TestTrailingOnes:
             trailing_ones(0)
 
 
-@pytest.fixture
-def least_digit_cap():
-    """Sets this process's cap on int <-> str conversion to 640 digits, the
-    least CPython allows, for the test; restores it afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6
-        pytest.skip("this interpreter has no cap on int <-> str conversion")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(before)
-
-
 class TestDecimalStrings:
     def test_exact_past_the_digit_cap(self, least_digit_cap):
         rng = random.Random(7)
@@ -187,7 +176,8 @@ class TestRequire:
     @pytest.mark.parametrize(
         "value,minimum,odd,shown",
         [(0, 1, False, "0"), (4, 1, True, "4"), (3, 5, True, "3"), (True, 1, False, "True"),
-         (3.0, 1, False, "3.0"), ("7", 1, False, "'7'"), (None, 1, False, "None")],
+         (3.0, 1, False, "3.0"), ("7", 1, False, "'7'"), (None, 1, False, "None"),
+         ([7], 1, False, "a value of type list")],
     )
     def test_message_names_what_and_shows_value_and_minimum(self, value, minimum, odd, shown):
         with pytest.raises(ValueError) as exc:
@@ -217,6 +207,8 @@ ENTRY_POINTS = [
     ("governor_trace seed", 1, True, lambda v: governor_trace(v, RULE_3Z, 3)),
     ("governor_trace n_odd", 1, False, lambda v: governor_trace(27, RULE_3Z, v)),
     ("T1_3Z parameter m", 4, False, lambda v: eval_closed_form("T1_3Z", v)),
+    ("T1_3Z parameter m", 4, False, lambda v: check_closed_form("T1_3Z", v, 6, RULE_3Z)),
+    ("T1_3Z parameter m", 4, False, lambda v: check_closed_form("T1_3Z", 4, v, RULE_3Z)),
     ("find_promotions seed", 1, True, lambda v: find_promotions(v, RULE_3Z, 5)),
     ("find_promotions horizon", 1, False, lambda v: find_promotions(27, RULE_3Z, v)),
     ("even_ancestor i", 1, False, lambda v: even_ancestor(5, v)),
@@ -246,14 +238,16 @@ def _invalid_values(minimum, odd):
     return values
 
 
-@pytest.mark.parametrize(
-    "what,call,value",
-    [
-        pytest.param(what, call, value, id=f"{what}-{type(value).__name__}-{i}")
-        for what, minimum, odd, call in ENTRY_POINTS
-        for i, value in enumerate(_invalid_values(minimum, odd))
-    ],
-)
+def _entry_point_cases():
+    names = []  # a name checked by n earlier rows gets the suffix " n" in its ids
+    for what, minimum, odd, call in ENTRY_POINTS:
+        name = f"{what} {names.count(what)}" if what in names else what
+        names.append(what)
+        for i, value in enumerate(_invalid_values(minimum, odd)):
+            yield pytest.param(what, call, value, id=f"{name}-{type(value).__name__}-{i}")
+
+
+@pytest.mark.parametrize("what,call,value", list(_entry_point_cases()))
 def test_entry_points_reject_invalid_values_by_name(least_digit_cap, what, call, value):
     with pytest.raises(ValueError) as exc:
         call(value)
@@ -263,6 +257,20 @@ def test_entry_points_reject_invalid_values_by_name(least_digit_cap, what, call,
     assert what in message
     shown = int_to_decimal(value) if type(value) is int else repr(value)
     assert message.endswith(f"got {shown}")
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"C1": [HUGE]}, "parameters for C1 must be an object, got a value of type list"),
+        ({"C1": {"hi": [HUGE]}}, "C1 parameter hi must be an integer, got a value of type list"),
+    ],
+)
+def test_overrides_holding_huge_ints_are_described_by_type(least_digit_cap, overrides, message):
+    # a container is shown by its type, so no int inside it meets the digit cap
+    with pytest.raises(ValueError) as exc:
+        claims.check_overrides(overrides)
+    assert str(exc.value) == message
 
 
 def test_checkpoint_with_huge_bounds_reports_its_bad_chunk(least_digit_cap, tmp_path):
