@@ -14,10 +14,13 @@ import enum
 import json
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 from .cycles import Classification, ScanReport, scan_range
-from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, next_odd
+from .dynamics import (
+    RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values,
+)
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index, int_to_decimal, require, show
 
@@ -129,7 +132,7 @@ def _cycle_index_check(report: ScanReport, allowed: frozenset[int]) -> tuple[Ver
 
 
 def _run_c1(report: ScanReport) -> tuple[Verdict, dict]:
-    return _cycle_index_check(report, frozenset({1}))
+    return _cycle_index_check(report, RULE_3Z.trivial_indices)
 
 
 def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
@@ -143,9 +146,10 @@ def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
     # one-term successor expression tracks only that low residue, the image
     # of the leading term being absorbed into the placeholder
     p = _C2_SUCCESSOR_SAMPLE_EXPONENT
-    val = (3 * ((1 << p) + 1) + 1) // 2
+    start = (1 << p) + 1
+    val = RULE_3Z.step(RULE_3Z.step(start))
     evidence["successor_congruence_note"] = {
-        "start": int_to_decimal((1 << p) + 1),
+        "start": int_to_decimal(start),
         "steps": "OE",
         "computed_value": int_to_decimal(val),
         "stated_low": "2",
@@ -156,7 +160,7 @@ def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
 
 
 def _run_c3(report: ScanReport) -> tuple[Verdict, dict]:
-    return _cycle_index_check(report, frozenset({1, 2}))
+    return _cycle_index_check(report, RULE_5Z.trivial_indices)
 
 
 def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
@@ -181,15 +185,9 @@ def _run_c5(params: dict) -> tuple[Verdict, dict]:
     hit = [p for p in promotions if p.target == target and p.new_index == a + 1]
 
     # orbit prefix up to the target (or the horizon) as the replayable witness
-    witness = [x]
-    seq = [(x, governor_index(x))]
-    cur = x
-    for _ in range(horizon):
-        if cur == target:
-            break
-        cur, k = next_odd(cur, RULE_3Z)
-        witness.extend(cur << j for j in range(k, -1, -1))
-        seq.append((cur, governor_index(cur)))
+    walk = list(islice(odd_orbit(x, RULE_3Z), horizon + 1))
+    odds = [v for v, _ in walk]
+    walk = walk[: odds.index(target) + 1 if target in odds else None]
     evidence = {
         "start": int_to_decimal(x),
         "target": int_to_decimal(target),
@@ -202,9 +200,9 @@ def _run_c5(params: dict) -> tuple[Verdict, dict]:
             }
             for p in promotions
         ],
-        "witness_orbit_prefix": [int_to_decimal(v) for v in witness],
+        "witness_orbit_prefix": [int_to_decimal(v) for v in orbit_values(walk)],
         "odd_governor_sequence": [
-            {"value": int_to_decimal(v), "index": m} for v, m in seq
+            {"value": int_to_decimal(v), "index": governor_index(v)} for v, _ in walk
         ],
     }
     return (Verdict.PASS if hit else Verdict.FAIL), evidence

@@ -15,10 +15,11 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from . import claims as claims_mod
 from .cycles import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
-from .dynamics import OrbitLimits, next_odd, orbit, rule_for
+from .dynamics import OrbitLimits, odd_orbit, orbit, rule_for
 from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
 from .numerics import decimal_to_int, governor_index, require
 
@@ -156,16 +157,12 @@ def _cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_trace_governor(ns: argparse.Namespace) -> int:
-    rule = rule_for(ns.rule)
-    cur = ns.start
-    rows = []
-    for pos in range(ns.count):
-        if pos:
-            cur, _ = next_odd(cur, rule)
-        rows.append(
-            {"position": pos, "value": _fmt_value(cur, ns.max_print_bits),
-             "governor_index": governor_index(cur)}
-        )
+    odds = islice(odd_orbit(ns.start, rule_for(ns.rule)), ns.count)
+    rows = [
+        {"position": pos, "value": _fmt_value(v, ns.max_print_bits),
+         "governor_index": governor_index(v)}
+        for pos, (v, _) in enumerate(odds)
+    ]
     _emit_records(rows, ns.format, ["position", "value", "governor_index"])
     return EXIT_OK
 

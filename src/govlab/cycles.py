@@ -125,7 +125,7 @@ from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .dynamics import OrbitLimits, Rule, TerminationKind, next_odd, rule_for
+from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values, rule_for
 from .numerics import decimal_to_int, governor_index, int_to_decimal, require, show
 
 SCHEMA_VERSION = 1
@@ -241,12 +241,7 @@ class Outcome:
 
 def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
     """Full member list of a cycle given its odd members in orbit order."""
-    members: list[int] = []
-    for o in odds:
-        nxt, k = next_odd(o, rule)
-        members.append(o)
-        members.extend(nxt << j for j in range(k, 0, -1))
-    return members
+    return list(orbit_values(islice(odd_orbit(odds[0], rule), len(odds) + 1)))[:-1]
 
 
 def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
@@ -630,12 +625,12 @@ class ChunkResult:
     def from_doc(doc: dict, rule: Rule) -> "ChunkResult":
         cycles = (CycleRecord.from_doc(d, rule) for d in doc["cycles"])
         return ChunkResult(
-            index=int(doc["index"]),
-            counts=[int(doc["counts"][k]) for k in COUNT_KEYS],
+            index=require(doc["index"], "chunk index", 0),
+            counts=[require(doc["counts"][k], f"chunk count {k}", 0) for k in COUNT_KEYS],
             cycles={rec.smallest_odd: rec for rec in cycles},
             candidates=[decimal_to_int(v) for v in doc["candidates"]],
-            max_excursion_bits=int(doc["max_excursion_bits"]),
-            max_steps_observed=int(doc["max_steps_observed"]),
+            max_excursion_bits=require(doc["max_excursion_bits"], "chunk max_excursion_bits", 0),
+            max_steps_observed=require(doc["max_steps_observed"], "chunk max_steps_observed", 0),
         )
 
 
@@ -765,30 +760,32 @@ def checkpoint_load(path: str) -> ScanState:
     except ValueError as exc:  # not JSON, or an int past the digit cap
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     try:
-        if doc["schema_version"] != SCHEMA_VERSION:
+        if require(doc["schema_version"], "checkpoint schema_version") != SCHEMA_VERSION:
             raise CheckpointError(
                 f"checkpoint schema_version {show(doc['schema_version'])} is not "
                 f"{SCHEMA_VERSION}"
             )
         if doc.get("kind") != "govlab-scan-checkpoint":
             raise CheckpointError(f"{path} is not a scan checkpoint")
-        rule = rule_for(int(doc["multiplier"]))
+        rule = rule_for(doc["multiplier"])
         limits = OrbitLimits(
-            max_steps=int(doc["limits"]["max_steps"]),
-            max_value_bits=int(doc["limits"]["max_value_bits"]),
+            max_steps=doc["limits"]["max_steps"],
+            max_value_bits=doc["limits"]["max_value_bits"],
         )
         state = ScanState(
             rule_multiplier=rule.multiplier,
             lo=decimal_to_int(doc["range"]["lo"]),
             hi=decimal_to_int(doc["range"]["hi"]),
             limits=limits,
-            chunk_size=int(doc["chunk_size"]),
+            chunk_size=doc["chunk_size"],
             completed={},
         )
         n_seeds, n_chunks = _layout(state.lo, state.hi, state.chunk_size)
         for chunk_doc in doc["chunks"]:
             chunk = ChunkResult.from_doc(chunk_doc, rule)
             _check_chunk(chunk, state.lo, n_seeds, state.chunk_size, n_chunks)
+            if chunk.index in state.completed:
+                raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
             state.completed[chunk.index] = chunk
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
@@ -813,16 +810,17 @@ def _chunk_bounds(lo: int, n_seeds: int, chunk_size: int, index: int) -> tuple[i
 def _check_chunk(
     chunk: ChunkResult, lo: int, n_seeds: int, chunk_size: int, n_chunks: int
 ) -> None:
-    """Raise ValueError unless the chunk's counts and candidates fit its seeds."""
+    """Raise ValueError unless the chunk's index, counts and candidates fit
+    its seeds; from_doc has checked that they are not negative."""
     i = chunk.index
-    if not 0 <= i < n_chunks:
+    if i >= n_chunks:
         raise ValueError(
             f"chunk index {int_to_decimal(i)} is outside 0..{int_to_decimal(n_chunks - 1)}"
         )
     chunk_name = f"chunk {int_to_decimal(i)}"
     c_lo, c_hi = _chunk_bounds(lo, n_seeds, chunk_size, i)
     n = (c_hi - c_lo) // 2 + 1  # len() of the seed range overflows past sys.maxsize
-    if min(chunk.counts) < 0 or sum(chunk.counts) != n:
+    if sum(chunk.counts) != n:
         counts = ", ".join(map(int_to_decimal, chunk.counts))
         raise ValueError(
             f"{chunk_name} counts [{counts}] do not add up to {int_to_decimal(n)} seeds"

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice, pairwise
+from typing import Iterable, Iterator
 
 from .numerics import governor_index, int_to_decimal, require, show, v2
 
@@ -103,7 +105,7 @@ RULES = {3: RULE_3Z, 5: RULE_5Z}
 def rule_for(multiplier: int) -> Rule:
     """Look up the rule for q in {3, 5}."""
     try:
-        return RULES[multiplier]
+        return RULES[require(multiplier, "rule_for multiplier")]
     except KeyError:
         raise ValueError(f"unsupported multiplier {show(multiplier)}; supported: 3, 5") from None
 
@@ -128,6 +130,23 @@ def next_odd(x: int, rule: Rule) -> tuple[int, int]:
     t = rule.multiplier * x + 1
     k = v2(t)
     return t >> k, k
+
+
+def odd_orbit(x: int, rule: Rule) -> Iterator[tuple[int, int]]:
+    """The odd values v of x's orbit, seed first, as (v, k) with k the number
+    of halvings that end at v (0 for the seed): the one loop over next_odd.
+    The walk never ends; the caller takes as many values as it needs."""
+    require(x, "odd_orbit seed", odd=True)
+    k = 0
+    while True:
+        yield x, k
+        x, k = next_odd(x, rule)
+
+
+def orbit_values(pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Every value of the orbit whose odd_orbit pairs are given: v << k, ..., v."""
+    for v, k in pairs:
+        yield from (v << j for j in range(k, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -231,12 +250,7 @@ def governor_trace(x: int, rule: Rule, n_odd: int) -> list[int]:
     """
     require(x, "governor_trace seed", odd=True)
     require(n_odd, "governor_trace n_odd")
-    out = [governor_index(x)]
-    cur = x
-    for _ in range(n_odd - 1):
-        cur, _ = next_odd(cur, rule)
-        out.append(governor_index(cur))
-    return out
+    return [governor_index(v) for v, _ in islice(odd_orbit(x, rule), n_odd)]
 
 
 @dataclass(frozen=True)
@@ -473,13 +487,5 @@ def find_promotions(x: int, rule: Rule, horizon: int) -> list[Promotion]:
     """Scan up to horizon odd-to-odd transitions for index increases."""
     require(x, "find_promotions seed", odd=True)
     require(horizon, "find_promotions horizon")
-    out: list[Promotion] = []
-    cur = x
-    m = governor_index(cur)
-    for _ in range(horizon):
-        nxt, _ = next_odd(cur, rule)
-        m_next = governor_index(nxt)
-        if m_next > m:
-            out.append(Promotion(source=cur, target=nxt, old_index=m, new_index=m_next))
-        cur, m = nxt, m_next
-    return out
+    indexed = ((v, governor_index(v)) for v, _ in islice(odd_orbit(x, rule), horizon + 1))
+    return [Promotion(u, v, m, n) for (u, m), (v, n) in pairwise(indexed) if n > m]

@@ -49,17 +49,19 @@ def int_to_decimal(x: int) -> str:
 
 
 def decimal_to_int(text: str) -> int:
-    """int(text), also for decimal strings past the interpreter's digit cap.
+    """int(text) for a str, also for decimal strings past the interpreter's
+    digit cap.
 
-    Whatever int() accepts is returned as int() returns it; a string it
+    A str that int() accepts is returned as int() returns it; a str it
     rejects only for its length, an optional sign and then ASCII digits, is
-    converted in pieces.  Anything else raises int()'s ValueError.
+    converted in pieces.  Any other str raises int()'s ValueError, and a
+    value that is not a str (an int or a float too) raises ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a decimal value must be a string, got {show(text)}")
     try:
         return int(text)
     except ValueError:
-        if not isinstance(text, str):
-            raise
         body = text.strip()
         sign = -1 if body[:1] == "-" else 1
         body = body[1:] if body[:1] in "+-" else body

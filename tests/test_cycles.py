@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from govlab import cycles
+from govlab import cli, cycles
 from govlab.cycles import (
     CheckpointError,
     ChunkResult,
@@ -1001,6 +1001,47 @@ def _missing_candidate(doc):
     doc["chunks"][0]["candidates"].pop()
 
 
+def _duplicate_index(doc):
+    # index 0 twice and no index 1
+    doc["chunks"][1] = dict(doc["chunks"][0])
+
+
+# integer fields that int() would truncate or convert, and decimal fields
+# that are not JSON strings
+def _fractional_chunk_size(doc):
+    doc["chunk_size"] += 0.9
+
+
+def _fractional_index(doc):
+    doc["chunks"][0]["index"] = 0.5
+
+
+def _bool_max_steps_observed(doc):
+    doc["chunks"][0]["max_steps_observed"] = True
+
+
+def _string_max_steps(doc):
+    doc["limits"]["max_steps"] = str(doc["limits"]["max_steps"])
+
+
+def _fractional_candidate(doc):
+    cands = doc["chunks"][0]["candidates"]
+    cands[0] = int(cands[0]) + 0.9
+
+
+def _float_lo(doc):
+    doc["range"]["lo"] = 1.0
+
+
+def _int_cycle_member(doc):
+    cycle = doc["chunks"][0]["cycles"][0]
+    cycle["all_members"] = [int(v) for v in cycle["all_members"]]
+
+
+def _float_multiplier(doc):
+    doc["multiplier"] = 5.0
+
+
 class TestCheckpointValidation:
     """A checkpoint whose chunks disagree with its own range is rejected on load."""
 
@@ -1018,9 +1059,18 @@ class TestCheckpointValidation:
             _descending_candidates,
             _repeated_candidate,
             _missing_candidate,
+            _duplicate_index,
+            _fractional_chunk_size,
+            _fractional_index,
+            _bool_max_steps_observed,
+            _string_max_steps,
+            _fractional_candidate,
+            _float_lo,
+            _int_cycle_member,
+            _float_multiplier,
         ],
     )
-    def test_inconsistent_chunk_rejected(self, tmp_path, corrupt):
+    def test_inconsistent_chunk_rejected(self, tmp_path, capsys, corrupt):
         path = tmp_path / "ckpt.json"
         scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -1030,6 +1080,12 @@ class TestCheckpointValidation:
             checkpoint_load(str(path))
         with pytest.raises(CheckpointError):
             scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
+        # the same scan through the command line exits 3 and prints no report
+        code = cli.main(["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "128",
+                         "--checkpoint", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert "checkpoint" in err
 
     def test_numbers_too_large_to_handle_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -18,8 +19,10 @@ from govlab.dynamics import (
     find_promotions,
     governor_trace,
     next_odd,
+    odd_orbit,
     odd_step,
     orbit,
+    orbit_values,
     rule_for,
     verify_descent,
 )
@@ -92,6 +95,22 @@ class TestNextOdd:
         assert cur == u
         assert u % 2 == 1
         assert k == v2(odd_step(x, rule))
+
+
+class TestOddOrbit:
+    def test_examples(self):
+        assert list(islice(odd_orbit(7, RULE_3Z), 4)) == [(7, 0), (11, 1), (17, 1), (13, 2)]
+        assert list(orbit_values([(7, 0), (11, 1), (17, 1)])) == [7, 22, 11, 34, 17]
+
+    @given(odd_values, rules, st.integers(min_value=1, max_value=400))
+    def test_matches_the_oracle_while_it_runs(self, x, rule, max_steps):
+        values = [v for v, _ in orbit(x, rule, OrbitLimits(max_steps, 4096)).steps]
+        odds = [v for v in values if v % 2]
+        pairs = list(islice(odd_orbit(x, rule), len(odds)))
+        assert [v for v, _ in pairs] == odds
+        # the oracle's step prefix up to its last odd value
+        last = max(i for i, v in enumerate(values) if v % 2)
+        assert list(orbit_values(pairs)) == values[: last + 1]
 
 
 class TestOrbit:

@@ -17,7 +17,9 @@ from govlab.dynamics import (
     find_promotions,
     governor_trace,
     next_odd,
+    odd_orbit,
     orbit,
+    rule_for,
 )
 from govlab.genealogy import (
     ancestor_tree,
@@ -154,13 +156,13 @@ class TestDecimalStrings:
         assert decimal_to_int(int_to_decimal(v)) == v
 
     def test_parses_what_int_parses(self):
-        for text in ("12", " -7 ", "+3", "1_000", 42):
+        for text in ("12", " -7 ", "+3", "1_000"):
             assert decimal_to_int(text) == int(text)
 
     @pytest.mark.parametrize(
         "text",
         ["", "-", "12.5", "0x1f", "1" * 5000 + "x", "1" * 3000 + " 1" * 1000, "--" + "1" * 5000,
-         float("nan")],
+         float("nan"), 42, 5.9, 1.0, True, b"12"],
     )
     def test_rejects_what_is_not_a_decimal_integer(self, text):
         with pytest.raises(ValueError):
@@ -200,7 +202,9 @@ ENTRY_POINTS = [
     ("decompose x", 1, True, decompose),
     ("trailing_ones x", 1, False, trailing_ones),
     ("Rule multiplier", 3, True, lambda v: Rule(v, frozenset({1}), (1, 4, 2))),
+    ("rule_for multiplier", 1, False, rule_for),
     ("next_odd x", 1, True, lambda v: next_odd(v, RULE_3Z)),
+    ("odd_orbit seed", 1, True, lambda v: next(odd_orbit(v, RULE_3Z))),
     ("OrbitLimits max_steps", 1, False, lambda v: OrbitLimits(v, 64)),
     ("OrbitLimits max_value_bits", 1, False, lambda v: OrbitLimits(10, v)),
     ("orbit seed", 1, True, lambda v: orbit(v, RULE_3Z, LIMITS)),
