@@ -31,20 +31,17 @@ from .genealogy import (
     solve_ancestor_conditions,
 )
 from .cycles import (
-    CheckpointError,
     Classification,
     CycleRecord,
     Outcome,
     OutcomeTag,
-    ScanReport,
-    ScanState,
     canonical_cycle,
-    checkpoint_load,
-    checkpoint_save,
     classify_cycle,
     detect_outcome,
-    scan_range,
     trivial_cycle_record,
+)
+from .scan import (
+    CheckpointError, ScanReport, ScanState, checkpoint_load, checkpoint_save, scan_range,
 )
 from .claims import ClaimReport, ClaimResult, Verdict, list_claims, run_all, run_claim
 

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable
 
-from .cycles import Classification, ScanReport, scan_range
+from .cycles import Classification
 from .dynamics import (
     RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values,
 )
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index, int_to_decimal, require, show
+from .scan import ScanReport, scan_range
 
 SCHEMA_VERSION = 1
 

@@ -18,10 +18,10 @@ import sys
 from itertools import islice
 
 from . import claims as claims_mod
-from .cycles import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
 from .dynamics import OrbitLimits, odd_orbit, orbit, rule_for
 from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
 from .numerics import decimal_to_int, governor_index, require
+from .scan import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1

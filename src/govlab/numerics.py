@@ -18,6 +18,7 @@ at any length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -31,6 +32,8 @@ def v2(x: int) -> int:
 # at no fewer than 640; pieces this long convert under any cap
 _PIECE_DIGITS = 600
 _PIECE_BITS = 1993  # 2^1993 < 10^600
+# the decimal strings int_to_decimal writes
+_DECIMAL = re.compile("0|-?[1-9][0-9]*")
 
 
 def int_to_decimal(x: int) -> str:
@@ -49,25 +52,17 @@ def int_to_decimal(x: int) -> str:
 
 
 def decimal_to_int(text: str) -> int:
-    """int(text) for a str, also for decimal strings past the interpreter's
-    digit cap.
+    """The int that int_to_decimal writes as text, at any length and under
+    any digit cap.
 
-    A str that int() accepts is returned as int() returns it; a str it
-    rejects only for its length, an optional sign and then ASCII digits, is
-    converted in pieces.  Any other str raises int()'s ValueError, and a
-    value that is not a str (an int or a float too) raises ValueError.
+    Only that canonical form is read: ASCII digits with no leading zero,
+    after a minus sign for a negative value.  Any other str, and a value
+    that is not a str, raises ValueError.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"a decimal value must be a string, got {show(text)}")
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        sign = -1 if body[:1] == "-" else 1
-        body = body[1:] if body[:1] in "+-" else body
-        if len(body) <= _PIECE_DIGITS or not (body.isascii() and body.isdigit()):
-            raise
-    return sign * _digits_to_int(body)
+    if not (isinstance(text, str) and _DECIMAL.fullmatch(text)):
+        shown = show(text[:40] if isinstance(text, str) else text)  # a prefix of a long str
+        raise ValueError(f"not a canonical decimal integer: {shown}")
+    return -_digits_to_int(text[1:]) if text[0] == "-" else _digits_to_int(text)
 
 
 def _digits_to_int(digits: str) -> int:

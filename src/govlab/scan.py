@@ -1,0 +1,343 @@
+"""Range scanning: the chunk layout, the chunk runner, the scan report and
+the checkpoint format, of which this module is the only reader and writer.
+
+scan_range splits a seed range into the chunks of a ScanState's layout,
+folds each with cycles._scan_chunk, and merges the chunk results in index
+order, so the report does not depend on the worker count or on checkpoint
+interruptions.  The chunks left to run go through one runner: in this
+process when one is left, else in a pool of min(workers, chunks left, CPU
+count) processes fed lazily, each with one orbit memo for the scan.
+
+A checkpoint is written after each chunk and validated on load against its
+own rule, range and chunk size; a chunk that does not fit raises
+CheckpointError.  Each write replaces the whole file atomically (a .tmp file
+and os.replace) with the bytes of json.dump(state.to_doc(), sort_keys=True,
+indent=2) and a newline, but a scan encodes each chunk's text only once, when
+the chunk is loaded or finishes: a finished chunk's text never changes, so
+the write joins the cached texts under a freshly encoded header.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterable, Iterator
+
+from .cycles import (
+    COUNT_KEYS, ChunkResult, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk, canonical_cycle,
+    trivial_cycle_record,
+)
+from .dynamics import OrbitLimits, Rule, rule_for
+from .numerics import decimal_to_int, int_to_decimal, require, show
+
+SCHEMA_VERSION = 1
+
+DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    rule_multiplier: int
+    lo: int
+    hi: int
+    limits: OrbitLimits
+    counts: dict[str, int]
+    cycles: tuple[CycleRecord, ...]
+    divergence_candidates: tuple[int, ...]
+    max_excursion_bits: int
+    max_steps_observed: int
+    schema_version: int = SCHEMA_VERSION
+
+    def to_doc(self) -> dict:
+        return {
+            "schema_version": self.schema_version,
+            "kind": "govlab-scan-report",
+            "rule": f"{self.rule_multiplier}Z+1",
+            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
+            "limits": {
+                "max_steps": self.limits.max_steps,
+                "max_value_bits": self.limits.max_value_bits,
+            },
+            "counts": dict(self.counts),
+            "cycles": [c.to_doc() for c in self.cycles],
+            "divergence_candidates": [int_to_decimal(v) for v in self.divergence_candidates],
+            "stats": {
+                "max_excursion_bits": self.max_excursion_bits,
+                "max_steps_observed": self.max_steps_observed,
+            },
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+
+
+class CheckpointError(Exception):
+    """Raised when a checkpoint file is unreadable or does not match the scan."""
+
+
+@dataclass
+class ScanState:
+    """Scan identity plus the chunk results accumulated so far; it owns the
+    chunk layout, so its bounds are checked under scan_range's names."""
+
+    rule_multiplier: int
+    lo: int
+    hi: int
+    limits: OrbitLimits
+    chunk_size: int
+    completed: dict[int, ChunkResult]
+
+    def __post_init__(self) -> None:
+        require(self.lo, "scan_range lo", odd=True)
+        require(self.hi, "scan_range hi", self.lo, odd=True)
+        require(self.chunk_size, "scan_range chunk_size")
+
+    @property
+    def n_chunks(self) -> int:
+        return (self.hi - self.lo) // (2 * self.chunk_size) + 1
+
+    def chunk_bounds(self, index: int) -> tuple[int, int]:
+        """The first and last seed of chunk index, one of 0..n_chunks - 1."""
+        first = self.lo + 2 * index * self.chunk_size
+        return first, min(first + 2 * (self.chunk_size - 1), self.hi)
+
+    def to_doc(self) -> dict:
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "govlab-scan-checkpoint",
+            "rule": f"{self.rule_multiplier}Z+1",
+            "multiplier": self.rule_multiplier,
+            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
+            "limits": {
+                "max_steps": self.limits.max_steps,
+                "max_value_bits": self.limits.max_value_bits,
+            },
+            "chunk_size": self.chunk_size,
+            "chunks": [_chunk_doc(self.completed[i]) for i in sorted(self.completed)],
+        }
+
+
+def _chunk_doc(chunk: ChunkResult) -> dict:
+    """A chunk result as an item of a checkpoint's chunk list."""
+    return {
+        "index": chunk.index,
+        "counts": dict(zip(COUNT_KEYS, chunk.counts)),
+        "cycles": [chunk.cycles[k].to_doc() for k in sorted(chunk.cycles)],
+        "candidates": [int_to_decimal(v) for v in chunk.candidates],
+        "max_excursion_bits": chunk.max_excursion_bits,
+        "max_steps_observed": chunk.max_steps_observed,
+    }
+
+
+def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
+    """The chunk result of a _chunk_doc item; each cycle is rebuilt from its
+    members, and each count and maximum must be an int >= 0."""
+    cycles = (
+        canonical_cycle([decimal_to_int(v) for v in d["all_members"]], rule) for d in doc["cycles"]
+    )
+    return ChunkResult(
+        index=require(doc["index"], "chunk index", 0),
+        counts=[require(doc["counts"][k], f"chunk count {k}", 0) for k in COUNT_KEYS],
+        cycles={rec.smallest_odd: rec for rec in cycles},
+        candidates=[decimal_to_int(v) for v in doc["candidates"]],
+        max_excursion_bits=require(doc["max_excursion_bits"], "chunk max_excursion_bits", 0),
+        max_steps_observed=require(doc["max_steps_observed"], "chunk max_steps_observed", 0),
+    )
+
+
+def checkpoint_save(state: ScanState, path: str) -> None:
+    """Atomically write the scan state as a self-describing JSON document."""
+    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
+    _write_checkpoint(state, texts, path)
+
+
+def _chunk_text(chunk: ChunkResult) -> str:
+    """The chunk as an item of a checkpoint's chunk list: its own
+    json.dumps(..., sort_keys=True, indent=2) text, indented to depth 2."""
+    return json.dumps(_chunk_doc(chunk), sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+def _write_checkpoint(state: ScanState, texts: dict[int, str], path: str) -> None:
+    """Atomically write state, whose chunk i has the _chunk_text texts[i],
+    as the bytes of json.dump(state.to_doc(), fh, sort_keys=True, indent=2)
+    and a newline; only the header is encoded here."""
+    header = json.dumps(replace(state, completed={}).to_doc(), sort_keys=True, indent=2)
+    head, chunks, tail = header.partition('"chunks": []')
+    if state.completed:
+        items = ",\n    ".join(texts[i] for i in sorted(state.completed))
+        chunks = f'"chunks": [\n    {items}\n  ]'
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(f"{head}{chunks}{tail}\n")
+    os.replace(tmp, path)
+
+
+def checkpoint_load(path: str) -> ScanState:
+    """Load a checkpoint, raising CheckpointError on any structural problem,
+    including a rule name that is not its multiplier's and a chunk that does
+    not fit the checkpoint's own range and chunk size.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or an int past the digit cap
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    try:
+        if require(doc["schema_version"], "checkpoint schema_version") != SCHEMA_VERSION:
+            raise CheckpointError(
+                f"checkpoint schema_version {show(doc['schema_version'])} is not "
+                f"{SCHEMA_VERSION}"
+            )
+        if doc.get("kind") != "govlab-scan-checkpoint":
+            raise CheckpointError(f"{path} is not a scan checkpoint")
+        rule = rule_for(doc["multiplier"])
+        if doc["rule"] != rule.name:
+            raise CheckpointError(
+                f"checkpoint rule {show(doc['rule'])} is not {rule.name}, its multiplier's"
+            )
+        limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
+        lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
+        state = ScanState(rule.multiplier, lo, hi, limits, doc["chunk_size"], {})
+        for chunk_doc in doc["chunks"]:
+            chunk = _chunk_from_doc(chunk_doc, rule)
+            _check_chunk(chunk, state)
+            if chunk.index in state.completed:
+                raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
+            state.completed[chunk.index] = chunk
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    return state
+
+
+def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
+    """Raise ValueError unless the chunk's index, counts and candidates fit
+    its seeds in state's layout; _chunk_from_doc has checked that they are
+    not negative."""
+    i = chunk.index
+    if i >= state.n_chunks:
+        raise ValueError(
+            f"chunk index {int_to_decimal(i)} is outside 0..{int_to_decimal(state.n_chunks - 1)}"
+        )
+    chunk_name = f"chunk {int_to_decimal(i)}"
+    c_lo, c_hi = state.chunk_bounds(i)
+    n = (c_hi - c_lo) // 2 + 1  # len() of the seed range overflows past sys.maxsize
+    if sum(chunk.counts) != n:
+        counts = ", ".join(map(int_to_decimal, chunk.counts))
+        raise ValueError(
+            f"{chunk_name} counts [{counts}] do not add up to {int_to_decimal(n)} seeds"
+        )
+    cands = chunk.candidates
+    if len(cands) != chunk.counts[2] + chunk.counts[3]:
+        raise ValueError(f"{chunk_name} has {len(cands)} candidates, not one per undecided seed")
+    seeds = range(c_lo, c_hi + 1, 2)
+    if not all(v in seeds for v in cands) or any(a >= b for a, b in zip(cands, cands[1:])):
+        raise ValueError(
+            f"{chunk_name} candidates are not ascending odd seeds in "
+            f"{int_to_decimal(c_lo)}:{int_to_decimal(c_hi)}"
+        )
+
+
+def _merge(state: ScanState, rule: Rule) -> ScanReport:
+    total = ChunkResult(index=0)
+    for i in range(state.n_chunks):
+        total.merge(state.completed[i])
+    if total.counts[0] > 0:
+        # seeds reached the trivial cycle, so it was observed even though no
+        # seed's outcome carries it as a CycleRecord
+        triv = trivial_cycle_record(rule)
+        total.cycles.setdefault(triv.smallest_odd, triv)
+    counts = dict(zip(COUNT_KEYS, total.counts))
+    counts["total"] = sum(total.counts)
+    return ScanReport(
+        rule_multiplier=rule.multiplier,
+        lo=state.lo,
+        hi=state.hi,
+        limits=state.limits,
+        counts=counts,
+        cycles=tuple(total.cycles[k] for k in sorted(total.cycles)),
+        divergence_candidates=tuple(total.candidates),
+        max_excursion_bits=total.max_excursion_bits,
+        max_steps_observed=total.max_steps_observed,
+    )
+
+
+def _run_chunks(
+    tasks: Iterable[tuple], workers: int, scan: tuple[int, int, Rule, OrbitLimits]
+) -> Iterator[ChunkResult]:
+    """Run _scan_chunk on each (index, lo, hi) in tasks; yield results as they finish.
+
+    scan is the (lo, hi, rule, limits) of the scan the chunks belong to; each
+    process that runs chunks builds one orbit memo for it, which every chunk
+    it runs reads and fills.  Workers are capped at the CPU count.  One
+    worker runs the chunks in this process.  More run them in a pool of that
+    size, which reads tasks lazily and holds at most 2 * workers chunks.
+    """
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        memo = None  # built with the first task, so no chunks left builds none
+        for args in tasks:
+            memo = memo or _OrbitMemo(*scan)
+            yield _scan_chunk(*args, memo)
+        return
+    tasks = iter(tasks)
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=scan
+    ) as pool:
+        running: set = set()
+        while True:
+            for args in islice(tasks, 2 * workers - len(running)):
+                running.add(pool.submit(_scan_chunk, *args))
+            if not running:
+                return
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            for fut in done:
+                yield fut.result()
+
+
+def scan_range(
+    lo: int,
+    hi: int,
+    rule: Rule,
+    limits: OrbitLimits,
+    workers: int = 1,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    checkpoint_path: str | None = None,
+) -> ScanReport:
+    """Classify every odd seed in [lo, hi] and fold the results into a report.
+
+    Chunks are computed in this process, or in a pool of up to `workers`
+    processes when more than one chunk is left to run, each process with one
+    orbit memo for the scan, and merged in index order; the report bytes do
+    not depend on the worker count.  With
+    checkpoint_path set, the state is rewritten after every completed chunk
+    and a matching existing checkpoint is resumed.
+    """
+    require(workers, "scan_range workers")
+    state = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {})
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+        loaded = checkpoint_load(checkpoint_path)
+        if replace(loaded, completed={}) != state:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} was written by a different scan "
+                f"(rule/range/limits/chunk_size mismatch)"
+            )
+        state = loaded
+    # the checkpoint text of each completed chunk, encoded once
+    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
+
+    tasks = (
+        (i, *state.chunk_bounds(i)) for i in range(state.n_chunks) if i not in state.completed
+    )
+    workers = min(workers, state.n_chunks - len(state.completed))
+    for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
+        state.completed[chunk.index] = chunk
+        if checkpoint_path is not None:
+            texts[chunk.index] = _chunk_text(chunk)
+            _write_checkpoint(state, texts, checkpoint_path)
+    return _merge(state, rule)

@@ -10,14 +10,7 @@ import random
 import pytest
 
 from govlab.claims import Verdict, run_claim
-from govlab.cycles import (
-    Classification,
-    ScanState,
-    _OrbitMemo,
-    _scan_chunk,
-    checkpoint_save,
-    scan_range,
-)
+from govlab.cycles import Classification, _OrbitMemo, _scan_chunk
 from govlab.dynamics import (
     RULE_3Z,
     RULE_5Z,
@@ -28,6 +21,7 @@ from govlab.dynamics import (
 )
 from govlab.genealogy import solve_ancestor_conditions
 from govlab.numerics import decompose, governor_index, reconstruct
+from govlab.scan import ScanState, checkpoint_save, scan_range
 
 WORKERS = min(8, os.cpu_count() or 1)
 

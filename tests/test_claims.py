@@ -1,7 +1,6 @@
 import pytest
 
 from govlab import claims
-from govlab.cycles import scan_range
 from govlab.dynamics import RULE_5Z, OrbitLimits
 from govlab.claims import (
     ClaimReport,
@@ -13,6 +12,7 @@ from govlab.claims import (
     run_claim,
     run_claims,
 )
+from govlab.scan import scan_range
 
 # small scan bounds so the full registry can run in unit-test time
 SMALL_3Z = {"hi": (1 << 13) - 1, "max_steps": 10**5}

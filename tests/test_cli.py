@@ -10,10 +10,10 @@ import pytest
 
 from govlab import claims, cli
 from govlab.claims import ClaimReport, list_claims, run_claim
-from govlab.cycles import checkpoint_load, scan_range
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
 from govlab.numerics import int_to_decimal
+from govlab.scan import checkpoint_load, scan_range
 
 
 def run_cli(capsys, *args):
@@ -43,6 +43,13 @@ class TestParsing:
     def test_bad_rule_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "orbit", "--start", "27", "--rule", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("start", ["+7", "1_1", "007", " 27"])
+    def test_non_canonical_start_rejected(self, capsys, start):
+        # int() reads each of these; a CLI integer must be a canonical decimal
+        code, out, err = run_cli(capsys, "trace-governor", "--start", start)
+        assert (code, out) == (2, "")
+        assert "canonical decimal" in err
 
     def test_bad_range_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--rule", "5", "--odd-range", "9:3")

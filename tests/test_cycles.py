@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -15,26 +16,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from govlab import cli, cycles
+from govlab import cli, cycles, scan
 from govlab.cycles import (
-    CheckpointError,
     ChunkResult,
     Classification,
     OutcomeTag,
-    ScanState,
     _chunk_outcomes,
-    _run_chunks,
     _scan_chunk,
     canonical_cycle,
-    checkpoint_load,
-    checkpoint_save,
     classify_cycle,
     detect_outcome,
-    scan_range,
     trivial_cycle_record,
 )
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, TerminationKind
 from govlab.numerics import governor_index
+from govlab.scan import (
+    CheckpointError,
+    ScanState,
+    _run_chunks,
+    checkpoint_load,
+    checkpoint_save,
+    scan_range,
+)
 from helpers import classify_by_orbit, replay_cycle_closed
 
 GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
@@ -383,7 +386,7 @@ class TestScanMemo:
 
     def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch):
         filled_at_start = []  # (chunk index, kind bytes when the chunk started)
-        scan_chunk = cycles._scan_chunk
+        scan_chunk = scan._scan_chunk
 
         def chunk_spy(index, *args):
             filled_at_start.append((index, bytes(args[-1].kinds)))
@@ -399,7 +402,7 @@ class TestScanMemo:
                 inherited.append((index, u))
             return out
 
-        monkeypatch.setattr(cycles, "_scan_chunk", chunk_spy)
+        monkeypatch.setattr(scan, "_scan_chunk", chunk_spy)
         monkeypatch.setattr(cycles._OrbitMemo, "reuse", reuse_spy)
         scan_range(1, 4095, RULE_3Z, GENEROUS, chunk_size=512)
         assert [i for i, _ in filled_at_start] == list(range(4))
@@ -761,7 +764,7 @@ import hashlib, sys
 if sys.argv[1] == "lift" and hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 from govlab import RULE_5Z, OrbitLimits, checkpoint_load, scan_range
-from govlab.cycles import checkpoint_save
+from govlab.scan import checkpoint_save
 lo, limits, path = (1 << 70000) + 1, OrbitLimits(10**5, 64), sys.argv[2]
 report = scan_range(lo, lo + 40, RULE_5Z, limits, chunk_size=4, checkpoint_path=path)
 with open(path, encoding="utf-8") as fh:
@@ -928,18 +931,35 @@ class TestCheckpointWriter:
             checkpoint_save(ScanState(rule.multiplier, lo, hi, limits, chunk_size, loaded), str(path))
 
         writes = []
-        write = cycles._write_checkpoint
+        write = scan._write_checkpoint
 
         def write_spy(state, texts, at):
             write(state, texts, at)
             writes.append(Path(at).read_text(encoding="utf-8") == _checkpoint_json(state))
 
-        with mock.patch.object(cycles, "_write_checkpoint", write_spy):
+        with mock.patch.object(scan, "_write_checkpoint", write_spy):
             scan_range(lo, hi, rule, limits, workers, chunk_size=chunk_size,
                        checkpoint_path=str(path))
         assert writes == [True] * (n_chunks - len(done))
         final = ScanState(rule.multiplier, lo, hi, limits, chunk_size, chunks)
         assert path.read_text(encoding="utf-8") == _checkpoint_json(final)
+
+    @pytest.mark.parametrize(
+        "rule, hi, limits, digest",
+        [
+            (RULE_3Z, 8191, OrbitLimits(10**6, 256),
+             "07fcab7794252d39add71ebf4663b571d445695a8fadafcd9030015f6708c39c"),
+            (RULE_5Z, 4095, OrbitLimits(10**5, 128),
+             "e418219d904c1ebab207e49bb1838882561c50b6fc9894aebd8fc946bb21c078"),
+        ],
+        ids=["3z-c1-limits", "5z-c3-limits"],
+    )
+    def test_checkpoint_bytes_match_the_golden_digest(self, tmp_path, rule, hi, limits, digest):
+        # the other writer tests compare the file with to_doc, which moves
+        # with the writer; these digests pin the schema version 1 bytes
+        path = tmp_path / "ckpt.json"
+        scan_range(1, hi, rule, limits, chunk_size=256, checkpoint_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_resume_encodes_each_chunk_once(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ckpt.json")
@@ -948,8 +968,8 @@ class TestCheckpointWriter:
         kept = {i: state.completed[i] for i in range(0, 16, 2)}
         checkpoint_save(dataclasses.replace(state, completed=kept), path)
         encoded = []
-        to_doc = ChunkResult.to_doc
-        monkeypatch.setattr(ChunkResult, "to_doc", lambda c: encoded.append(c.index) or to_doc(c))
+        chunk_doc = scan._chunk_doc
+        monkeypatch.setattr(scan, "_chunk_doc", lambda c: encoded.append(c.index) or chunk_doc(c))
         scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
         # at most once per loaded chunk plus once per new one, not once per save
         assert len(encoded) == len(set(encoded)) <= 16
@@ -1042,6 +1062,17 @@ def _float_multiplier(doc):
     doc["multiplier"] = 5.0
 
 
+def _rule_name_mismatch(doc):
+    # the header names 3Z+1 over a 5Z+1 scan's multiplier and chunks
+    doc["rule"] = "3Z+1"
+
+
+def _signed_candidate(doc):
+    # int() reads "+7" as 7; a decimal field must be a canonical decimal
+    cands = doc["chunks"][0]["candidates"]
+    cands[0] = "+" + cands[0]
+
+
 class TestCheckpointValidation:
     """A checkpoint whose chunks disagree with its own range is rejected on load."""
 
@@ -1068,6 +1099,8 @@ class TestCheckpointValidation:
             _float_lo,
             _int_cycle_member,
             _float_multiplier,
+            _rule_name_mismatch,
+            _signed_candidate,
         ],
     )
     def test_inconsistent_chunk_rejected(self, tmp_path, capsys, corrupt):
@@ -1167,7 +1200,7 @@ class TestChunkRunner:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(cycles, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cycles, "_worker_memo", None)  # the initializer sets it here
         serial = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import claims
-from govlab.cycles import CheckpointError, checkpoint_load, detect_outcome, scan_range
+from govlab.cycles import detect_outcome
 from govlab.dynamics import (
     RULE_3Z,
     OrbitLimits,
@@ -38,6 +38,7 @@ from govlab.numerics import (
     trailing_ones,
     v2,
 )
+from govlab.scan import CheckpointError, checkpoint_load, scan_range
 
 odd_naturals = st.integers(min_value=0, max_value=(1 << 512) - 1).map(lambda n: 2 * n + 1)
 
@@ -155,14 +156,12 @@ class TestDecimalStrings:
     def test_round_trip(self, v):
         assert decimal_to_int(int_to_decimal(v)) == v
 
-    def test_parses_what_int_parses(self):
-        for text in ("12", " -7 ", "+3", "1_000"):
-            assert decimal_to_int(text) == int(text)
-
     @pytest.mark.parametrize(
         "text",
         ["", "-", "12.5", "0x1f", "1" * 5000 + "x", "1" * 3000 + " 1" * 1000, "--" + "1" * 5000,
-         float("nan"), 42, 5.9, 1.0, True, b"12"],
+         float("nan"), 42, 5.9, 1.0, True, b"12",
+         # int() reads these, but int_to_decimal writes none of them
+         " -7 ", "+3", "1_000", "007", "-0"],
     )
     def test_rejects_what_is_not_a_decimal_integer(self, text):
         with pytest.raises(ValueError):
