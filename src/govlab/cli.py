@@ -99,8 +99,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p_scan.add_argument("--odd-range", type=_odd_range, required=True, metavar="LO:HI")
     p_scan.add_argument("--step-limit", type=_positive_int, default=100_000)
     p_scan.add_argument("--value-limit-bits", type=_positive_int, default=128)
-    # a string default goes through the type, so a bad GOVLAB_WORKERS exits 2
-    workers = os.environ.get("GOVLAB_WORKERS", "").strip() or "1"
+    # a string default goes through the type, so a bad GOVLAB_WORKERS exits 2;
+    # only an unset or blank one means 1, and any other is parsed as given
+    workers = os.environ.get("GOVLAB_WORKERS", "")
+    if not workers.strip():
+        workers = "1"
     workers_help = "worker processes (default: GOVLAB_WORKERS, else 1)"
     p_scan.add_argument("--workers", type=_positive_int, default=workers, help=workers_help)
     p_scan.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_SIZE)

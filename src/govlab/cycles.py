@@ -92,6 +92,20 @@ the exact one:
 so a lean walk there would be thrown away: its gate is the cap, and the
 loop runs no extra test per transition.
 
+Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
+unknown at their turn, in ascending order, so the memo fills exactly as a
+seed-by-seed fold would fill it.  A seed whose entry is still unknown after
+its own walk goes through ChunkResult.add: a trivial odd member, a cycle
+member, a step-limited seed, or a seed whose cycle code passes the kind
+byte.  No later walk writes such an entry: members are never written, an
+orbit through a step-limited seed is step-limited too, and a code past the
+byte is never written.  Every other seed below top then holds its own
+result, and the chunk folds them from its slice of the table: the counts
+from kinds.count of each code, the value-limited candidates from the
+positions of code 2, merged in order with the added ones, and the maxima
+from max over the steps and peaks slices.  The seeds from top on are walked
+and added one by one.
+
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
@@ -109,8 +123,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
-from typing import Iterator
+from itertools import compress, islice
 
 from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values
 from .numerics import governor_index, int_to_decimal, require
@@ -530,19 +543,6 @@ class _OrbitMemo:
         return None
 
 
-def _chunk_outcomes(
-    lo: int, hi: int, memo: _OrbitMemo
-) -> Iterator[tuple[int, tuple[int, int, int]]]:
-    """(seed, (code, steps, peak)) for the odd seeds lo..hi, ascending, with
-    the memo of a scan that holds them; a seed that an earlier walk passed
-    through takes its result from the memo, and each walk may end at a
-    value whose result is known."""
-    top = memo.top
-    for seed in range(lo, hi + 1, 2):
-        known = memo.reuse(seed, 0) if seed < top else None
-        yield seed, known or _walk(seed, memo)
-
-
 # ---------------------------------------------------------------------------
 # Chunk fold
 # ---------------------------------------------------------------------------
@@ -591,6 +591,35 @@ class ChunkResult:
         self.max_steps_observed = max(self.max_steps_observed, other.max_steps_observed)
 
 
+# 1 at the value-limit code and 0 elsewhere: a slice of kind bytes translated
+# by it selects the value-limited seeds
+_VALUE_LIMIT_MASK = bytes(code == _VALUE_LIMIT for code in range(256))
+
+
+def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
+    """Fold in the filled entries among the memo's entries a..b - 1 as
+    ChunkResult.add of each would, and sort the chunk's candidates, which
+    may hold added seeds on either side of them."""
+    kinds = memo.kinds
+    counts = chunk.counts
+    counts[0] += kinds.count(_TRIVIAL, a, b)
+    for code in range(_CYCLE, min(_CYCLE + len(memo.cycles), 256)):
+        n = kinds.count(code, a, b)
+        if n:
+            counts[1] += n
+            cycle = memo.cycles[code - _CYCLE]
+            chunk.cycles.setdefault(cycle.smallest_odd, cycle)
+    n = kinds.count(_VALUE_LIMIT, a, b)
+    if n:
+        counts[3] += n
+        seeds = range(memo.lo + 2 * a, memo.lo + 2 * b, 2)
+        chunk.candidates += compress(seeds, kinds[a:b].translate(_VALUE_LIMIT_MASK))
+        chunk.candidates.sort()
+    # views, not copies, of the wider arrays
+    chunk.max_excursion_bits = max(chunk.max_excursion_bits, max(memoryview(memo.peaks)[a:b]))
+    chunk.max_steps_observed = max(chunk.max_steps_observed, max(memoryview(memo.steps)[a:b]))
+
+
 # the orbit memo of the scan whose chunks this pool worker process runs
 _worker_memo: _OrbitMemo | None = None
 
@@ -602,10 +631,24 @@ def _init_worker(lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
 
 def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) -> ChunkResult:
     """Fold the chunk lo..hi of the scan that memo belongs to, reading and
-    filling it; without one, the memo of the pool worker this runs in."""
+    filling it; without one, the memo of the pool worker this runs in.  The
+    module docstring says which seeds are walked, which are folded from the
+    table and which go through ChunkResult.add."""
     memo = memo or _worker_memo
     chunk = ChunkResult(index)
     cycles = memo.cycles
-    for seed, (code, steps, peak) in _chunk_outcomes(lo, hi, memo):
-        chunk.add(seed, code, steps, peak, cycles)
+    end = min(hi + 2, memo.top)  # the first seed not held by the table
+    if lo < end:
+        kinds = memo.kinds
+        a, b = (lo - memo.lo) >> 1, (end - memo.lo) >> 1
+        i = kinds.find(0, a, b)
+        while i >= 0:
+            seed = memo.lo + 2 * i
+            result = _walk(seed, memo)
+            if not kinds[i]:  # a result the table never holds
+                chunk.add(seed, *result, cycles)
+            i = kinds.find(0, i + 1, b)
+        _fold_table(chunk, memo, a, b)
+    for seed in range(max(lo, end), hi + 1, 2):
+        chunk.add(seed, *_walk(seed, memo), cycles)
     return chunk

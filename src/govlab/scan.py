@@ -55,7 +55,7 @@ class ScanReport:
         return {
             "schema_version": self.schema_version,
             "kind": "govlab-scan-report",
-            "rule": f"{self.rule_multiplier}Z+1",
+            "rule": rule_for(self.rule_multiplier).name,
             "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
             "limits": {
                 "max_steps": self.limits.max_steps,
@@ -108,7 +108,7 @@ class ScanState:
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "govlab-scan-checkpoint",
-            "rule": f"{self.rule_multiplier}Z+1",
+            "rule": rule_for(self.rule_multiplier).name,
             "multiplier": self.rule_multiplier,
             "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
             "limits": {

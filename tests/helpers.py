@@ -1,13 +1,15 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the fast paths under test: classification is read
-off the full step-by-step orbit, and cycle replay applies the raw step
-functions one value at a time.
+off the full step-by-step orbit, cycle replay applies the raw step
+functions one value at a time, and the reference chunk fold adds its seeds
+one by one.
 """
 
 from __future__ import annotations
 
-from govlab.cycles import canonical_cycle
+from govlab import cycles
+from govlab.cycles import ChunkResult, canonical_cycle
 from govlab.dynamics import OrbitLimits, Rule, TerminationKind, orbit
 
 
@@ -40,3 +42,24 @@ def replay_cycle_closed(members, rule: Rule) -> bool:
         if nxt != members[(i + 1) % n]:
             return False
     return True
+
+
+def chunk_outcomes(lo, hi, memo):
+    """(seed, (code, steps, peak)) for the odd seeds lo..hi, ascending, with
+    the orbit memo of a scan that holds them; a seed that an earlier walk
+    passed through takes its result from the memo, and each walk may end at
+    a value whose result is known."""
+    top = memo.top
+    for seed in range(lo, hi + 1, 2):
+        known = memo.reuse(seed, 0) if seed < top else None
+        # cycles._walk is looked up per call, so that tests can spy on it
+        yield seed, known or cycles._walk(seed, memo)
+
+
+def fold_chunk(index, lo, hi, memo):
+    """The reference fold of chunk lo..hi: ChunkResult.add of every seed's
+    result, in ascending order, reading and filling the scan's memo."""
+    chunk = ChunkResult(index)
+    for seed, result in chunk_outcomes(lo, hi, memo):
+        chunk.add(seed, *result, memo.cycles)
+    return chunk

@@ -76,7 +76,8 @@ class TestParsing:
         monkeypatch.delenv("GOVLAB_WORKERS")
         assert cli.parse_args(["scan", "--rule", "5", "--odd-range", "1:9"]).workers == 1
         # an invalid value is a usage error, like every other bad input
-        for bad in ("junk", "0", "-2", "1.5"):
+        # " 2 " too: --workers " 2 " is not a canonical decimal, and neither is the variable
+        for bad in ("junk", "0", "-2", "1.5", " 2 "):
             monkeypatch.setenv("GOVLAB_WORKERS", bad)
             for verb in (["scan", "--rule", "5", "--odd-range", "1:9"], ["claims", "--list"]):
                 code, out, err = run_cli(capsys, *verb)

@@ -21,7 +21,6 @@ from govlab.cycles import (
     ChunkResult,
     Classification,
     OutcomeTag,
-    _chunk_outcomes,
     _scan_chunk,
     canonical_cycle,
     classify_cycle,
@@ -38,7 +37,7 @@ from govlab.scan import (
     checkpoint_save,
     scan_range,
 )
-from helpers import classify_by_orbit, replay_cycle_closed
+from helpers import chunk_outcomes, classify_by_orbit, fold_chunk, replay_cycle_closed
 
 GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 SCAN_LIMITS = OrbitLimits(max_steps=10**5, max_value_bits=128)
@@ -201,7 +200,7 @@ class TestSeedMemo:
         """Check every seed's outcome and every filled memo entry of the
         chunk; returns the outcomes by seed and the chunk's memo."""
         memo = cycles._OrbitMemo(lo, hi, rule, limits)
-        outs = {seed: memo.outcome(*result) for seed, result in _chunk_outcomes(lo, hi, memo)}
+        outs = {seed: memo.outcome(*result) for seed, result in chunk_outcomes(lo, hi, memo)}
         assert list(outs) == list(range(lo, hi + 1, 2))
         for seed, out in outs.items():
             assert out == detect_outcome(seed, rule, limits), seed
@@ -522,6 +521,107 @@ class TestScanMemo:
         assert report.max_excursion_bits == 70003
 
 
+def check_table_fold(lo, hi, chunk_size, rule, limits):
+    """Fold every chunk of the scan of lo..hi with _scan_chunk and with the
+    seed-by-seed reference fold, each over its own memo, and check that
+    the chunks and the memos agree after each chunk; returns the chunks and
+    the seeds that _scan_chunk folded with ChunkResult.add, in order."""
+    state = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {})
+    fast = cycles._OrbitMemo(lo, hi, rule, limits)
+    ref = cycles._OrbitMemo(lo, hi, rule, limits)
+    chunks, added = [], []
+    add = ChunkResult.add
+
+    def spy(chunk, seed, *result):
+        added.append(seed)
+        return add(chunk, seed, *result)
+
+    for i in range(state.n_chunks):
+        c_lo, c_hi = state.chunk_bounds(i)
+        with mock.patch.object(ChunkResult, "add", spy):
+            chunk = _scan_chunk(i, c_lo, c_hi, fast)
+        assert chunk == fold_chunk(i, c_lo, c_hi, ref), (c_lo, c_hi)
+        # the walks fill the memo in the reference fold's order
+        assert (fast.kinds, fast.steps, fast.peaks) == (ref.kinds, ref.steps, ref.peaks)
+        assert fast.cycles == ref.cycles
+        chunks.append(chunk)
+    return chunks, added
+
+
+class TestTableFold:
+    """_scan_chunk, which walks only the seeds whose entry is unknown and
+    folds the rest from the memo's table, against ChunkResult.add of every
+    seed's result."""
+
+    @given(
+        st.sampled_from([RULE_3Z, RULE_5Z]),
+        st.integers(min_value=0, max_value=3000).map(lambda n: 2 * n + 1),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=2, max_value=48),
+        st.sampled_from([None, 8, 40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_seed_by_seed_fold(
+        self, rule, lo, n_seeds, chunk_size, max_steps, max_bits, memo_cap
+    ):
+        # memo_cap None keeps the memo over the whole scan; 8 and 40 end it
+        # inside the scan, often inside a chunk
+        limits = OrbitLimits(max_steps=max_steps, max_value_bits=max_bits)
+        cap = memo_cap or cycles._MEMO_MAX_SEEDS
+        with mock.patch.object(cycles, "_MEMO_MAX_SEEDS", cap):
+            check_table_fold(lo, lo + 2 * (n_seeds - 1), chunk_size, rule, limits)
+
+    def test_trivial_odd_members_are_added(self):
+        # 1 is never written, so it is the only seed of the chunk folded by add
+        [chunk], added = check_table_fold(1, 999, 1000, RULE_3Z, GENEROUS)
+        assert added == [1]
+        assert chunk.counts == [500, 0, 0, 0]
+
+    def test_cycle_members_are_added(self):
+        # besides 5Z+1's trivial odd members 1 and 3, the seeds no entry
+        # holds are the members of its auxiliary cycles at 13 and 17
+        [chunk], added = check_table_fold(1, 99, 50, RULE_5Z, SCAN_LIMITS)
+        assert added == sorted({1, 3, 13, 33, 83, 17, 27, 43})
+        assert sorted(chunk.cycles) == [13, 17]
+
+    def test_step_limited_seeds_are_added(self):
+        # every class occurs; the step-limited candidates come from add, the
+        # value-limited ones from the table, and they are merged in order
+        limits = OrbitLimits(max_steps=120, max_value_bits=40)
+        [chunk], added = check_table_fold(1, 1999, 1000, RULE_5Z, limits)
+        assert all(chunk.counts)
+        step_limited = [
+            x for x in chunk.candidates
+            if classify_by_orbit(x, RULE_5Z, limits)[0] == "step_limit"
+        ]
+        assert len(step_limited) == chunk.counts[2]
+        assert set(step_limited) <= set(added)
+        assert step_limited != chunk.candidates[: len(step_limited)]  # interleaved
+
+    def test_cycle_codes_past_the_kind_byte_are_added(self, monkeypatch):
+        # cycle 13 is met first and takes code 255, which the byte holds;
+        # cycle 17 takes 256, so every seed that enters it goes through add
+        monkeypatch.setattr(cycles, "_CYCLE", 255)
+        [chunk], added = check_table_fold(1, 1331, 1000, RULE_5Z, SCAN_LIMITS)
+        enters_17 = [
+            x for x in range(1, 1332, 2)
+            if (c := detect_outcome(x, RULE_5Z, SCAN_LIMITS).cycle) and c.smallest_odd == 17
+        ]
+        assert enters_17 and set(enters_17) <= set(added)
+        assert 5 not in added  # 5 enters cycle 13, whose code the byte holds
+        assert {13, 17} <= set(chunk.cycles)
+
+    def test_chunk_straddling_the_memo_top(self, monkeypatch):
+        # the memo holds 1..15: 1 and every seed from 17 on go through add,
+        # the rest of 1..15 through the table
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
+        chunks, added = check_table_fold(1, 199, 60, RULE_3Z, GENEROUS)
+        assert [c.counts for c in chunks] == [[60, 0, 0, 0], [40, 0, 0, 0]]
+        assert added == [1, *range(17, 200, 2)]
+
+
 @pytest.fixture
 def leans(monkeypatch):
     """Records (x, s, result) for every lean walk, result None when it fell back."""
@@ -544,7 +644,7 @@ def filled_memo(lo, n_seeds, rule, limits, lean=True):
     memo = cycles._OrbitMemo(lo, hi, rule, limits)
     if not lean:
         memo.gate = limits.max_value_bits
-    for _ in _chunk_outcomes(lo, hi, memo):
+    for _ in chunk_outcomes(lo, hi, memo):
         pass
     return memo
 
@@ -640,7 +740,7 @@ class TestLeanWalk:
         # entry: every seed's result matches the exact walk and the oracle
         memo = cycles._OrbitMemo(1, 2047, RULE_5Z, SCAN_LIMITS)
         results, fell_back = {}, 0
-        for seed, result in _chunk_outcomes(1, 2047, memo):
+        for seed, result in chunk_outcomes(1, 2047, memo):
             results[seed] = result
             if leans and leans[-1][2] is None and reuses[-1][3] is not None:
                 fell_back += 1
