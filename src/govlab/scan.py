@@ -8,19 +8,20 @@ interruptions.  The chunks left to run go through one runner: in this
 process when one is left, else in a pool of min(workers, chunks left, CPU
 count) processes fed lazily, each with one orbit memo for the scan.
 
-A checkpoint is written after each chunk and validated on load against its
-own rule, range and chunk size; a chunk that does not fit raises
-CheckpointError.  Each write replaces the whole file atomically (a .tmp file
-and os.replace) with the bytes of json.dump(state.to_doc(), sort_keys=True,
-indent=2) and a newline, but a scan encodes each chunk's text only once, when
-the chunk is loaded or finishes: a finished chunk's text never changes, so
-the write joins the cached texts under a freshly encoded header.
+A checkpoint (format CHECKPOINT_VERSION) is a header line, the scan's
+identity, then one line per completed chunk, each a sort_keys json.dumps.
+A checkpointed scan rewrites the file once, atomically (a .tmp file and
+os.replace), then appends and flushes one line per finished chunk.  On load
+a last line without its newline, a torn append, is dropped; the chunks are
+validated against the header's rule, range and chunk size, and a chunk that
+does not fit raises CheckpointError.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -33,7 +34,8 @@ from .cycles import (
 from .dynamics import OrbitLimits, Rule, rule_for
 from .numerics import decimal_to_int, int_to_decimal, require, show
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of the scan report
+CHECKPOINT_VERSION = 2  # of the checkpoint file
 
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
 
@@ -105,8 +107,9 @@ class ScanState:
         return first, min(first + 2 * (self.chunk_size - 1), self.hi)
 
     def to_doc(self) -> dict:
+        """The checkpoint header: the scan's identity, without its chunks."""
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": CHECKPOINT_VERSION,
             "kind": "govlab-scan-checkpoint",
             "rule": rule_for(self.rule_multiplier).name,
             "multiplier": self.rule_multiplier,
@@ -116,12 +119,11 @@ class ScanState:
                 "max_value_bits": self.limits.max_value_bits,
             },
             "chunk_size": self.chunk_size,
-            "chunks": [_chunk_doc(self.completed[i]) for i in sorted(self.completed)],
         }
 
 
 def _chunk_doc(chunk: ChunkResult) -> dict:
-    """A chunk result as an item of a checkpoint's chunk list."""
+    """A chunk result as a checkpoint line."""
     return {
         "index": chunk.index,
         "counts": dict(zip(COUNT_KEYS, chunk.counts)),
@@ -148,50 +150,42 @@ def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
     )
 
 
+def _line(doc: dict) -> str:
+    """One line of a checkpoint file."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def checkpoint_save(state: ScanState, path: str) -> None:
-    """Atomically write the scan state as a self-describing JSON document."""
-    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
-    _write_checkpoint(state, texts, path)
-
-
-def _chunk_text(chunk: ChunkResult) -> str:
-    """The chunk as an item of a checkpoint's chunk list: its own
-    json.dumps(..., sort_keys=True, indent=2) text, indented to depth 2."""
-    return json.dumps(_chunk_doc(chunk), sort_keys=True, indent=2).replace("\n", "\n    ")
-
-
-def _write_checkpoint(state: ScanState, texts: dict[int, str], path: str) -> None:
-    """Atomically write state, whose chunk i has the _chunk_text texts[i],
-    as the bytes of json.dump(state.to_doc(), fh, sort_keys=True, indent=2)
-    and a newline; only the header is encoded here."""
-    header = json.dumps(replace(state, completed={}).to_doc(), sort_keys=True, indent=2)
-    head, chunks, tail = header.partition('"chunks": []')
-    if state.completed:
-        items = ",\n    ".join(texts[i] for i in sorted(state.completed))
-        chunks = f'"chunks": [\n    {items}\n  ]'
+    """Atomically write the scan state: its header line, then one line per
+    completed chunk in index order."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{head}{chunks}{tail}\n")
+        fh.write(_line(state.to_doc()))
+        for i in sorted(state.completed):
+            fh.write(_line(_chunk_doc(state.completed[i])))
     os.replace(tmp, path)
 
 
 def checkpoint_load(path: str) -> ScanState:
     """Load a checkpoint, raising CheckpointError on any structural problem,
-    including a rule name that is not its multiplier's and a chunk that does
-    not fit the checkpoint's own range and chunk size.
+    including a file of another format version, a rule name that is not its
+    multiplier's and a chunk that does not fit the checkpoint's own range and
+    chunk size.  A last line without its newline is dropped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            # a line cut short by a kill is the last one, and it is never merged
+            lines = [line for line in fh if line.endswith("\n")]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or an int past the digit cap
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not lines:
+        raise CheckpointError(f"checkpoint {path} has no complete header line")
     try:
-        if require(doc["schema_version"], "checkpoint schema_version") != SCHEMA_VERSION:
+        doc = json.loads(lines[0])
+        if require(doc["schema_version"], "checkpoint schema_version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint schema_version {show(doc['schema_version'])} is not "
-                f"{SCHEMA_VERSION}"
+                f"{CHECKPOINT_VERSION}"
             )
         if doc.get("kind") != "govlab-scan-checkpoint":
             raise CheckpointError(f"{path} is not a scan checkpoint")
@@ -203,12 +197,13 @@ def checkpoint_load(path: str) -> ScanState:
         limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
         lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
         state = ScanState(rule.multiplier, lo, hi, limits, doc["chunk_size"], {})
-        for chunk_doc in doc["chunks"]:
-            chunk = _chunk_from_doc(chunk_doc, rule)
+        for line in lines[1:]:
+            chunk = _chunk_from_doc(json.loads(line), rule)
             _check_chunk(chunk, state)
             if chunk.index in state.completed:
                 raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
             state.completed[chunk.index] = chunk
+    # ValueError also covers a line that is not JSON, and an int past the digit cap
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     return state
@@ -314,30 +309,34 @@ def scan_range(
     Chunks are computed in this process, or in a pool of up to `workers`
     processes when more than one chunk is left to run, each process with one
     orbit memo for the scan, and merged in index order; the report bytes do
-    not depend on the worker count.  With
-    checkpoint_path set, the state is rewritten after every completed chunk
-    and a matching existing checkpoint is resumed.
+    not depend on the worker count.  With checkpoint_path set, a matching
+    existing checkpoint is resumed, the file is rewritten once in index
+    order, and each chunk that finishes is appended to it as one line.
     """
     require(workers, "scan_range workers")
     state = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {})
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        loaded = checkpoint_load(checkpoint_path)
-        if replace(loaded, completed={}) != state:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} was written by a different scan "
-                f"(rule/range/limits/chunk_size mismatch)"
-            )
-        state = loaded
-    # the checkpoint text of each completed chunk, encoded once
-    texts = {i: _chunk_text(chunk) for i, chunk in state.completed.items()}
+    if checkpoint_path is not None:
+        if os.path.exists(checkpoint_path):
+            loaded = checkpoint_load(checkpoint_path)
+            if replace(loaded, completed={}) != state:
+                raise CheckpointError(
+                    f"checkpoint {checkpoint_path} was written by a different scan "
+                    f"(rule/range/limits/chunk_size mismatch)"
+                )
+            state = loaded
+        # drops a torn last line, and writes the header of a fresh scan
+        checkpoint_save(state, checkpoint_path)
 
     tasks = (
         (i, *state.chunk_bounds(i)) for i in range(state.n_chunks) if i not in state.completed
     )
     workers = min(workers, state.n_chunks - len(state.completed))
-    for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
-        state.completed[chunk.index] = chunk
-        if checkpoint_path is not None:
-            texts[chunk.index] = _chunk_text(chunk)
-            _write_checkpoint(state, texts, checkpoint_path)
+    with nullcontext() if checkpoint_path is None else open(
+        checkpoint_path, "a", encoding="utf-8"
+    ) as log:
+        for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
+            state.completed[chunk.index] = chunk
+            if log is not None:
+                log.write(_line(_chunk_doc(chunk)))
+                log.flush()
     return _merge(state, rule)

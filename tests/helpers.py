@@ -3,10 +3,14 @@
 These deliberately avoid the fast paths under test: classification is read
 off the full step-by-step orbit, cycle replay applies the raw step
 functions one value at a time, and the reference chunk fold adds its seeds
-one by one.
+one by one.  The checkpoint reader and writer let a test edit a checkpoint
+file as one document.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 from govlab import cycles
 from govlab.cycles import ChunkResult, canonical_cycle
@@ -63,3 +67,22 @@ def fold_chunk(index, lo, hi, memo):
     for seed, result in chunk_outcomes(lo, hi, memo):
         chunk.add(seed, *result, memo.cycles)
     return chunk
+
+
+def read_checkpoint_doc(path) -> dict:
+    """A checkpoint file as one document: its header line with its chunk
+    lines, in file order, under "chunks"."""
+    header, *chunks = map(json.loads, Path(path).read_text(encoding="utf-8").splitlines())
+    return {**header, "chunks": chunks}
+
+
+def checkpoint_text(doc: dict) -> str:
+    """The checkpoint file of a read_checkpoint_doc document: the header
+    without "chunks", then each chunk, one line each."""
+    header = {k: v for k, v in doc.items() if k != "chunks"}
+    return "".join(json.dumps(d) + "\n" for d in [header, *doc["chunks"]])
+
+
+def write_checkpoint_doc(path, doc: dict) -> None:
+    """Write a read_checkpoint_doc document back as a checkpoint file."""
+    Path(path).write_text(checkpoint_text(doc), encoding="utf-8")

@@ -13,7 +13,8 @@ from govlab.claims import ClaimReport, list_claims, run_claim
 from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
 from govlab.numerics import int_to_decimal
-from govlab.scan import checkpoint_load, scan_range
+from govlab.scan import CheckpointError, checkpoint_load, scan_range
+from helpers import read_checkpoint_doc, write_checkpoint_doc
 
 
 def run_cli(capsys, *args):
@@ -314,9 +315,14 @@ class TestScanVerb:
         args = ["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "256",
                 "--checkpoint", str(ckpt)]
         run_cli(capsys, *args)
-        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        doc = read_checkpoint_doc(ckpt)
         doc["chunks"][0]["counts"]["converged_trivial"] += 1000
-        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        write_checkpoint_doc(ckpt, doc)
+        with pytest.raises(CheckpointError):
+            checkpoint_load(str(ckpt))
+        with pytest.raises(CheckpointError):
+            scan_range(1, 1023, RULE_5Z, OrbitLimits(100_000, 128), chunk_size=256,
+                       checkpoint_path=str(ckpt))
         code, out, err = run_cli(capsys, *args)
         assert code == 3
         assert out == ""
@@ -335,8 +341,11 @@ class TestScanVerb:
                                 start_new_session=True)
         try:
             deadline = time.monotonic() + 120
-            while not ckpt.exists() and proc.poll() is None:
-                assert time.monotonic() < deadline, "no checkpoint was written"
+            # the header line is written first, then one line per finished chunk
+            while proc.poll() is None and not (
+                ckpt.exists() and ckpt.read_bytes().count(b"\n") > 1
+            ):
+                assert time.monotonic() < deadline, "no chunk was checkpointed"
                 time.sleep(0.002)
             os.killpg(proc.pid, signal.SIGKILL)
         finally:

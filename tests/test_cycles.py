@@ -37,7 +37,15 @@ from govlab.scan import (
     checkpoint_save,
     scan_range,
 )
-from helpers import chunk_outcomes, classify_by_orbit, fold_chunk, replay_cycle_closed
+from helpers import (
+    checkpoint_text,
+    chunk_outcomes,
+    classify_by_orbit,
+    fold_chunk,
+    read_checkpoint_doc,
+    replay_cycle_closed,
+    write_checkpoint_doc,
+)
 
 GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 SCAN_LIMITS = OrbitLimits(max_steps=10**5, max_value_bits=128)
@@ -846,6 +854,26 @@ class TestScan:
             scan_range(9, 3, RULE_3Z, SCAN_LIMITS)
 
 
+VALIDATION_SCAN = (1, 1023, RULE_5Z, SCAN_LIMITS)  # four chunks of 128 seeds
+VALIDATION_CLI = ["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "128"]
+
+
+def _rejected_everywhere(path, capsys, match=None):
+    """The checkpoint at path is rejected by checkpoint_load, and by the
+    VALIDATION_SCAN in chunks of 128 through scan_range and through the
+    command line, which exits 3 and prints no report; the file is kept."""
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint_load(str(path))
+    with pytest.raises(CheckpointError, match=match):
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+    code = cli.main(VALIDATION_CLI + ["--checkpoint", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_IO, "")
+    assert "checkpoint" in err
+    assert path.read_bytes() == before
+
+
 class TestCheckpoint:
     def _partial_state(self, lo, hi, chunk_size, indices):
         n_seeds = (hi - lo) // 2 + 1
@@ -912,7 +940,7 @@ for text in (report.to_json(), saved):
         state = self._partial_state(1, 1023, 128, indices=(0, 1))
         checkpoint_save(state, path)
         loaded = checkpoint_load(path)
-        assert loaded.to_doc() == state.to_doc()
+        assert loaded == state
 
     def test_completed_checkpoint_loads_directly(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -930,16 +958,47 @@ for text in (report.to_json(), saved):
         with pytest.raises(CheckpointError):
             checkpoint_load(str(path))
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
+    def test_version_mismatch_rejected(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
         state = self._partial_state(1, 1023, 128, indices=(0,))
-        checkpoint_save(state, path)
-        doc = json.loads(open(path, encoding="utf-8").read())
-        doc["schema_version"] = 999
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(CheckpointError):
-            checkpoint_load(str(path))
+        checkpoint_save(state, str(path))
+        doc = read_checkpoint_doc(path)
+        for version in (1, 999):
+            write_checkpoint_doc(path, dict(doc, schema_version=version))
+            _rejected_everywhere(path, capsys, f"schema_version {version} is not 2")
+
+    @pytest.mark.parametrize("cut", ["first-char", "middle", "before-newline"])
+    def test_torn_last_line_is_dropped(self, tmp_path, capsys, cut):
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        whole, done = path.read_text(encoding="utf-8"), checkpoint_load(str(path)).completed
+        *kept, last = whole.splitlines(keepends=True)
+        cut_at = {"first-char": 1, "middle": len(last) // 2, "before-newline": len(last) - 1}[cut]
+        path.write_text("".join(kept) + last[:cut_at], encoding="utf-8")
+        assert checkpoint_load(str(path)).completed == {i: done[i] for i in range(3)}
+        # the resume reruns chunk 3 and leaves no fragment of the torn line
+        code = cli.main(VALIDATION_CLI + ["--checkpoint", str(path)])
+        out, _ = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_OK, scan_range(*VALIDATION_SCAN).to_json())
+        assert path.read_text(encoding="utf-8") == whole
+
+    @pytest.mark.parametrize(
+        "form", ["empty", "v1", "v1-one-line", "torn-header", "header-not-json"]
+    )
+    def test_file_without_a_format_2_header_exits_3(self, tmp_path, capsys, form):
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
+        v1 = dict(doc, schema_version=1)  # the layout format 1 wrote
+        text = {
+            "empty": "",
+            "v1": json.dumps(v1, sort_keys=True, indent=2) + "\n",
+            "v1-one-line": json.dumps(v1, sort_keys=True) + "\n",
+            "torn-header": checkpoint_text(doc).split("\n")[0],
+            "header-not-json": "{not json\n" + checkpoint_text(doc).split("\n", 1)[1],
+        }[form]
+        path.write_text(text, encoding="utf-8")
+        _rejected_everywhere(path, capsys)
 
     def test_scan_identity_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -959,9 +1018,15 @@ AUX_5Z = (canonical_cycle(AUX_13, RULE_5Z), canonical_cycle(
     [17, 86, 43, 216, 108, 54, 27, 136, 68, 34], RULE_5Z))
 
 
+def _line(doc):
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _checkpoint_json(state):
-    """The bytes a checkpoint of state must have."""
-    return json.dumps(state.to_doc(), sort_keys=True, indent=2) + "\n"
+    """The bytes a checkpoint of state must have: its header, then each
+    chunk in index order, one sort_keys json.dumps line each."""
+    chunks = (scan._chunk_doc(state.completed[i]) for i in sorted(state.completed))
+    return _line(state.to_doc()) + "".join(map(_line, chunks))
 
 
 @st.composite
@@ -993,8 +1058,8 @@ def _scan_states(draw):
 
 
 class TestCheckpointWriter:
-    """Every checkpoint file is the json.dump of its state's to_doc, however
-    the chunk texts were cached."""
+    """A saved checkpoint is its state's header and chunk lines in index
+    order; a scan's file holds every chunk finished so far."""
 
     @given(state=_scan_states())
     @settings(
@@ -1010,7 +1075,9 @@ class TestCheckpointWriter:
     @settings(
         max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    def test_scan_writes_the_to_doc_encoding(self, least_digit_cap, tmp_path, workers, data):
+    def test_file_loads_to_the_chunks_finished_so_far(
+        self, least_digit_cap, tmp_path, workers, data
+    ):
         # 3Z+1 converges, 5Z+1 at a 128-bit cap meets cycles and candidates;
         # 70001-bit seeds are all candidates
         rule, limits = data.draw(st.sampled_from([(RULE_3Z, GENEROUS), (RULE_5Z, SCAN_LIMITS)]))
@@ -1026,37 +1093,49 @@ class TestCheckpointWriter:
         path = tmp_path / "ckpt.json"
         path.unlink(missing_ok=True)
         done = data.draw(st.permutations(range(n_chunks)))[: data.draw(st.integers(0, n_chunks))]
+        start = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {i: chunks[i] for i in done})
         if done or data.draw(st.booleans()):
-            loaded = {i: chunks[i] for i in done}
-            checkpoint_save(ScanState(rule.multiplier, lo, hi, limits, chunk_size, loaded), str(path))
+            checkpoint_save(start, str(path))
 
-        writes = []
-        write = scan._write_checkpoint
+        finished = list(done)
+        run = scan._run_chunks
 
-        def write_spy(state, texts, at):
-            write(state, texts, at)
-            writes.append(Path(at).read_text(encoding="utf-8") == _checkpoint_json(state))
+        def run_spy(*args):
+            assert checkpoint_load(str(path)).completed == {i: chunks[i] for i in finished}
+            for chunk in run(*args):
+                yield chunk
+                # the scan asks for the next chunk once it has appended this one
+                finished.append(chunk.index)
+                assert checkpoint_load(str(path)).completed == {i: chunks[i] for i in finished}
 
-        with mock.patch.object(scan, "_write_checkpoint", write_spy):
+        with mock.patch.object(scan, "_run_chunks", run_spy):
             scan_range(lo, hi, rule, limits, workers, chunk_size=chunk_size,
                        checkpoint_path=str(path))
-        assert writes == [True] * (n_chunks - len(done))
-        final = ScanState(rule.multiplier, lo, hi, limits, chunk_size, chunks)
-        assert path.read_text(encoding="utf-8") == _checkpoint_json(final)
+        assert sorted(finished) == list(range(n_chunks))
+        if workers == 1:
+            # one worker appends the new chunks in index order after the
+            # loaded ones; a pool appends them in the order they finish
+            new = (scan._chunk_doc(chunks[i]) for i in range(n_chunks) if i not in done)
+            expected = _checkpoint_json(start) + "".join(map(_line, new))
+            assert path.read_text(encoding="utf-8") == expected
+            if sorted(done) == list(range(len(done))):  # no loaded chunk follows a new one
+                final = ScanState(rule.multiplier, lo, hi, limits, chunk_size, chunks)
+                checkpoint_save(final, str(tmp_path / "final.json"))
+                assert path.read_bytes() == (tmp_path / "final.json").read_bytes()
 
     @pytest.mark.parametrize(
         "rule, hi, limits, digest",
         [
             (RULE_3Z, 8191, OrbitLimits(10**6, 256),
-             "07fcab7794252d39add71ebf4663b571d445695a8fadafcd9030015f6708c39c"),
+             "fe7cc73a5ea90bd93b75e053272662c833532d4c065807fa48e65264b1fc2f8c"),
             (RULE_5Z, 4095, OrbitLimits(10**5, 128),
-             "e418219d904c1ebab207e49bb1838882561c50b6fc9894aebd8fc946bb21c078"),
+             "b6a6b8cbe008367ca9ed078cba470fe929598284373e66c4e3008580f26bf315"),
         ],
         ids=["3z-c1-limits", "5z-c3-limits"],
     )
     def test_checkpoint_bytes_match_the_golden_digest(self, tmp_path, rule, hi, limits, digest):
         # the other writer tests compare the file with to_doc, which moves
-        # with the writer; these digests pin the schema version 1 bytes
+        # with the writer; these digests pin the format 2 bytes of one worker
         path = tmp_path / "ckpt.json"
         scan_range(1, hi, rule, limits, chunk_size=256, checkpoint_path=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -1073,8 +1152,7 @@ class TestCheckpointWriter:
         scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
         # at most once per loaded chunk plus once per new one, not once per save
         assert len(encoded) == len(set(encoded)) <= 16
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == _checkpoint_json(state)
+        assert checkpoint_load(path) == state
 
 
 def _append_chunk_40(doc):
@@ -1176,8 +1254,6 @@ def _signed_candidate(doc):
 class TestCheckpointValidation:
     """A checkpoint whose chunks disagree with its own range is rejected on load."""
 
-    ARGS = (1, 1023, RULE_5Z, SCAN_LIMITS)  # four chunks of 128 seeds
-
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -1205,44 +1281,33 @@ class TestCheckpointValidation:
     )
     def test_inconsistent_chunk_rejected(self, tmp_path, capsys, corrupt):
         path = tmp_path / "ckpt.json"
-        scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
         corrupt(doc)
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(CheckpointError):
-            checkpoint_load(str(path))
-        with pytest.raises(CheckpointError):
-            scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
-        # the same scan through the command line exits 3 and prints no report
-        code = cli.main(["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "128",
-                         "--checkpoint", str(path)])
-        out, err = capsys.readouterr()
-        assert (code, out) == (cli.EXIT_IO, "")
-        assert "checkpoint" in err
+        write_checkpoint_doc(path, doc)
+        _rejected_everywhere(path, capsys)
 
-    def test_numbers_too_large_to_handle_rejected(self, tmp_path):
+    def test_numbers_too_large_to_handle_rejected(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
-        scan_range(*self.ARGS, chunk_size=128, checkpoint_path=str(path))
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
         # a chunk whose seed count is past sys.maxsize
         wide = dict(doc, range={"lo": "1", "hi": str(4 * 10**25 + 1)}, chunk_size=2 * 10**25)
-        path.write_text(json.dumps(wide), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="do not add up"):
-            checkpoint_load(str(path))
+        write_checkpoint_doc(path, wide)
+        _rejected_everywhere(path, capsys, "do not add up")
         # a JSON int past the digit cap, which json rejects with a plain ValueError
-        text = json.dumps(doc).replace('"chunk_size": 128', '"chunk_size": ' + "9" * 5000)
+        # (the command line lifts the cap, and then the chunk counts do not add up)
+        text = checkpoint_text(doc).replace('"chunk_size": 128', '"chunk_size": ' + "9" * 5000)
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(CheckpointError):
-            checkpoint_load(str(path))
+        _rejected_everywhere(path, capsys)
 
-    def test_zero_chunk_size_rejected(self, tmp_path):
+    def test_zero_chunk_size_rejected(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
         checkpoint_save(ScanState(5, 1, 1023, SCAN_LIMITS, 128, {}), str(path))
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_checkpoint_doc(path)
         doc["chunk_size"] = 0
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(CheckpointError):
-            checkpoint_load(str(path))
+        write_checkpoint_doc(path, doc)
+        _rejected_everywhere(path, capsys)
 
     def test_prefix_checkpoint_of_a_longer_scan_resumes(self, tmp_path):
         # a finished scan's chunks stay valid for a longer range whose chunk

@@ -1,4 +1,3 @@
-import json
 import random
 import sys
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab import claims
+from govlab import claims, cli
 from govlab.cycles import detect_outcome
 from govlab.dynamics import (
     RULE_3Z,
@@ -39,6 +38,7 @@ from govlab.numerics import (
     v2,
 )
 from govlab.scan import CheckpointError, checkpoint_load, scan_range
+from helpers import read_checkpoint_doc, write_checkpoint_doc
 
 odd_naturals = st.integers(min_value=0, max_value=(1 << 512) - 1).map(lambda n: 2 * n + 1)
 
@@ -276,16 +276,28 @@ def test_overrides_holding_huge_ints_are_described_by_type(least_digit_cap, over
     assert str(exc.value) == message
 
 
-def test_checkpoint_with_huge_bounds_reports_its_bad_chunk(least_digit_cap, tmp_path):
+def test_checkpoint_with_huge_bounds_reports_its_bad_chunk(least_digit_cap, tmp_path, capsys):
     path = tmp_path / "huge.json"
     scan_range(HUGE_LO, HUGE_LO + 14, RULE_3Z, LIMITS, chunk_size=4, checkpoint_path=str(path))
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = read_checkpoint_doc(path)
     # every seed passes the 64-bit value cap, so each is a candidate
     doc["chunks"][1]["candidates"][0] = int_to_decimal(HUGE_LO - 2)
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(CheckpointError) as exc:
-        checkpoint_load(str(path))
+    write_checkpoint_doc(path, doc)
     bounds = f"{int_to_decimal(HUGE_LO + 8)}:{int_to_decimal(HUGE_LO + 14)}"
-    assert str(exc.value) == (
+    message = (
         f"corrupt checkpoint {path}: chunk 1 candidates are not ascending odd seeds in {bounds}"
     )
+    with pytest.raises(CheckpointError) as exc:
+        checkpoint_load(str(path))
+    assert str(exc.value) == message
+    with pytest.raises(CheckpointError) as exc:
+        scan_range(HUGE_LO, HUGE_LO + 14, RULE_3Z, LIMITS, chunk_size=4, checkpoint_path=str(path))
+    assert str(exc.value) == message
+    code = cli.main([
+        "scan", "--rule", "3", "--odd-range",
+        f"{int_to_decimal(HUGE_LO)}:{int_to_decimal(HUGE_LO + 14)}",
+        "--step-limit", "10", "--value-limit-bits", "64", "--chunk-size", "4",
+        "--checkpoint", str(path),
+    ])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (cli.EXIT_IO, "", f"govlab: {message}\n")
