@@ -26,18 +26,25 @@ takes it without a walk.  In a scan of more than 2^20 seeds, the values
 from top on are held by no memo, but walks from them still end on the
 entries below top that their orbits reach.
 
-Write.  A walk that ends converged, value-limited or in a cycle records
+The walk.  _walker binds a memo's rule, limits and arrays once and
+returns the walk, which reads and writes the table inside its own loop, by
+index, with no call per lookup or per write.  _scan_chunk builds one walker
+per chunk and detect_outcome one per call.  The walker refers to its memo;
+the memo never refers to a walker, so no reference cycle keeps a table
+alive past its scan.
+
+Write.  A walk that ends converged, value-limited or in a cycle writes
 each odd value v on it that lies in [lo, top): steps is the walk's total
 minus v's step index, and peak is the largest bit length from v on, a
 suffix maximum over (q*v + 1).bit_length() and the end of the walk (the
-reused entry's peak, when the walk ended on one).  A walk records from the
+read entry's peak, when the walk ended on one).  A walk writes from the
 first value in [lo, top) after its seed, plus the seed itself from its
 outcome, so a walk that meets no such value writes one entry.  This is v's
 own result unless some value of the walk before v lies on v's suffix; then
 v lies on a cycle.  So:
 
 * a converged result is written: the only cycle it can reach is the
-  trivial one, and trivial members end the walk before they are recorded;
+  trivial one, and trivial members end the walk before they are written;
 * a value-limit result is written: an orbit that passes the cap is not
   periodic;
 * of a cycle result only the values before the cycle's entry point are
@@ -76,7 +83,7 @@ the exact one:
   entries it passed: those hold the same orbit's exact result;
 * the value that passes the cap is wider than every value before it, so
   its bit length is the orbit's peak, and also the peak of every suffix,
-  which record writes without recomputing;
+  which the walk writes without recomputing;
 * a jump moves K = 8 Terras steps at once, T(v) = (q*v + 1) / 2 for odd v
   and v / 2 for even v (Terras 1976): for v = a*2^K + b, T^K(v) = q^c*a +
   T^K(b), which is K + c plain steps, with c the odd values among b, T(b),
@@ -123,6 +130,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable
 from itertools import compress, islice
 
 from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values
@@ -257,7 +265,7 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     """
     require(x, "detect_outcome seed", odd=True)
     memo = _OrbitMemo(x, x - 2, rule, limits)  # holds no value
-    return memo.outcome(*_walk(x, memo))
+    return memo.outcome(*_walker(memo)(x))
 
 
 # the result code of an orbit, shared by walks, orbit memo entries and the
@@ -265,94 +273,141 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
 # code 0 reads back as unknown
 _STEP_LIMIT, _TRIVIAL, _VALUE_LIMIT = 0, 1, 2
 _CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
+# an enum member read through its class costs a descriptor call
+_CONVERGED, _IN_CYCLE, _UNDECIDED = OutcomeTag
+_STEP_LIMITED, _VALUE_LIMITED = TerminationKind.STEP_LIMIT, TerminationKind.VALUE_LIMIT
 # about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
 # the table stays bounded for any range
 _MEMO_MAX_SEEDS = 1 << 20
 
 
-def _walk(x: int, memo: _OrbitMemo) -> tuple[int, int, int]:
-    """detect_outcome's loop, as (code, steps, peak) under the memo's rule
-    and limits; it also ends at a filled entry of the memo, tries a lean
-    walk once past the memo's gate, and records the results the walk
-    determines."""
-    rule = memo.rule
-    q = rule.multiplier
-    trivial = rule.trivial_members
-    trivial_odds = rule.trivial_odd_members
+def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
+    """detect_outcome's loop under the memo's rule and limits, as a function
+    from an odd seed to its (code, steps, peak).  A walk ends at a filled
+    entry of the memo, tries a lean walk once past the memo's gate, and
+    writes the results it determines.
+
+    The rule, the limits and the table are bound here once, so build one
+    walker per chunk or call, not per walk.  The walker holds the memo, and
+    nothing may hold the walker on the memo: that would make a reference
+    cycle, which keeps the table alive until the cyclic collector runs.
+    """
+    q = memo.rule.multiplier
+    trivial = memo.rule.trivial_members
+    trivial_odds = memo.rule.trivial_odd_members
     max_steps = memo.limits.max_steps
     cap = memo.limits.max_value_bits
     gate = memo.gate  # cap, or below it where a value past it may start a lean walk
     lo, top = memo.lo, memo.top
+    kinds, entry_steps, entry_peaks = memo.kinds, memo.steps, memo.peaks
 
-    peak = x.bit_length()
-    if x in trivial_odds:
-        return _TRIVIAL, 0, peak
-    # odd value -> valuation of the run that entered it (0 for x), or -1 for
-    # a trivial odd member, so that one lookup tells the three runs apart
-    seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
-    seen[x] = 0
-    order: list[int] = [x]
-    cur = x
-    s = 0
-    first = 0  # position in order of the first value after x in [lo, top), once met
-    tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
-    while True:
-        t = q * cur + 1
-        bits = t.bit_length()
-        if bits > peak:
-            peak = bits
-        if bits > gate:
-            if bits > cap:
-                code, steps, end, tail = _VALUE_LIMIT, s + 1, len(order), bits
-                break
-            # cur is past the memo's floor: once per walk, try whether the
-            # orbit passes the cap without this loop's bookkeeping
-            gate = cap
-            lean = _lean_walk(cur, s, memo)
-            if lean is not None:
-                code, steps, peak = lean
-                end, tail = len(order), peak
-                break
-        # v2(t) inlined: a call per transition is a measurable share of this loop
-        k = (t & -t).bit_length() - 1
-        u = t >> k
-        hit = seen.get(u)
-        if hit is None:
-            # u is neither trivial nor seen, so the orbit goes at least one step past it
-            stop = s + k + 2
-            if lo <= u < top:
-                if not first:
-                    first = len(order)
-                known = memo.reuse(u, stop - 1)
-                if known is not None:
-                    code, steps, tail = known
-                    steps += stop - 1
-                    peak = max(peak, tail)
-                    end = len(order)
+    def walk(x: int) -> tuple[int, int, int]:
+        peak = x.bit_length()
+        if x in trivial_odds:
+            return _TRIVIAL, 0, peak
+        # odd value -> valuation of the run that entered it (0 for x), or -1 for
+        # a trivial odd member, so that one lookup tells the three runs apart
+        seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
+        seen[x] = 0
+        order: list[int] = [x]
+        cur = x
+        s = 0
+        first = 0  # position in order of the first value after x in [lo, top), once met
+        tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
+        lean_gate = gate
+        while True:
+            t = q * cur + 1
+            bits = t.bit_length()
+            if bits > peak:
+                peak = bits
+            if bits > lean_gate:
+                if bits > cap:
+                    code, steps, end, tail = _VALUE_LIMIT, s + 1, len(order), bits
                     break
-        elif hit < 0:
-            # first trivial member along t>>1 .. t>>k; u itself guarantees one
-            stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
-        else:
-            # second occurrence of the first repeated value u << min(entry valuations)
-            stop = s + 1 + k - min(hit, k)
-        if stop > max_steps:
-            return _STEP_LIMIT, max_steps, peak
-        if hit is not None:
-            steps = stop
-            if hit < 0:
-                code, end = _TRIVIAL, len(order)
+                # cur is past the memo's floor: once per walk, try whether the
+                # orbit passes the cap without this loop's bookkeeping
+                lean_gate = cap
+                lean = _lean_walk(cur, s, memo)
+                if lean is not None:
+                    code, steps, peak = lean
+                    end, tail = len(order), peak
+                    break
+            # v2(t) inlined: a call per transition is a measurable share of this loop
+            k = (t & -t).bit_length() - 1
+            u = t >> k
+            hit = seen.get(u)
+            if hit is None:
+                # u is neither trivial nor seen, so the orbit goes at least one step past it
+                stop = s + k + 2
+                if lo <= u < top:
+                    if not first:
+                        first = len(order)
+                    # Read: u's entry, when filled and within the budget after
+                    # the stop - 1 steps to u
+                    i = (u - lo) >> 1
+                    code = kinds[i]
+                    if code and stop - 1 + entry_steps[i] <= max_steps:
+                        steps = stop - 1 + entry_steps[i]
+                        tail = entry_peaks[i]
+                        if tail > peak:
+                            peak = tail
+                        end = len(order)
+                        break
+            elif hit < 0:
+                # first trivial member along t>>1 .. t>>k; u itself guarantees one
+                stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
             else:
-                # odd values before u lead into the cycle; u and those after it are members
-                end = order.index(u)
-                code = memo.cycle_code(canonical_cycle(_expand_cycle(order[end:], rule), rule))
-            break
-        s = stop - 1
-        seen[u] = k
-        order.append(u)
-        cur = u
-    memo.record(code, steps, peak, order, seen, s, first, end, tail)
-    return code, steps, peak
+                # second occurrence of the first repeated value u << min(entry valuations)
+                stop = s + 1 + k - min(hit, k)
+            if stop > max_steps:
+                return _STEP_LIMIT, max_steps, peak
+            if hit is not None:
+                steps = stop
+                if hit < 0:
+                    code, end = _TRIVIAL, len(order)
+                else:
+                    # odd values before u lead into the cycle; u and those after it are members
+                    end = order.index(u)
+                    rule = memo.rule
+                    code = memo.cycle_code(canonical_cycle(_expand_cycle(order[end:], rule), rule))
+                break
+            s = stop - 1
+            seen[u] = k
+            order.append(u)
+            cur = u
+        # Write: order holds the walk's odd values, the last of them at step
+        # s.  Values from position end on are members of the result's cycle.
+        # The seed is written from the result; the values from position first
+        # back from the end of the walk get steps minus their step index and
+        # their suffix peak, which starts from tail.  Only codes that fit the
+        # kind byte are written.
+        if code > 255:
+            return code, steps, peak
+        if end and x < top:
+            i = (x - lo) >> 1
+            kinds[i] = code
+            entry_steps[i] = steps
+            entry_peaks[i] = peak
+        if first:
+            suffix = tail
+            # a value-limited orbit's crossing is wider than every value before
+            # it, so it is every suffix's peak
+            bounded = code != _VALUE_LIMIT
+            for j in range(len(order) - 1, first - 1, -1):
+                v = order[j]
+                if bounded:
+                    bits = (q * v + 1).bit_length()
+                    if bits > suffix:
+                        suffix = bits
+                if j < end and lo <= v < top:
+                    i = (v - lo) >> 1
+                    kinds[i] = code
+                    entry_steps[i] = steps - s
+                    entry_peaks[i] = suffix
+                s -= 1 + seen[v]
+        return code, steps, peak
+
+    return walk
 
 
 # Terras steps per jump of the lean walk: T(v) = (q*v + 1) / 2 for odd v,
@@ -434,7 +489,8 @@ class _OrbitMemo:
     [lo, top), filled by the walks of the scan's chunks.
 
     Entry (v - lo) >> 1 holds the result code, the steps taken and the peak
-    bits of v's orbit; code 0 means unknown.  The range covers the first
+    bits of v's orbit; code 0 means unknown.  The walks of _walker read and
+    write the arrays directly.  The range covers the first
     _MEMO_MAX_SEEDS seeds of lo..hi, and is empty when hi is lo - 2.  The
     module docstring says which results are written and why each is exact.
     """
@@ -469,78 +525,14 @@ class _OrbitMemo:
 
     def outcome(self, code: int, steps: int, peak: int) -> Outcome:
         """The public form of a (code, steps, peak) result."""
+        # positional fields and module-level members: building a frozen
+        # dataclass is a large share of a detect_outcome call
         if code == _TRIVIAL:
-            return Outcome(OutcomeTag.CONVERGED_TRIVIAL, steps_taken=steps, peak_bits=peak)
+            return Outcome(_CONVERGED, None, None, steps, peak)
         if code >= _CYCLE:
-            cycle = self.cycles[code - _CYCLE]
-            return Outcome(OutcomeTag.CYCLE, cycle=cycle, steps_taken=steps, peak_bits=peak)
-        reason = TerminationKind.STEP_LIMIT if code == _STEP_LIMIT else TerminationKind.VALUE_LIMIT
-        return Outcome(
-            OutcomeTag.UNDECIDED, undecided_reason=reason, steps_taken=steps, peak_bits=peak
-        )
-
-    def record(
-        self,
-        code: int,
-        total: int,
-        peak: int,
-        order: list[int],
-        seen: dict[int, int],
-        s: int,
-        first: int,
-        end: int,
-        tail: int,
-    ) -> None:
-        """Write the results a finished walk determines.
-
-        order holds the walk's odd values, the last of them at step s; seen
-        maps each to the valuation of the run that entered it.  Values from
-        position end on are members of the result's cycle and are not
-        written.  The seed order[0] is written from the result; the values
-        from position first (0 when none lay in range) back from the end of
-        the walk get the total minus their step index and their suffix peak,
-        which starts from tail, the peak of an entry the walk ended on.
-        Only codes that fit the kind byte are written.
-        """
-        if code > 255:
-            return
-        lo, top = self.lo, self.top
-        kinds, steps, peaks = self.kinds, self.steps, self.peaks
-        x = order[0]
-        if end and x < top:
-            i = (x - lo) >> 1
-            kinds[i] = code
-            steps[i] = total
-            peaks[i] = peak
-        if not first:
-            return
-        q = self.rule.multiplier
-        peak = tail
-        # a value-limited orbit's crossing is wider than every value before
-        # it, so it is every suffix's peak
-        bounded = code != _VALUE_LIMIT
-        for j in range(len(order) - 1, first - 1, -1):
-            v = order[j]
-            if bounded:
-                bits = (q * v + 1).bit_length()
-                if bits > peak:
-                    peak = bits
-            if j < end and lo <= v < top:
-                i = (v - lo) >> 1
-                kinds[i] = code
-                steps[i] = total - s
-                peaks[i] = peak
-            s -= 1 + seen[v]
-
-    def reuse(self, u: int, prefix: int) -> tuple[int, int, int] | None:
-        """The stored (code, steps, peak) of u, a value of the memo's range,
-        for an orbit that reaches it after prefix steps, or None when its
-        entry is unknown or would pass the step budget."""
-        i = (u - self.lo) >> 1
-        code = self.kinds[i]
-        if code and prefix + self.steps[i] <= self.limits.max_steps:
-            return code, self.steps[i], self.peaks[i]
-        return None
+            return Outcome(_IN_CYCLE, self.cycles[code - _CYCLE], None, steps, peak)
+        reason = _STEP_LIMITED if code == _STEP_LIMIT else _VALUE_LIMITED
+        return Outcome(_UNDECIDED, None, reason, steps, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +627,7 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
     module docstring says which seeds are walked, which are folded from the
     table and which go through ChunkResult.add."""
     memo = memo or _worker_memo
+    walk = _walker(memo)
     chunk = ChunkResult(index)
     cycles = memo.cycles
     end = min(hi + 2, memo.top)  # the first seed not held by the table
@@ -644,11 +637,11 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
         i = kinds.find(0, a, b)
         while i >= 0:
             seed = memo.lo + 2 * i
-            result = _walk(seed, memo)
+            result = walk(seed)
             if not kinds[i]:  # a result the table never holds
                 chunk.add(seed, *result, cycles)
             i = kinds.find(0, i + 1, b)
         _fold_table(chunk, memo, a, b)
     for seed in range(max(lo, end), hi + 1, 2):
-        chunk.add(seed, *_walk(seed, memo), cycles)
+        chunk.add(seed, *walk(seed), cycles)
     return chunk

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
@@ -279,6 +278,10 @@ def _run_chunks(
             memo = memo or _OrbitMemo(*scan)
             yield _scan_chunk(*args, memo)
         return
+    # imported here, where a pool starts: it loads multiprocessing, which
+    # costs every CLI command that runs no pool a share of its start-up
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     tasks = iter(tasks)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=scan

@@ -50,14 +50,18 @@ def replay_cycle_closed(members, rule: Rule) -> bool:
 
 def chunk_outcomes(lo, hi, memo):
     """(seed, (code, steps, peak)) for the odd seeds lo..hi, ascending, with
-    the orbit memo of a scan that holds them; a seed that an earlier walk
-    passed through takes its result from the memo, and each walk may end at
-    a value whose result is known."""
-    top = memo.top
+    the orbit memo of a scan that holds them; a seed whose entry an earlier
+    walk filled takes its result from the memo, and each walk may end at a
+    value whose result is known."""
+    # cycles._walker is looked up per call, so that tests can spy on it
+    walk = cycles._walker(memo)
+    kinds, steps, peaks = memo.kinds, memo.steps, memo.peaks
     for seed in range(lo, hi + 1, 2):
-        known = memo.reuse(seed, 0) if seed < top else None
-        # cycles._walk is looked up per call, so that tests can spy on it
-        yield seed, known or cycles._walk(seed, memo)
+        i = (seed - memo.lo) >> 1
+        if seed < memo.top and kinds[i]:
+            yield seed, (kinds[i], steps[i], peaks[i])
+        else:
+            yield seed, walk(seed)
 
 
 def fold_chunk(index, lo, hi, memo):

@@ -90,15 +90,37 @@ class TestParsing:
         assert ns.workers == 2
 
 
-def run_cli_process(*args):
-    """Run the CLI in a fresh interpreter, which starts with CPython's
-    default cap on int <-> str conversion; returns (exit_code, stdout, stderr)."""
+def run_python(*args):
+    """Run a fresh interpreter with govlab's sources on its path; returns
+    (exit_code, stdout, stderr)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "govlab.cli", *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, which starts with CPython's
+    default cap on int <-> str conversion; returns (exit_code, stdout, stderr)."""
+    return run_python("-m", "govlab.cli", *args)
+
+
+def test_no_pool_module_without_a_pool():
+    # only a scan that starts a pool imports the process pool, which loads
+    # multiprocessing; importing the CLI and a one-worker scan do not
+    code = (
+        "import contextlib, io, sys\n"
+        "import govlab.cli\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(sorted(m for m in pool if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    govlab.cli.main(['scan', '--rule', '3', '--odd-range', '1:999', '--chunk-size', '100',\n"
+        "                   '--workers', '1'])\n"
+        "print(sorted(m for m in pool if m in sys.modules))\n"
+    )
+    assert run_python("-c", code) == (0, "[]\n[]\n", "")
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import concurrent.futures
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -6,10 +8,12 @@ import os
 import subprocess
 import sys
 import weakref
+from array import array
 from concurrent.futures import Future
 from contextlib import closing
 from itertools import count, islice
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -27,7 +31,7 @@ from govlab.cycles import (
     detect_outcome,
     trivial_cycle_record,
 )
-from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, TerminationKind
+from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, TerminationKind, odd_orbit
 from govlab.numerics import governor_index
 from govlab.scan import (
     CheckpointError,
@@ -165,37 +169,69 @@ def memo_entries(memo):
     }
 
 
-@pytest.fixture
-def reuses(monkeypatch):
-    """Records (u, prefix, known, entry or None) for every lookup in a
-    chunk's orbit memo; known tells whether u's entry was filled, and entry
-    is the Outcome of u's own result that the lookup returned."""
-    calls = []
-    lookup = cycles._OrbitMemo.reuse
+class Walk(NamedTuple):
+    """One walk with a scan's orbit memo: its seed, the memo's kind bytes
+    when it started, and (u, prefix, entry) when it ended on the filled
+    entry of u after prefix steps, entry being the Outcome of u's own
+    result, else None."""
 
-    def spy(memo, u, prefix):
-        known = memo.kinds[(u - memo.lo) >> 1] != 0
-        result = lookup(memo, u, prefix)
-        calls.append((u, prefix, known, result and memo.outcome(*result)))
-        return result
+    seed: int
+    kinds: bytes
+    read: tuple | None
 
-    monkeypatch.setattr(cycles._OrbitMemo, "reuse", spy)
-    return calls
+
+# past every peak a test scan meets: a walk that ends on an entry holding
+# _MARK + i returns that peak
+_MARK = 1 << 40
+
+
+def read_by_walk(walker, memo, seed):
+    """(u, prefix, entry) for the entry that a walk from seed with memo, in
+    its present state, ends on, or None; the walk, built by the walker
+    factory, runs over a copy.
+
+    The copy's peak of entry i is _MARK + i.  No peak steers a walk, so the
+    copy's walk takes the same steps as one with memo, and a walk that ends
+    on entry i returns its marked peak, the largest, and the prefix plus its
+    steps."""
+    probe = copy.copy(memo)
+    probe.kinds, probe.cycles = bytearray(memo.kinds), list(memo.cycles)
+    probe.steps = array("q", memo.steps)
+    probe.peaks = array("q", range(_MARK, _MARK + len(memo.kinds)))
+    _, steps, peak = walker(probe)(seed)
+    if peak < _MARK:
+        return None
+    i = peak - _MARK
+    entry = memo.outcome(memo.kinds[i], memo.steps[i], memo.peaks[i])
+    return memo.lo + 2 * i, steps - memo.steps[i], entry
 
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Records the seed of every walk a chunk makes with its memo."""
-    seeds = []
-    walk = cycles._walk
+    """Records a Walk for every walk made with a scan's orbit memo, through
+    a spy on the walker factory that wraps each walker it builds."""
+    made = []
+    walker = cycles._walker
 
-    def spy(x, memo):
-        if memo.top > memo.lo:  # detect_outcome walks with an empty memo
-            seeds.append(x)
-        return walk(x, memo)
+    def spy(memo):
+        walk = walker(memo)
+        if memo.top == memo.lo:  # detect_outcome walks with an empty memo
+            return walk
 
-    monkeypatch.setattr(cycles, "_walk", spy)
-    return seeds
+        def logged(x):
+            made.append(Walk(x, bytes(memo.kinds), read_by_walk(walker, memo, x)))
+            return walk(x)
+
+        return logged
+
+    monkeypatch.setattr(cycles, "_walker", spy)
+    return made
+
+
+def walk_of(walks, seed):
+    """The one Walk from seed."""
+    (walk,) = [w for w in walks if w.seed == seed]
+    return walk
 
 
 class TestSeedMemo:
@@ -245,36 +281,34 @@ class TestSeedMemo:
         outs, memo = self.check_chunk(lo, hi, rule, limits)
         entries = memo_entries(memo)
         # walks also write values of the chunk other than their own seed
-        assert set(entries) - set(walks)
+        assert set(entries) - {w.seed for w in walks}
         # step-limited results are never written
         assert not any(outs[v].undecided_reason is TerminationKind.STEP_LIMIT for v in entries)
 
-    def test_every_outcome_class_is_reused(self, reuses):
+    def test_every_outcome_class_is_reused(self, walks):
         # small limits make all four classes occur, and each reusable one is reused
         limits = OrbitLimits(max_steps=120, max_value_bits=40)
         outs, _ = self.check_chunk(1, 1999, RULE_5Z, limits)
         assert {oracle_form(o)[0] for o in outs.values()} == {
             "converged_trivial", "cycle", "step_limit", "value_limit",
         }
-        reused = {oracle_form(out)[0] for _, prefix, _, out in reuses if prefix and out is not None}
+        reused = {oracle_form(w.read[2])[0] for w in walks if w.read}
         assert reused == {"converged_trivial", "cycle", "value_limit"}
 
-    def test_value_reused_before_its_own_turn(self, reuses):
+    def test_value_reused_before_its_own_turn(self, walks):
         # 27's walk passes 91; seed 63 meets 91 at step 15, before 91's turn
         # as a seed, and ends there: 15 + 90 steps
         outs, _ = self.check_chunk(1, 99, RULE_3Z, GENEROUS)
-        lookups = [(u, prefix) for u, prefix, _, _ in reuses]
-        at = lookups.index((91, 15))
-        assert reuses[at][2:] == (True, outs[91])
+        assert walk_of(walks, 63).read == (91, 15, outs[91])
         assert outs[63].steps_taken == 15 + outs[91].steps_taken == 105
-        assert lookups.index((91, 0)) > at
+        assert 91 not in {w.seed for w in walks}  # at its turn it is read off the table
 
-    def test_seed_read_off_the_table(self, reuses, walks):
+    def test_seed_read_off_the_table(self, walks):
         # an earlier walk of the chunk passes 1331, so its entry is filled
         # before its turn and the seed takes it without a walk
-        outs, _ = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
-        assert 1331 not in walks
-        assert (1331, 0, True, outs[1331]) in reuses
+        outs, memo = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
+        assert 1331 not in {w.seed for w in walks}
+        assert memo_entries(memo)[1331] == oracle_form(outs[1331])
         # in a chunk at 1 many seeds are read off the table
         assert len(walks) < 2 * len(outs) // 3
 
@@ -289,33 +323,39 @@ class TestSeedMemo:
             (RULE_3Z, 63, 91, 15, 105, 64),
         ],
     )
-    def test_step_budget_edge(self, reuses, rule, seed, u, prefix, total, max_bits):
+    def test_step_budget_edge(self, walks, rule, seed, u, prefix, total, max_bits):
         hi = max(seed, u)
         # a hit whose total is exactly the budget is used ...
         at_limit = OrbitLimits(max_steps=total, max_value_bits=max_bits)
         outs, _ = self.check_chunk(1, hi, rule, at_limit)
-        assert (u, prefix, True, outs[u]) in reuses
+        assert walk_of(walks, seed).read == (u, prefix, outs[u])
         assert outs[seed].steps_taken == prefix + outs[u].steps_taken == total
         # ... one step over it walks on to the exact STEP_LIMIT result
-        reuses.clear()
+        walks.clear()
         over = OrbitLimits(max_steps=total - 1, max_value_bits=max_bits)
         outs, _ = self.check_chunk(1, hi, rule, over)
-        assert (u, prefix, True, None) in reuses
+        walk = walk_of(walks, seed)
+        assert walk.kinds[(u - 1) >> 1] and walk.read is None  # u's entry is filled
         assert outs[seed].undecided_reason is TerminationKind.STEP_LIMIT
 
-    def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, reuses):
+    def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, walks):
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
         _, memo = self.check_chunk(1, 199, RULE_3Z, GENEROUS)
         assert len(memo.kinds) == len(memo.steps) == len(memo.peaks) == 8
-        assert reuses and all(u < 1 + 2 * 8 for u, _, _, _ in reuses)
+        reads = [w.read[0] for w in walks if w.read]
+        assert reads and all(u < 1 + 2 * 8 for u in reads)
 
-    def test_cycle_members_are_not_reused(self, reuses):
+    def test_cycle_members_are_not_reused(self, walks):
         # 1331 -> 6656 = 13 * 2^9 and 435 -> 2176 = 17 * 2^7 land on the cycle
         # members 13 and 17, but enter their cycles at 416 and 136: the
         # members' own results (entry at 13 and 17) would give wrong steps
+        assert [v for v, _ in islice(odd_orbit(1331, RULE_5Z), 2)] == [1331, 13]
+        assert [v for v, _ in islice(odd_orbit(435, RULE_5Z), 2)] == [435, 17]
         outs, _ = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
-        member_lookups = [r for r in reuses if r[0] in (13, 17) and r[1]]
-        assert member_lookups and all(r[2:] == (False, None) for r in member_lookups)
+        # no walk finds a member's entry filled, so none ends on one
+        for w in walks:
+            assert w.kinds[(13 - 1) >> 1] == w.kinds[(17 - 1) >> 1] == 0
+            assert w.read is None or w.read[0] not in (13, 17)
         assert outs[1331].steps_taken == 15 and outs[1331].cycle.smallest_odd == 13
         assert outs[435].steps_taken == 15 and outs[435].cycle.smallest_odd == 17
         assert outs[13].steps_taken == outs[17].steps_taken == 10
@@ -391,42 +431,37 @@ class TestScanMemo:
         for v, entry in entries.items():
             assert entry == oracle_form(detect_outcome(v, rule, limits)), v
 
-    def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch):
-        filled_at_start = []  # (chunk index, kind bytes when the chunk started)
+    def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch, walks):
+        # (chunk index, kind bytes when the chunk started, walks made before it)
+        starts = []
         scan_chunk = scan._scan_chunk
 
         def chunk_spy(index, *args):
-            filled_at_start.append((index, bytes(args[-1].kinds)))
+            starts.append((index, bytes(args[-1].kinds), len(walks)))
             return scan_chunk(index, *args)
 
-        inherited = []  # (chunk index, u) for walks that ended on an earlier chunk's entry
-        lookup = cycles._OrbitMemo.reuse
-
-        def reuse_spy(memo, u, prefix):
-            out = lookup(memo, u, prefix)
-            index, kinds = filled_at_start[-1]
-            if prefix and out is not None and kinds[(u - memo.lo) >> 1]:
-                inherited.append((index, u))
-            return out
-
         monkeypatch.setattr(scan, "_scan_chunk", chunk_spy)
-        monkeypatch.setattr(cycles._OrbitMemo, "reuse", reuse_spy)
         scan_range(1, 4095, RULE_3Z, GENEROUS, chunk_size=512)
-        assert [i for i, _ in filled_at_start] == list(range(4))
+        assert [i for i, _, _ in starts] == list(range(4))
         # every later chunk ends walks on values an earlier chunk's walks wrote
-        assert {i for i, _ in inherited} == {1, 2, 3}
+        inherited = set()
+        for (index, kinds, first), (_, _, after) in zip(starts, starts[1:] + [(0, b"", None)]):
+            for w in walks[first:after]:
+                if w.read and kinds[(w.read[0] - 1) >> 1]:
+                    inherited.add(index)
+        assert inherited == {1, 2, 3}
 
-    def test_resume_reuses_values_of_completed_chunks(self, tmp_path, reuses, walks):
+    def test_resume_reuses_values_of_completed_chunks(self, tmp_path, walks):
         path = str(tmp_path / "ckpt.json")
         scan_range(1, 2047, RULE_3Z, GENEROUS, chunk_size=128, checkpoint_path=path)
         state = checkpoint_load(path)
         half = {i: state.completed[i] for i in range(4)}
         checkpoint_save(dataclasses.replace(state, completed=half), path)
-        reuses.clear(), walks.clear()
+        walks.clear()
         resumed = scan_range(1, 2047, RULE_3Z, GENEROUS, chunk_size=128, checkpoint_path=path)
-        assert min(walks) > 1023  # completed chunks are not run again ...
+        assert min(w.seed for w in walks) > 1023  # completed chunks are not run again ...
         # ... but their values are filled and reused by the resumed chunks' walks
-        assert any(u < 1024 and prefix and out is not None for u, prefix, _, out in reuses)
+        assert any(w.read and w.read[0] < 1024 for w in walks)
         assert resumed.to_json() == scan_range(1, 2047, RULE_3Z, GENEROUS).to_json()
 
     @pytest.mark.parametrize(
@@ -472,27 +507,52 @@ class TestScanMemo:
 
         monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers start a pool on any host
-        report = scan_range(1, 4095, RULE_5Z, SCAN_LIMITS, workers, chunk_size=256)
+        # the memo is freed on return, without the cyclic collector: nothing
+        # it holds, such as a walker, refers back to it
         gc.collect()
-        # pool workers build theirs in their own processes
-        assert len(made) == (workers == 1)
-        assert all(ref() is None for ref in made)
+        gc.disable()
+        try:
+            report = scan_range(1, 4095, RULE_5Z, SCAN_LIMITS, workers, chunk_size=256)
+            # pool workers build theirs in their own processes
+            assert len(made) == (workers == 1)
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
         assert cycles._worker_memo is None
         assert not any(isinstance(o, cycles._OrbitMemo) for o in gc.get_objects())
         assert report.to_json() == scan_range(1, 4095, RULE_5Z, SCAN_LIMITS).to_json()
 
-    def test_chunks_past_the_memo_top_read_the_scan_memo(self, monkeypatch, reuses, walks):
+    @pytest.mark.parametrize(
+        "seed, rule, limits", [(27, RULE_3Z, GENEROUS), (1331, RULE_5Z, SCAN_LIMITS)]
+    )
+    def test_detect_outcome_memo_is_freed_on_return(self, monkeypatch, seed, rule, limits):
+        # without the cyclic collector: nothing the memo holds, such as a
+        # walker, refers back to it
+        made = []
+        init = cycles._OrbitMemo.__init__
+
+        def spy(memo, *args):
+            init(memo, *args)
+            made.append(weakref.ref(memo))
+
+        monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            detect_outcome(seed, rule, limits)
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+    def test_chunks_past_the_memo_top_read_the_scan_memo(self, monkeypatch, walks):
         # with the cap at 32 seeds the scan's memo holds 1..63; the chunks
         # past it build no memo of their own, and their walks end on its entries
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 32)
         memos = capture_memos(monkeypatch)
         report = scan_range(1, 511, RULE_3Z, GENEROUS, chunk_size=16)
         assert [(m.lo, m.top) for m in memos] == [(1, 65)]
-        hits = [u for u, prefix, _, out in reuses if prefix and out is not None]
-        assert all(u < 65 for u in hits)
-        # a walk ends on at most one entry, so more hits than walks from the
-        # seeds below 65 means walks from seeds past the top ended on entries
-        assert len(hits) > sum(1 for x in walks if x < 65)
+        assert all(w.read[0] < 65 for w in walks if w.read)
+        assert any(w.read for w in walks if w.seed >= 65)
         assert report_form(report) == oracle_report(1, 511, RULE_3Z, GENEROUS)
 
     def test_completed_resume_builds_no_memo(self, monkeypatch, tmp_path):
@@ -723,8 +783,8 @@ class TestLeanWalk:
             limits = generous
         exact = filled_memo(lo, n_seeds, rule, limits, lean=False)
         assert memo.gate <= cap and exact.gate == cap
-        result = cycles._walk(seed, memo)
-        assert result == cycles._walk(seed, exact)
+        result = cycles._walker(memo)(seed)
+        assert result == cycles._walker(exact)(seed)
         assert oracle_form(memo.outcome(*result)) == out
         assert oracle_form(detect_outcome(seed, rule, limits)) == out
 
@@ -743,20 +803,22 @@ class TestLeanWalk:
             passed = reason is TerminationKind.VALUE_LIMIT
             assert leans == [(573, 14, (cycles._VALUE_LIMIT, 732, 66) if passed else None)]
 
-    def test_fallbacks_end_on_memo_entries(self, leans, reuses):
+    def test_fallbacks_end_on_memo_entries(self, leans, walks):
         # orbits that climb past the memo, fall back below it and end on an
         # entry: every seed's result matches the exact walk and the oracle
         memo = cycles._OrbitMemo(1, 2047, RULE_5Z, SCAN_LIMITS)
         results, fell_back = {}, 0
         for seed, result in chunk_outcomes(1, 2047, memo):
             results[seed] = result
-            if leans and leans[-1][2] is None and reuses[-1][3] is not None:
+            walked = walks and walks[-1].seed == seed
+            if walked and leans and leans[-1][2] is None and walks[-1].read:
                 fell_back += 1
             leans.clear()
         assert fell_back > 10
         exact = filled_memo(1, 1024, RULE_5Z, SCAN_LIMITS, lean=False)
+        walk = cycles._walker(exact)
         for seed, result in results.items():
-            assert result == cycles._walk(seed, exact), seed
+            assert result == walk(seed), seed
             out = oracle_form(memo.outcome(*result))
             assert out == classify_by_orbit(seed, RULE_5Z, SCAN_LIMITS), seed
 
@@ -1365,7 +1427,8 @@ class TestChunkRunner:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", InlinePool)
+        # the runner imports the pool class where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cycles, "_worker_memo", None)  # the initializer sets it here
         serial = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
