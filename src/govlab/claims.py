@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -19,7 +20,7 @@ from typing import Callable, Iterable
 
 from .cycles import Classification
 from .dynamics import (
-    RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values,
+    RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values, rule_for,
 )
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index, int_to_decimal, require, show
@@ -114,7 +115,9 @@ def _scan(params: dict, rule: Rule, scans: dict[tuple, ScanReport]) -> ScanRepor
     return scans[key]
 
 
-def _cycle_index_check(report: ScanReport, allowed: frozenset[int]) -> tuple[Verdict, dict]:
+def _run_governor_census(report: ScanReport) -> tuple[Verdict, dict]:
+    """C1 and C3: every odd cycle member has a trivial governor of the report's rule."""
+    allowed = rule_for(report.rule_multiplier).trivial_indices
     violations = []
     for rec in report.cycles:
         for member, idx in rec.governor_indices:
@@ -130,10 +133,6 @@ def _cycle_index_check(report: ScanReport, allowed: frozenset[int]) -> tuple[Ver
     evidence = _scan_evidence(report)
     evidence["violations"] = violations
     return (Verdict.PASS if not violations else Verdict.FAIL), evidence
-
-
-def _run_c1(report: ScanReport) -> tuple[Verdict, dict]:
-    return _cycle_index_check(report, RULE_3Z.trivial_indices)
 
 
 def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
@@ -160,10 +159,6 @@ def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
     return (Verdict.PASS if not auxiliary else Verdict.FAIL), evidence
 
 
-def _run_c3(report: ScanReport) -> tuple[Verdict, dict]:
-    return _cycle_index_check(report, RULE_5Z.trivial_indices)
-
-
 def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
     bound = 1 << 5
     oversized = [
@@ -179,7 +174,7 @@ def _run_c4(report: ScanReport) -> tuple[Verdict, dict]:
 
 def _run_c5(params: dict) -> tuple[Verdict, dict]:
     a = require(params["a"], "C5 parameter a", 4)
-    horizon = params["horizon"]
+    horizon = require(params["horizon"], "C5 parameter horizon", maximum=sys.maxsize - 1)
     x = (1 << a) + (1 << 3) + (1 << 2) - 1
     target = (1 << (a + 1)) - 1
     promotions = find_promotions(x, RULE_3Z, horizon)
@@ -347,7 +342,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "Every cycle detected when scanning odd seeds up to the bound under "
         "3Z+1 has all of its odd members with governor index 1.",
         dict(_SCAN_3Z_DEFAULTS),
-        _run_c1,
+        _run_governor_census,
         RULE_3Z,
     ),
     ClaimSpec(
@@ -365,7 +360,7 @@ CLAIMS: tuple[ClaimSpec, ...] = (
         "Every cycle detected when scanning odd seeds up to the bound under "
         "5Z+1 has all of its odd members with governor index 1 or 2.",
         dict(_SCAN_5Z_DEFAULTS),
-        _run_c3,
+        _run_governor_census,
         RULE_5Z,
     ),
     ClaimSpec(

@@ -29,10 +29,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _positive_int(text: str, what: str = "value", minimum: int = 1, odd: bool = False) -> int:
-    """An integer argument at least minimum, and odd when odd is set."""
+def _positive_int(text: str, what: str = "value", minimum: int = 1, **checks) -> int:
+    """An integer argument at least minimum that passes require's other checks."""
     try:
-        return require(decimal_to_int(text), what, minimum, odd)
+        return require(decimal_to_int(text), what, minimum, **checks)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -76,8 +76,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                              help="governor indices of the first odd values of an orbit")
     add_rule(p_trace)
     p_trace.add_argument("--start", type=_odd_natural, required=True)
-    p_trace.add_argument("--count", type=_positive_int, default=10,
-                         help="number of odd values, seed included (default 10)")
+    p_trace.add_argument("--count", type=functools.partial(_positive_int, maximum=sys.maxsize),
+                         default=10, help="number of odd values, seed included (default 10)")
     add_print_opts(p_trace)
 
     p_anc = sub.add_parser("ancestors", help="odd preimages of a value")

@@ -11,7 +11,9 @@ The scan kernel (walks, the orbit memo and the chunk fold) passes an
 orbit's result as one (code, steps, peak) triple.  The code is 0 for a
 step-limited result, 1 converged, 2 value-limited, and 3 + i for cycle i of
 the memo's list of cycles met so far.  Only detect_outcome turns a result
-into the public Outcome, through _OrbitMemo.outcome.
+into the public Outcome, through _OrbitMemo.outcome.  The chunk fold counts
+each class at its code, every cycle at code 3: COUNT_KEYS names the counts
+in code order.
 
 A scan keeps an orbit memo in each process that runs its chunks, which also
 carries the scan's rule and limits: a kind byte holding the result code,
@@ -107,11 +109,11 @@ member, a step-limited seed, or a seed whose cycle code passes the kind
 byte.  No later walk writes such an entry: members are never written, an
 orbit through a step-limited seed is step-limited too, and a code past the
 byte is never written.  Every other seed below top then holds its own
-result, and the chunk folds them from its slice of the table: the counts
-from kinds.count of each code, the value-limited candidates from the
-positions of code 2, merged in order with the added ones, and the maxima
-from max over the steps and peaks slices.  The seeds from top on are walked
-and added one by one.
+result, and the chunk folds them from its slice of the table: each
+class's count from kinds.count of its codes, the value-limited candidates
+from the positions of code 2, merged in order with the added ones, and the
+maxima from max over the steps and peaks slices.  The seeds from top on are
+walked and added one by one.
 
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
@@ -136,12 +138,13 @@ from itertools import compress, islice
 from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values
 from .numerics import governor_index, int_to_decimal, require
 
-# outcome counts of a chunk and of a report, in this order
+# the outcome counts of a chunk, each at its class's result code (every
+# cycle's at the first cycle code); a report lists them in sorted order
 COUNT_KEYS = (
-    "converged_trivial",
-    "entered_cycle",
     "undecided_step_limit",
+    "converged_trivial",
     "undecided_value_limit",
+    "entered_cycle",
 )
 
 
@@ -273,9 +276,14 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
 # code 0 reads back as unknown
 _STEP_LIMIT, _TRIVIAL, _VALUE_LIMIT = 0, 1, 2
 _CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
-# an enum member read through its class costs a descriptor call
-_CONVERGED, _IN_CYCLE, _UNDECIDED = OutcomeTag
-_STEP_LIMITED, _VALUE_LIMITED = TerminationKind.STEP_LIMIT, TerminationKind.VALUE_LIMIT
+# the public (tag, undecided reason) of a result, at min(code, _CYCLE); bound
+# here once, as an enum member read through its class costs a descriptor call
+_TAG_REASON = (
+    (OutcomeTag.UNDECIDED, TerminationKind.STEP_LIMIT),
+    (OutcomeTag.CONVERGED_TRIVIAL, None),
+    (OutcomeTag.UNDECIDED, TerminationKind.VALUE_LIMIT),
+    (OutcomeTag.CYCLE, None),
+)
 # about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
 # the table stays bounded for any range
 _MEMO_MAX_SEEDS = 1 << 20
@@ -527,12 +535,9 @@ class _OrbitMemo:
         """The public form of a (code, steps, peak) result."""
         # positional fields and module-level members: building a frozen
         # dataclass is a large share of a detect_outcome call
-        if code == _TRIVIAL:
-            return Outcome(_CONVERGED, None, None, steps, peak)
-        if code >= _CYCLE:
-            return Outcome(_IN_CYCLE, self.cycles[code - _CYCLE], None, steps, peak)
-        reason = _STEP_LIMITED if code == _STEP_LIMIT else _VALUE_LIMITED
-        return Outcome(_UNDECIDED, None, reason, steps, peak)
+        tag, reason = _TAG_REASON[code if code < _CYCLE else _CYCLE]  # min() is a call
+        cycle = self.cycles[code - _CYCLE] if code >= _CYCLE else None
+        return Outcome(tag, cycle, reason, steps, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +549,10 @@ class _OrbitMemo:
 class ChunkResult:
     """Fold of seed outcomes, built seed by seed and merged chunk by chunk.
 
-    A chunk's result is fully determined by its bounds; merge is associative,
-    so folding chunks in index order does not depend on how seeds were grouped.
+    counts[min(code, _CYCLE)] counts the seeds of a result code's class,
+    named by COUNT_KEYS.  A chunk's result is fully determined by its
+    bounds; merge is associative, so folding chunks in index order does not
+    depend on how seeds were grouped.
     """
 
     index: int
@@ -558,16 +565,12 @@ class ChunkResult:
     def add(self, seed: int, code: int, steps: int, peak: int, cycles: list[CycleRecord]) -> None:
         """Fold in the (code, steps, peak) result of one seed, after every
         seed below it; cycles maps cycle codes to their records."""
-        if code == _TRIVIAL:
-            slot = 0
-        elif code >= _CYCLE:
-            slot = 1
+        self.counts[min(code, _CYCLE)] += 1
+        if code >= _CYCLE:
             cycle = cycles[code - _CYCLE]
             self.cycles.setdefault(cycle.smallest_odd, cycle)
-        else:
-            slot = 3 if code == _VALUE_LIMIT else 2
+        elif code != _TRIVIAL:
             self.candidates.append(seed)
-        self.counts[slot] += 1
         if peak > self.max_excursion_bits:
             self.max_excursion_bits = peak
         if steps > self.max_steps_observed:
@@ -593,20 +596,19 @@ def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
     ChunkResult.add of each would, and sort the chunk's candidates, which
     may hold added seeds on either side of them."""
     kinds = memo.kinds
-    counts = chunk.counts
-    counts[0] += kinds.count(_TRIVIAL, a, b)
-    for code in range(_CYCLE, min(_CYCLE + len(memo.cycles), 256)):
+    # code 0 is unknown in the table; codes past the kind byte are never written
+    for code in range(_TRIVIAL, min(_CYCLE + len(memo.cycles), 256)):
         n = kinds.count(code, a, b)
-        if n:
-            counts[1] += n
+        if not n:
+            continue
+        chunk.counts[min(code, _CYCLE)] += n
+        if code >= _CYCLE:
             cycle = memo.cycles[code - _CYCLE]
             chunk.cycles.setdefault(cycle.smallest_odd, cycle)
-    n = kinds.count(_VALUE_LIMIT, a, b)
-    if n:
-        counts[3] += n
-        seeds = range(memo.lo + 2 * a, memo.lo + 2 * b, 2)
-        chunk.candidates += compress(seeds, kinds[a:b].translate(_VALUE_LIMIT_MASK))
-        chunk.candidates.sort()
+        elif code == _VALUE_LIMIT:
+            seeds = range(memo.lo + 2 * a, memo.lo + 2 * b, 2)
+            chunk.candidates += compress(seeds, kinds[a:b].translate(_VALUE_LIMIT_MASK))
+            chunk.candidates.sort()
     # views, not copies, of the wider arrays
     chunk.max_excursion_bits = max(chunk.max_excursion_bits, max(memoryview(memo.peaks)[a:b]))
     chunk.max_steps_observed = max(chunk.max_steps_observed, max(memoryview(memo.steps)[a:b]))

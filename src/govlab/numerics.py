@@ -12,8 +12,8 @@ Python ints carry arbitrary precision, so no width limits apply anywhere.
 
 Every entry point of the package that takes a count, a bound or an odd value
 checks it with require, which rejects anything but an int (bool included) at
-or above a minimum, and odd where asked, and shows the rejected value exactly
-at any length.
+or above a minimum, at or below a maximum where one is given, and odd where
+asked, and shows the rejected value exactly at any length.
 """
 
 from __future__ import annotations
@@ -83,13 +83,20 @@ def show(value: object) -> str:
     return f"a value of type {type(value).__name__}"
 
 
-def require(value: object, what: str, minimum: int = 1, odd: bool = False) -> int:
-    """Return value if it is an int, not a bool, at least minimum, and odd
-    when odd is set; else raise ValueError naming what."""
-    if type(value) is int and value >= minimum and (value & 1 or not odd):
+def require(
+    value: object, what: str, minimum: int = 1, odd: bool = False, maximum: int | None = None
+) -> int:
+    """Return value if it is an int, not a bool, at least minimum, at most
+    maximum when one is given, and odd when odd is set; else raise
+    ValueError naming what."""
+    top = value if maximum is None else maximum
+    if type(value) is int and minimum <= value <= top and (value & 1 or not odd):
         return value
     kind = "an odd integer" if odd else "an integer"
-    raise ValueError(f"{what} must be {kind} >= {int_to_decimal(minimum)}, got {show(value)}")
+    bound = f">= {int_to_decimal(minimum)}"
+    if maximum is not None:
+        bound = f"in {int_to_decimal(minimum)}..{int_to_decimal(maximum)}"
+    raise ValueError(f"{what} must be {kind} {bound}, got {show(value)}")
 
 
 def governor_index(x: int) -> int:

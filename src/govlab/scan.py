@@ -220,13 +220,14 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
     chunk_name = f"chunk {int_to_decimal(i)}"
     c_lo, c_hi = state.chunk_bounds(i)
     n = (c_hi - c_lo) // 2 + 1  # len() of the seed range overflows past sys.maxsize
-    if sum(chunk.counts) != n:
-        counts = ", ".join(map(int_to_decimal, chunk.counts))
+    counts = dict(sorted(zip(COUNT_KEYS, chunk.counts)))
+    if sum(counts.values()) != n:
+        shown = ", ".join(map(int_to_decimal, counts.values()))
         raise ValueError(
-            f"{chunk_name} counts [{counts}] do not add up to {int_to_decimal(n)} seeds"
+            f"{chunk_name} counts [{shown}] do not add up to {int_to_decimal(n)} seeds"
         )
     cands = chunk.candidates
-    if len(cands) != chunk.counts[2] + chunk.counts[3]:
+    if len(cands) != counts["undecided_step_limit"] + counts["undecided_value_limit"]:
         raise ValueError(f"{chunk_name} has {len(cands)} candidates, not one per undecided seed")
     seeds = range(c_lo, c_hi + 1, 2)
     if not all(v in seeds for v in cands) or any(a >= b for a, b in zip(cands, cands[1:])):
@@ -240,12 +241,12 @@ def _merge(state: ScanState, rule: Rule) -> ScanReport:
     total = ChunkResult(index=0)
     for i in range(state.n_chunks):
         total.merge(state.completed[i])
-    if total.counts[0] > 0:
+    counts = dict(sorted(zip(COUNT_KEYS, total.counts)))
+    if counts["converged_trivial"]:
         # seeds reached the trivial cycle, so it was observed even though no
         # seed's outcome carries it as a CycleRecord
         triv = trivial_cycle_record(rule)
         total.cycles.setdefault(triv.smallest_odd, triv)
-    counts = dict(zip(COUNT_KEYS, total.counts))
     counts["total"] = sum(total.counts)
     return ScanReport(
         rule_multiplier=rule.multiplier,

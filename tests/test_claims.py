@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from govlab import claims
@@ -88,9 +90,10 @@ class TestScanClaims:
 
     def test_3z_checks_fail_on_a_5z_census(self):
         # the 5Z+1 cycles hold members of governor index 2, and two of them
-        # are auxiliary, so both 3Z+1 checks must fail on this report
-        report = scan_range(1, 127, RULE_5Z, OrbitLimits(10**5, 128))
-        verdict, evidence = claims._run_c1(report)
+        # are auxiliary, so both 3Z+1 checks must fail on this report; C1's
+        # runner takes its allowed governors from the report's rule
+        report = replace(scan_range(1, 127, RULE_5Z, OrbitLimits(10**5, 128)), rule_multiplier=3)
+        verdict, evidence = claims._run_governor_census(report)
         assert verdict is Verdict.FAIL
         violations = [(v["member"], v["governor_index"]) for v in evidence["violations"]]
         assert violations == [("3", 2), ("83", 2), ("43", 2), ("27", 2)]

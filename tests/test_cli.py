@@ -260,6 +260,15 @@ class TestTraceVerb:
         ]
 
 
+    @pytest.mark.parametrize("count", [sys.maxsize + 1, 10**20])
+    def test_count_past_sys_maxsize_rejected_by_name(self, capsys, count):
+        code, out, err = run_cli(capsys, "trace-governor", "--start", "7", "--count", str(count))
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"argument --count: value must be an integer in 1..{sys.maxsize}, got {count}\n"
+        )
+
+
 class TestAncestorsVerb:
     def test_flat(self, capsys):
         code, out, _ = run_cli(

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from govlab import cli, cycles, scan
 from govlab.cycles import (
+    COUNT_KEYS,
     ChunkResult,
     Classification,
+    CycleRecord,
     OutcomeTag,
     _scan_chunk,
     canonical_cycle,
@@ -55,6 +57,41 @@ GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 SCAN_LIMITS = OrbitLimits(max_steps=10**5, max_value_bits=128)
 
 AUX_13 = [83, 416, 208, 104, 52, 26, 13, 66, 33, 166]
+
+# the COUNT_KEYS name of each class that classify_by_orbit tags
+COUNT_KEY_OF_TAG = {
+    "converged_trivial": "converged_trivial",
+    "cycle": "entered_cycle",
+    "step_limit": "undecided_step_limit",
+    "value_limit": "undecided_value_limit",
+}
+
+
+def counts_by_name(chunk):
+    return dict(zip(COUNT_KEYS, chunk.counts))
+
+
+def only(key, n):
+    """Chunk counts by name with n seeds in key's class and none in the others."""
+    return {k: n if k == key else 0 for k in COUNT_KEYS}
+
+
+# a record no scan meets, to put before the cycles a memo meets
+_PLACEHOLDER = CycleRecord((), (), Classification.AUXILIARY, 0, ())
+
+
+@pytest.fixture
+def cycle_codes_from_255(monkeypatch):
+    """Every orbit memo built while this is active starts with placeholder
+    cycles, so the first cycle a scan meets takes code 255, the last code
+    the kind byte holds, and the second takes 256."""
+    init = cycles._OrbitMemo.__init__
+
+    def prefilled(memo, *args):
+        init(memo, *args)
+        memo.cycles += [_PLACEHOLDER] * (255 - cycles._CYCLE)
+
+    monkeypatch.setattr(cycles._OrbitMemo, "__init__", prefilled)
 
 
 def oracle_form(out):
@@ -369,12 +406,13 @@ class TestSeedMemo:
         # -> 416 -> ... -> 26, whose second occurrence is step 11
         assert memo_entries(memo)[5] == ("cycle", outs[13].cycle.all_members, 11, 9)
 
-    def test_cycle_codes_past_the_kind_byte_are_not_written(self, monkeypatch):
-        # with the first cycle code at 255, cycle 13 (met first, from seed 5)
-        # takes 255, the last code the kind byte holds; cycle 17 takes 256
-        monkeypatch.setattr(cycles, "_CYCLE", 255)
+    def test_cycle_codes_past_the_kind_byte_are_not_written(self, cycle_codes_from_255):
+        # cycle 13 (met first, from seed 5) takes 255, the last code the kind
+        # byte holds; cycle 17 takes 256
         outs, memo = self.check_chunk(1, 1331, RULE_5Z, SCAN_LIMITS)
-        assert [c.smallest_odd for c in memo.cycles] == [13, 17]
+        met = memo.cycles[255 - cycles._CYCLE :]
+        assert [c.smallest_odd for c in met] == [13, 17]
+        assert [memo.cycle_code(c) for c in met] == [255, 256]
         basins = {13: [], 17: []}
         for v, out in outs.items():
             if out.tag is OutcomeTag.CYCLE:
@@ -645,7 +683,7 @@ class TestTableFold:
         # 1 is never written, so it is the only seed of the chunk folded by add
         [chunk], added = check_table_fold(1, 999, 1000, RULE_3Z, GENEROUS)
         assert added == [1]
-        assert chunk.counts == [500, 0, 0, 0]
+        assert counts_by_name(chunk) == only("converged_trivial", 500)
 
     def test_cycle_members_are_added(self):
         # besides 5Z+1's trivial odd members 1 and 3, the seeds no entry
@@ -664,14 +702,13 @@ class TestTableFold:
             x for x in chunk.candidates
             if classify_by_orbit(x, RULE_5Z, limits)[0] == "step_limit"
         ]
-        assert len(step_limited) == chunk.counts[2]
+        assert len(step_limited) == counts_by_name(chunk)["undecided_step_limit"]
         assert set(step_limited) <= set(added)
         assert step_limited != chunk.candidates[: len(step_limited)]  # interleaved
 
-    def test_cycle_codes_past_the_kind_byte_are_added(self, monkeypatch):
+    def test_cycle_codes_past_the_kind_byte_are_added(self, cycle_codes_from_255):
         # cycle 13 is met first and takes code 255, which the byte holds;
         # cycle 17 takes 256, so every seed that enters it goes through add
-        monkeypatch.setattr(cycles, "_CYCLE", 255)
         [chunk], added = check_table_fold(1, 1331, 1000, RULE_5Z, SCAN_LIMITS)
         enters_17 = [
             x for x in range(1, 1332, 2)
@@ -686,8 +723,51 @@ class TestTableFold:
         # the rest of 1..15 through the table
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
         chunks, added = check_table_fold(1, 199, 60, RULE_3Z, GENEROUS)
-        assert [c.counts for c in chunks] == [[60, 0, 0, 0], [40, 0, 0, 0]]
+        assert list(map(counts_by_name, chunks)) == [
+            only("converged_trivial", 60), only("converged_trivial", 40)
+        ]
         assert added == [1, *range(17, 200, 2)]
+
+
+class TestCountsByCode:
+    """A chunk counts each class at its result code; a report lists the
+    counts by name, in sorted order, and its bytes do not depend on where
+    the fold keeps them."""
+
+    @pytest.mark.parametrize(
+        "rule,hi,limits,size,digest",
+        [
+            (RULE_3Z, 65535, OrbitLimits(10**6, 256), 773,
+             "2f8fdd78844a6ec293354da27634ad7d9e967ae079e46bf96fd70ca225dc75be"),
+            (RULE_5Z, 8191, OrbitLimits(10**5, 128), 47960,
+             "b32da4c5624568968387b3a2aa68da4b0058ea216606ae298510d2f9773742d0"),
+        ],
+        ids=["3z-c1-limits", "5z-c3-limits"],
+    )
+    def test_report_bytes_match_the_golden_digest(self, rule, hi, limits, size, digest):
+        report = scan_range(1, hi, rule, limits)
+        text = report.to_json().encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+        assert list(report.counts) == [
+            "converged_trivial", "entered_cycle", "undecided_step_limit", "undecided_value_limit",
+            "total",
+        ]
+
+    @pytest.mark.parametrize(
+        "key,rule,seed,limits",
+        [
+            ("converged_trivial", RULE_3Z, 27, GENEROUS),
+            ("entered_cycle", RULE_5Z, 5, SCAN_LIMITS),
+            ("undecided_step_limit", RULE_5Z, 7, OrbitLimits(max_steps=10, max_value_bits=4096)),
+            ("undecided_value_limit", RULE_5Z, 7, SCAN_LIMITS),
+        ],
+    )
+    def test_added_seed_is_counted_under_its_class_name(self, key, rule, seed, limits):
+        assert COUNT_KEY_OF_TAG[classify_by_orbit(seed, rule, limits)[0]] == key
+        memo = cycles._OrbitMemo(seed, seed, rule, limits)
+        chunk = ChunkResult(0)
+        chunk.add(seed, *cycles._walker(memo)(seed), memo.cycles)
+        assert counts_by_name(chunk) == only(key, 1)
 
 
 @pytest.fixture

@@ -186,6 +186,12 @@ class TestRequire:
         kind = "an odd integer" if odd else "an integer"
         assert str(exc.value) == f"thing must be {kind} >= {minimum}, got {shown}"
 
+    def test_maximum(self):
+        assert require(5, "x", maximum=5) == 5
+        with pytest.raises(ValueError) as exc:
+            require(6, "thing", 2, maximum=5)
+        assert str(exc.value) == "thing must be an integer in 2..5, got 6"
+
 
 HUGE = 10**5000
 HUGE_LO = HUGE + 1  # the least scan bound of the 5000-digit case
@@ -200,7 +206,7 @@ ENTRY_POINTS = [
     ("GovernorForm high exponent", 3, False, lambda v: GovernorForm((v,), 2)),
     ("decompose x", 1, True, decompose),
     ("trailing_ones x", 1, False, trailing_ones),
-    ("Rule multiplier", 3, True, lambda v: Rule(v, frozenset({1}), (1, 4, 2))),
+    ("Rule multiplier", 3, True, lambda v: Rule(v, (1, 4, 2))),
     ("rule_for multiplier", 1, False, rule_for),
     ("next_odd x", 1, True, lambda v: next_odd(v, RULE_3Z)),
     ("odd_orbit seed", 1, True, lambda v: next(odd_orbit(v, RULE_3Z))),
@@ -260,6 +266,24 @@ def test_entry_points_reject_invalid_values_by_name(least_digit_cap, what, call,
     assert what in message
     shown = int_to_decimal(value) if type(value) is int else repr(value)
     assert message.endswith(f"got {shown}")
+
+
+# every entry point that hands a count to islice, whose stop is at most
+# sys.maxsize: (name in the message, the largest count, call with the count)
+COUNT_ENTRY_POINTS = [
+    ("governor_trace n_odd", sys.maxsize, lambda v: governor_trace(27, RULE_3Z, v)),
+    ("find_promotions horizon", sys.maxsize - 1, lambda v: find_promotions(27, RULE_3Z, v)),
+    ("C5 parameter horizon", sys.maxsize - 1, lambda v: claims.run_claim("C5", {"horizon": v})),
+]
+
+
+@pytest.mark.parametrize("what,largest,call", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("past", [1, 10**20])
+def test_counts_past_sys_maxsize_are_rejected_by_name(what, largest, call, past):
+    value = largest + past
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{what} must be an integer in 1..{largest}, got {value}"
 
 
 @pytest.mark.parametrize(
