@@ -31,19 +31,22 @@ entries below top that their orbits reach.
 The walk.  _walker binds a memo's rule, limits and arrays once and
 returns the walk, which reads and writes the table inside its own loop, by
 index, with no call per lookup or per write.  _scan_chunk builds one walker
-per chunk and detect_outcome one per call.  The walker refers to its memo;
-the memo never refers to a walker, so no reference cycle keeps a table
-alive past its scan.
+per chunk.  detect_outcome walks with a memo that holds no value, and keeps
+such walkers for later calls; a call takes one out of the idle list while
+it walks and clears its memo's cycle list before it puts it back, so no
+cycle code outlives a call and no two calls, from two threads say, share
+one.  The walker refers to its memo; the memo never refers to a walker, so
+no reference cycle keeps a table alive past its scan.
 
 Write.  A walk that ends converged, value-limited or in a cycle writes
 each odd value v on it that lies in [lo, top): steps is the walk's total
 minus v's step index, and peak is the largest bit length from v on, a
 suffix maximum over (q*v + 1).bit_length() and the end of the walk (the
 read entry's peak, when the walk ended on one).  A walk writes from the
-first value in [lo, top) after its seed, plus the seed itself from its
-outcome, so a walk that meets no such value writes one entry.  This is v's
-own result unless some value of the walk before v lies on v's suffix; then
-v lies on a cycle.  So:
+first value in [lo, top) after its seed that it goes on past, plus the seed
+itself from its outcome, so a walk that goes on past no such value writes
+one entry.  This is v's own result unless some value of the walk before v
+lies on v's suffix; then v lies on a cycle.  So:
 
 * a converged result is written: the only cycle it can reach is the
   trivial one, and trivial members end the walk before they are written;
@@ -54,14 +57,26 @@ v lies on a cycle.  So:
   outside enters the cycle at its own entry point, not at the member;
 * a step-limit result writes nothing: its steps and peak are cut short.
 
-Read.  When a walk reaches an odd value u in [lo, top) that its own seen
-map does not hold, and u's entry is filled, the orbit from there on is u's
-orbit, so the result is the prefix plus u's: steps add, peaks take the
-maximum.  By the rules above u lies on no cycle, so no value from before u
-can repeat after it.  The entry is used only when the total stays within
-the step budget; otherwise the walk goes on, which keeps the step-limit
-peak exact.  The memo is read only after the seen map misses, so the
-trivial and repetition checks come first, as in dynamics.orbit.
+Read.  When a walk reaches an odd value u in [lo, top) that is neither a
+trivial member nor one of its own earlier values, and u's entry is filled,
+the orbit from there on is u's orbit, so the result is the prefix plus
+u's: steps add, peaks take the maximum.  By the rules above u lies on no
+cycle, so no value from before u can repeat after it.  The entry is used
+only when the total stays within the step budget; otherwise the walk goes
+on, which keeps the step-limit peak exact.  The trivial and repetition
+checks come first, as in dynamics.orbit.
+
+A walk builds its seen map and its list of odd values only once its orbit
+goes on past its first odd value u.  Until then it looks u up among the
+trivial members alone, which is exact: the only earlier odd value is the
+seed x, and u == x means q*x + 1 = x * 2^k, so x = 1 and q + 1 = 2^k; the
+walk from 1 starts with both built.  Nor could the table end such a walk
+on a value it should have found repeated: a value that repeats lies on a
+cycle, the trivial one included, and neither a cycle member nor a trivial
+member is ever written, by any walk, so their entries are never filled,
+also under a table that several processes fill.  So a walk that ends at
+its first odd value, on a trivial member, past the cap or on a filled
+entry, builds neither and writes only its seed's entry.
 
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
@@ -123,7 +138,7 @@ size or resumes.  A resumed scan starts with an empty memo, which its walks
 fill over the whole range, completed chunks included.  A memo lives only as
 long as its scan (the in-process runner's local, or the pool worker
 processes), because its entries hold only for one rule and one set of
-limits.  detect_outcome walks with a memo that holds no value.
+limits.
 """
 
 from __future__ import annotations
@@ -131,7 +146,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 from itertools import compress, islice
 
@@ -267,8 +282,16 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     comparison with the budget decides whether the step limit comes first.
     """
     require(x, "detect_outcome seed", odd=True)
-    memo = _OrbitMemo(x, x - 2, rule, limits)  # holds no value
-    return memo.outcome(*_walker(memo)(x))
+    idle = _idle_walkers(rule, limits)
+    try:
+        walk, memo = idle.pop()
+    except IndexError:  # none built yet, or every one in use by another thread
+        memo = _OrbitMemo(1, -1, rule, limits)  # holds no value
+        walk = _walker(memo)
+    outcome = memo.outcome(*walk(x))
+    memo.cycles.clear()  # no cycle code outlives the call
+    idle.append((walk, memo))
+    return outcome
 
 
 # the result code of an orbit, shared by walks, orbit memo entries and the
@@ -296,13 +319,15 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     writes the results it determines.
 
     The rule, the limits and the table are bound here once, so build one
-    walker per chunk or call, not per walk.  The walker holds the memo, and
-    nothing may hold the walker on the memo: that would make a reference
-    cycle, which keeps the table alive until the cyclic collector runs.
+    walker per chunk, or keep one for later calls, not one per walk.  The
+    walker holds the memo, and nothing may hold the walker on the memo:
+    that would make a reference cycle, which keeps the table alive until
+    the cyclic collector runs.
     """
     q = memo.rule.multiplier
     trivial = memo.rule.trivial_members
     trivial_odds = memo.rule.trivial_odd_members
+    base = dict.fromkeys(trivial_odds, -1)  # the seen map of a walk at its first odd value
     max_steps = memo.limits.max_steps
     cap = memo.limits.max_value_bits
     gate = memo.gate  # cap, or below it where a value past it may start a lean walk
@@ -313,14 +338,20 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
         peak = x.bit_length()
         if x in trivial_odds:
             return _TRIVIAL, 0, peak
-        # odd value -> valuation of the run that entered it (0 for x), or -1 for
-        # a trivial odd member, so that one lookup tells the three runs apart
-        seen: dict[int, int] = dict.fromkeys(trivial_odds, -1)
-        seen[x] = 0
-        order: list[int] = [x]
+        # seen maps an odd value to the valuation of the run that entered it
+        # (0 for x), or to -1 for a trivial odd member, so that one lookup
+        # tells the three runs apart; order lists the walk's odd values.  Both
+        # are built once the orbit goes on past its first odd value u: until
+        # then seen is base and order is None.  Only x = 1 can have u == x,
+        # so its walk starts with both.
+        if x == 1:
+            seen, order = {**base, 1: 0}, [1]
+        else:
+            seen, order = base, None
         cur = x
         s = 0
-        first = 0  # position in order of the first value after x in [lo, top), once met
+        first = 0  # position in order of the first value after x in [lo, top) it passes
+        end = 0  # position in order of the first member of the cycle the walk closes
         tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
         lean_gate = gate
         while True:
@@ -330,7 +361,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 peak = bits
             if bits > lean_gate:
                 if bits > cap:
-                    code, steps, end, tail = _VALUE_LIMIT, s + 1, len(order), bits
+                    code, steps, tail = _VALUE_LIMIT, s + 1, bits
                     break
                 # cur is past the memo's floor: once per walk, try whether the
                 # orbit passes the cap without this loop's bookkeeping
@@ -338,7 +369,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 lean = _lean_walk(cur, s, memo)
                 if lean is not None:
                     code, steps, peak = lean
-                    end, tail = len(order), peak
+                    tail = peak
                     break
             # v2(t) inlined: a call per transition is a measurable share of this loop
             k = (t & -t).bit_length() - 1
@@ -348,8 +379,6 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 # u is neither trivial nor seen, so the orbit goes at least one step past it
                 stop = s + k + 2
                 if lo <= u < top:
-                    if not first:
-                        first = len(order)
                     # Read: u's entry, when filled and within the budget after
                     # the stop - 1 steps to u
                     i = (u - lo) >> 1
@@ -359,11 +388,12 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                         tail = entry_peaks[i]
                         if tail > peak:
                             peak = tail
-                        end = len(order)
                         break
+                    if not first:
+                        first = len(order) if order else 1
             elif hit < 0:
-                # first trivial member along t>>1 .. t>>k; u itself guarantees one
-                stop = s + 1 + next(j for j in range(1, k + 1) if (t >> j) in trivial)
+                # first trivial member along t, t>>1 .. t>>k; u itself guarantees one
+                stop = s + 1 + next(j for j in range(k + 1) if (t >> j) in trivial)
             else:
                 # second occurrence of the first repeated value u << min(entry valuations)
                 stop = s + 1 + k - min(hit, k)
@@ -372,31 +402,39 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             if hit is not None:
                 steps = stop
                 if hit < 0:
-                    code, end = _TRIVIAL, len(order)
+                    code = _TRIVIAL
                 else:
                     # odd values before u lead into the cycle; u and those after it are members
                     end = order.index(u)
                     rule = memo.rule
                     code = memo.cycle_code(canonical_cycle(_expand_cycle(order[end:], rule), rule))
+                    if not end:  # x is a member, so no value of the walk is written
+                        return code, steps, peak
                 break
             s = stop - 1
-            seen[u] = k
-            order.append(u)
+            if order is None:
+                seen, order = {**base, x: 0, u: k}, [x, u]
+            else:
+                seen[u] = k
+                order.append(u)
             cur = u
         # Write: order holds the walk's odd values, the last of them at step
-        # s.  Values from position end on are members of the result's cycle.
-        # The seed is written from the result; the values from position first
-        # back from the end of the walk get steps minus their step index and
-        # their suffix peak, which starts from tail.  Only codes that fit the
-        # kind byte are written.
+        # s; a cycle's members are those from position end on.  The seed is
+        # written from the result; the values from position first back from
+        # the end of the walk get steps minus their step index and their
+        # suffix peak, which starts from tail.  Only codes that fit the kind
+        # byte are written.
         if code > 255:
             return code, steps, peak
-        if end and x < top:
+        if x < top:
             i = (x - lo) >> 1
             kinds[i] = code
             entry_steps[i] = steps
             entry_peaks[i] = peak
         if first:
+            # end is 0 when no value of order is a cycle member: a walk whose
+            # seed is a member has returned
+            end = end or len(order)
             suffix = tail
             # a value-limited orbit's crossing is wider than every value before
             # it, so it is every suffix's peak
@@ -540,6 +578,14 @@ class _OrbitMemo:
         return Outcome(tag, cycle, reason, steps, peak)
 
 
+@lru_cache(maxsize=32)
+def _idle_walkers(rule: Rule, limits: OrbitLimits) -> list[tuple[Callable, _OrbitMemo]]:
+    """The (walker, memo) pairs over memos of rule and limits that hold no
+    value, kept for detect_outcome calls to reuse; a call takes one out of
+    the list while it walks, so no two calls share a cycle list."""
+    return []
+
+
 # ---------------------------------------------------------------------------
 # Chunk fold
 # ---------------------------------------------------------------------------
@@ -632,13 +678,14 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
     walk = _walker(memo)
     chunk = ChunkResult(index)
     cycles = memo.cycles
+    base = memo.lo
     end = min(hi + 2, memo.top)  # the first seed not held by the table
     if lo < end:
         kinds = memo.kinds
-        a, b = (lo - memo.lo) >> 1, (end - memo.lo) >> 1
+        a, b = (lo - base) >> 1, (end - base) >> 1
         i = kinds.find(0, a, b)
         while i >= 0:
-            seed = memo.lo + 2 * i
+            seed = base + 2 * i
             result = walk(seed)
             if not kinds[i]:  # a result the table never holds
                 chunk.add(seed, *result, cycles)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from array import array
 from concurrent.futures import Future
@@ -33,7 +34,7 @@ from govlab.cycles import (
     detect_outcome,
     trivial_cycle_record,
 )
-from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, TerminationKind, odd_orbit
+from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, TerminationKind, odd_orbit
 from govlab.numerics import governor_index
 from govlab.scan import (
     CheckpointError,
@@ -57,6 +58,9 @@ GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 SCAN_LIMITS = OrbitLimits(max_steps=10**5, max_value_bits=128)
 
 AUX_13 = [83, 416, 208, 104, 52, 26, 13, 66, 33, 166]
+# 5Z+1 with the 13-cycle as its trivial cycle: 1 lies on a cycle of its own,
+# and 5 -> 26 reaches the even trivial member 26 at its first transition
+RULE_13 = Rule(5, tuple(AUX_13[6:] + AUX_13[:6]))
 
 # the COUNT_KEYS name of each class that classify_by_orbit tags
 COUNT_KEY_OF_TAG = {
@@ -358,6 +362,8 @@ class TestSeedMemo:
             (RULE_5Z, 11, 7, 4, 78, 24),
             # 63 meets 91, which 27's walk wrote, after 15 steps; 91 reaches 4 in 90
             (RULE_3Z, 63, 91, 15, 105, 64),
+            # 9 -> 28 -> 14 -> 7 meets 7's entry at its first odd value; 7 reaches 4 in 14
+            (RULE_3Z, 9, 7, 3, 17, 64),
         ],
     )
     def test_step_budget_edge(self, walks, rule, seed, u, prefix, total, max_bits):
@@ -545,6 +551,8 @@ class TestScanMemo:
 
         monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers start a pool on any host
+        # detect_outcome keeps its table-free memos across calls on purpose
+        cycles._idle_walkers.cache_clear()
         # the memo is freed on return, without the cyclic collector: nothing
         # it holds, such as a walker, refers back to it
         gc.collect()
@@ -560,27 +568,73 @@ class TestScanMemo:
         assert not any(isinstance(o, cycles._OrbitMemo) for o in gc.get_objects())
         assert report.to_json() == scan_range(1, 4095, RULE_5Z, SCAN_LIMITS).to_json()
 
-    @pytest.mark.parametrize(
-        "seed, rule, limits", [(27, RULE_3Z, GENEROUS), (1331, RULE_5Z, SCAN_LIMITS)]
-    )
-    def test_detect_outcome_memo_is_freed_on_return(self, monkeypatch, seed, rule, limits):
-        # without the cyclic collector: nothing the memo holds, such as a
-        # walker, refers back to it
-        made = []
-        init = cycles._OrbitMemo.__init__
-
-        def spy(memo, *args):
-            init(memo, *args)
-            made.append(weakref.ref(memo))
-
-        monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+    def test_detect_outcome_reuses_one_table_free_memo(self, monkeypatch):
+        cycles._idle_walkers.cache_clear()
+        memos = capture_memos(monkeypatch)
+        # 1331 enters cycle 13 and 435 cycle 17
+        outs = [detect_outcome(seed, RULE_5Z, SCAN_LIMITS) for seed in (1331, 435, 1331)]
+        assert [o.cycle.smallest_odd for o in outs] == [13, 17, 13]
+        (memo,) = memos  # built by the first call, walked with by all three
+        assert memo.top == memo.lo and memo.cycles == []  # no cycle code outlives a call
+        # the walker refers to the memo, never the other way: once the idle
+        # walkers are dropped, the memo is freed without the cyclic collector
+        ref = weakref.ref(memos.pop())
+        del memo
         gc.collect()
         gc.disable()
         try:
-            detect_outcome(seed, rule, limits)
-            assert len(made) == 1 and made[0]() is None
+            cycles._idle_walkers.cache_clear()
+            assert ref() is None
         finally:
             gc.enable()
+
+    def test_a_nested_detect_outcome_walks_with_a_memo_of_its_own(self, monkeypatch):
+        # a call made while another walks, as from another thread, must not
+        # share the other's cycle list
+        canonical = cycles.canonical_cycle
+        inner = []
+
+        def nested(members, rule):
+            record = canonical(members, rule)
+            if record.smallest_odd == 13:  # the outer walk's cycle
+                inner.append(detect_outcome(435, rule, SCAN_LIMITS))
+            return record
+
+        monkeypatch.setattr(cycles, "canonical_cycle", nested)
+        cycles._idle_walkers.cache_clear()
+        memos = capture_memos(monkeypatch)
+        out = detect_outcome(1331, RULE_5Z, SCAN_LIMITS)
+        assert (out.cycle.smallest_odd, inner[0].cycle.smallest_odd) == (13, 17)
+        assert len(memos) == 2 and len(cycles._idle_walkers(RULE_5Z, SCAN_LIMITS)) == 2
+
+    def test_detect_outcome_from_threads(self):
+        # threads that meet different cycles at once: a walker shared between
+        # calls would hand one call the other's cycle code
+        seeds = (1331, 435, 7)  # cycle 13, cycle 17, value-limited
+        expected = {seed: detect_outcome(seed, RULE_5Z, SCAN_LIMITS) for seed in seeds}
+        wrong = []
+
+        def run():
+            try:
+                for _ in range(200):
+                    for seed in seeds:
+                        if detect_outcome(seed, RULE_5Z, SCAN_LIMITS) != expected[seed]:
+                            wrong.append(seed)
+            except Exception as exc:  # a code past the end of a cleared cycle list
+                wrong.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_chunks_past_the_memo_top_read_the_scan_memo(self, monkeypatch, walks):
         # with the cap at 32 seeds the scan's memo holds 1..63; the chunks
@@ -988,6 +1042,34 @@ class TestScan:
             for chunk_size in (1, 3, 100, 512):
                 other = scan_range(1, 2047, rule, limits, workers, chunk_size=chunk_size)
                 assert other.to_json() == base.to_json(), (workers, chunk_size)
+
+    @pytest.mark.parametrize(
+        "limits", [OrbitLimits(10**4, 64), OrbitLimits(1, 64)], ids=["c3-steps", "one-step"]
+    )
+    def test_another_trivial_cycle_against_the_oracle(self, limits):
+        lo, hi = 1, 2047
+        expected = {seed: classify_by_orbit(seed, RULE_13, limits) for seed in range(lo, hi + 1, 2)}
+        for seed, oracle in expected.items():
+            assert oracle_form(detect_outcome(seed, RULE_13, limits)) == oracle, seed
+        one = scan_range(lo, hi, RULE_13, limits)
+        assert report_form(one) == oracle_report(lo, hi, RULE_13, limits)
+        met = {members for tag, members, _, _ in expected.values() if tag == "cycle"}
+        if any(tag == "converged_trivial" for tag, *_ in expected.values()):
+            met.add(trivial_cycle_record(RULE_13).all_members)
+        assert {c.all_members for c in one.cycles} == met
+        pooled = scan_range(lo, hi, RULE_13, limits, workers=2, chunk_size=256)
+        assert pooled.to_json() == one.to_json()
+        # the seed that meets an even trivial member after one step converges there
+        assert expected[5] == ("converged_trivial", None, 1, 5)
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 3, 100])
+    def test_seed_that_is_its_own_first_odd_value(self, max_steps):
+        # under a rule whose trivial cycle is -1 -> -2 -> -1, 1 -> 4 -> 2 -> 1 is
+        # a cycle of its own, and 1's first odd value is 1 (q + 1 = 2^2)
+        rule = Rule(3, (-1, -2))
+        limits = OrbitLimits(max_steps, 64)
+        assert oracle_form(detect_outcome(1, rule, limits)) == classify_by_orbit(1, rule, limits)
+        assert report_form(scan_range(1, 63, rule, limits)) == oracle_report(1, 63, rule, limits)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
