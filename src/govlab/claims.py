@@ -181,9 +181,11 @@ def _run_c5(params: dict) -> tuple[Verdict, dict]:
     hit = [p for p in promotions if p.target == target and p.new_index == a + 1]
 
     # orbit prefix up to the target (or the horizon) as the replayable witness
-    walk = list(islice(odd_orbit(x, RULE_3Z), horizon + 1))
-    odds = [v for v, _ in walk]
-    walk = walk[: odds.index(target) + 1 if target in odds else None]
+    walk = []
+    for v, k in islice(odd_orbit(x, RULE_3Z), horizon + 1):
+        walk.append((v, k))
+        if v == target:
+            break
     evidence = {
         "start": int_to_decimal(x),
         "target": int_to_decimal(target),

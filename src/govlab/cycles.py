@@ -31,12 +31,10 @@ entries below top that their orbits reach.
 The walk.  _walker binds a memo's rule, limits and arrays once and
 returns the walk, which reads and writes the table inside its own loop, by
 index, with no call per lookup or per write.  _scan_chunk builds one walker
-per chunk.  detect_outcome walks with a memo that holds no value, and keeps
-such walkers for later calls; a call takes one out of the idle list while
-it walks and clears its memo's cycle list before it puts it back, so no
-cycle code outlives a call and no two calls, from two threads say, share
-one.  The walker refers to its memo; the memo never refers to a walker, so
-no reference cycle keeps a table alive past its scan.
+per chunk and detect_outcome one per call, over a memo that holds no value,
+so no two calls share a cycle list.  The walker refers to its memo; the
+memo never refers to a walker, so no reference cycle keeps a table alive
+past its scan or call.
 
 Write.  A walk that ends converged, value-limited or in a cycle writes
 each odd value v on it that lies in [lo, top): steps is the walk's total
@@ -146,7 +144,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 from itertools import compress, islice
 
@@ -282,16 +280,8 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     comparison with the budget decides whether the step limit comes first.
     """
     require(x, "detect_outcome seed", odd=True)
-    idle = _idle_walkers(rule, limits)
-    try:
-        walk, memo = idle.pop()
-    except IndexError:  # none built yet, or every one in use by another thread
-        memo = _OrbitMemo(1, -1, rule, limits)  # holds no value
-        walk = _walker(memo)
-    outcome = memo.outcome(*walk(x))
-    memo.cycles.clear()  # no cycle code outlives the call
-    idle.append((walk, memo))
-    return outcome
+    memo = _OrbitMemo(1, -1, rule, limits)  # holds no value
+    return memo.outcome(*_walker(memo)(x))
 
 
 # the result code of an orbit, shared by walks, orbit memo entries and the
@@ -319,10 +309,9 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     writes the results it determines.
 
     The rule, the limits and the table are bound here once, so build one
-    walker per chunk, or keep one for later calls, not one per walk.  The
-    walker holds the memo, and nothing may hold the walker on the memo:
-    that would make a reference cycle, which keeps the table alive until
-    the cyclic collector runs.
+    walker per chunk or call, not per walk.  The walker holds the memo, and
+    nothing may hold the walker on the memo: that would make a reference
+    cycle, which keeps the table alive until the cyclic collector runs.
     """
     q = memo.rule.multiplier
     trivial = memo.rule.trivial_members
@@ -550,9 +539,11 @@ class _OrbitMemo:
         self.kinds = bytearray(n)
         if n:
             # an entry's steps are at most max_steps; its peak is the bit length
-            # of some q*v + 1 with v under the cap or below top (q < 8)
+            # of some q*v + 1 with v under the cap or below top, which has at
+            # most bits(q) + bits(v) bits
             self.steps = _zeros("I", n, limits.max_steps)
-            self.peaks = _zeros("H", n, max(limits.max_value_bits, self.top.bit_length()) + 8)
+            width = max(limits.max_value_bits, self.top.bit_length())
+            self.peaks = _zeros("H", n, width + rule.multiplier.bit_length())
         else:  # detect_outcome's memo: nothing is read or written
             self.steps = self.peaks = ()
         self.cycles: list[CycleRecord] = []
@@ -576,14 +567,6 @@ class _OrbitMemo:
         tag, reason = _TAG_REASON[code if code < _CYCLE else _CYCLE]  # min() is a call
         cycle = self.cycles[code - _CYCLE] if code >= _CYCLE else None
         return Outcome(tag, cycle, reason, steps, peak)
-
-
-@lru_cache(maxsize=32)
-def _idle_walkers(rule: Rule, limits: OrbitLimits) -> list[tuple[Callable, _OrbitMemo]]:
-    """The (walker, memo) pairs over memos of rule and limits that hold no
-    value, kept for detect_outcome calls to reuse; a call takes one out of
-    the list while it walks, so no two calls share a cycle list."""
-    return []
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .cycles import (
-    COUNT_KEYS, ChunkResult, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk, canonical_cycle,
-    trivial_cycle_record,
+    COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk,
+    canonical_cycle, trivial_cycle_record,
 )
 from .dynamics import OrbitLimits, Rule, rule_for
 from .numerics import decimal_to_int, int_to_decimal, require, show
@@ -37,6 +37,16 @@ SCHEMA_VERSION = 1  # of the scan report
 CHECKPOINT_VERSION = 2  # of the checkpoint file
 
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
+
+
+def _identity_doc(multiplier: int, lo: int, hi: int, limits: OrbitLimits) -> dict:
+    """The rule, range and limits of a scan, as its report and its
+    checkpoint header write them."""
+    return {
+        "rule": rule_for(multiplier).name,
+        "range": {"lo": int_to_decimal(lo), "hi": int_to_decimal(hi)},
+        "limits": {"max_steps": limits.max_steps, "max_value_bits": limits.max_value_bits},
+    }
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,7 @@ class ScanReport:
         return {
             "schema_version": self.schema_version,
             "kind": "govlab-scan-report",
-            "rule": rule_for(self.rule_multiplier).name,
-            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
-            "limits": {
-                "max_steps": self.limits.max_steps,
-                "max_value_bits": self.limits.max_value_bits,
-            },
+            **_identity_doc(self.rule_multiplier, self.lo, self.hi, self.limits),
             "counts": dict(self.counts),
             "cycles": [c.to_doc() for c in self.cycles],
             "divergence_candidates": [int_to_decimal(v) for v in self.divergence_candidates],
@@ -110,13 +115,8 @@ class ScanState:
         return {
             "schema_version": CHECKPOINT_VERSION,
             "kind": "govlab-scan-checkpoint",
-            "rule": rule_for(self.rule_multiplier).name,
+            **_identity_doc(self.rule_multiplier, self.lo, self.hi, self.limits),
             "multiplier": self.rule_multiplier,
-            "range": {"lo": int_to_decimal(self.lo), "hi": int_to_decimal(self.hi)},
-            "limits": {
-                "max_steps": self.limits.max_steps,
-                "max_value_bits": self.limits.max_value_bits,
-            },
             "chunk_size": self.chunk_size,
         }
 
@@ -135,11 +135,11 @@ def _chunk_doc(chunk: ChunkResult) -> dict:
 
 def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
     """The chunk result of a _chunk_doc item; each cycle is rebuilt from its
-    members, and each count and maximum must be an int >= 0."""
-    cycles = (
+    members and listed once, and each count and maximum must be an int >= 0."""
+    cycles = [
         canonical_cycle([decimal_to_int(v) for v in d["all_members"]], rule) for d in doc["cycles"]
-    )
-    return ChunkResult(
+    ]
+    chunk = ChunkResult(
         index=require(doc["index"], "chunk index", 0),
         counts=[require(doc["counts"][k], f"chunk count {k}", 0) for k in COUNT_KEYS],
         cycles={rec.smallest_odd: rec for rec in cycles},
@@ -147,6 +147,9 @@ def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
         max_excursion_bits=require(doc["max_excursion_bits"], "chunk max_excursion_bits", 0),
         max_steps_observed=require(doc["max_steps_observed"], "chunk max_steps_observed", 0),
     )
+    if len(chunk.cycles) < len(cycles):
+        raise ValueError(f"chunk {int_to_decimal(chunk.index)} lists a cycle twice")
+    return chunk
 
 
 def _line(doc: dict) -> str:
@@ -209,9 +212,9 @@ def checkpoint_load(path: str) -> ScanState:
 
 
 def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
-    """Raise ValueError unless the chunk's index, counts and candidates fit
-    its seeds in state's layout; _chunk_from_doc has checked that they are
-    not negative."""
+    """Raise ValueError unless the chunk's index, counts, candidates and
+    cycles fit its seeds in state's layout; _chunk_from_doc has checked that
+    its numbers are not negative."""
     i = chunk.index
     if i >= state.n_chunks:
         raise ValueError(
@@ -235,6 +238,16 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
             f"{chunk_name} candidates are not ascending odd seeds in "
             f"{int_to_decimal(c_lo)}:{int_to_decimal(c_hi)}"
         )
+    # a chunk lists each auxiliary cycle its seeds enter, at least one seed
+    # each; seeds that reach the trivial cycle are counted as converged
+    entered, listed = counts["entered_cycle"], len(chunk.cycles)
+    if listed > entered or (entered and not listed):
+        raise ValueError(
+            f"{chunk_name} lists {listed} cycles for {int_to_decimal(entered)} seeds "
+            f"that entered one"
+        )
+    if any(c.classification is Classification.TRIVIAL for c in chunk.cycles.values()):
+        raise ValueError(f"{chunk_name} lists the trivial cycle")
 
 
 def _merge(state: ScanState, rule: Rule) -> ScanReport:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -113,6 +114,18 @@ class TestPromotionClaim:
         ]
         seq = res.evidence["odd_governor_sequence"]
         assert [e["index"] for e in seq[:3]] == [2, 1, 5]
+
+    def test_witness_walk_stops_at_the_target(self):
+        # the witness ends at the target, 3 odd values in; the walk to it
+        # must not hold the horizon's odd values first
+        tracemalloc.start()
+        try:
+            res = run_claim("C5", {"horizon": 10**5})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evidence["witness_orbit_prefix"] == ["27", "82", "41", "124", "62", "31"]
+        assert peak < 256 * 1024
 
     def test_other_exponent_fails_honestly(self):
         res = run_claim("C5", {"a": 5})

@@ -551,8 +551,6 @@ class TestScanMemo:
 
         monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers start a pool on any host
-        # detect_outcome keeps its table-free memos across calls on purpose
-        cycles._idle_walkers.cache_clear()
         # the memo is freed on return, without the cyclic collector: nothing
         # it holds, such as a walker, refers back to it
         gc.collect()
@@ -568,23 +566,27 @@ class TestScanMemo:
         assert not any(isinstance(o, cycles._OrbitMemo) for o in gc.get_objects())
         assert report.to_json() == scan_range(1, 4095, RULE_5Z, SCAN_LIMITS).to_json()
 
-    def test_detect_outcome_reuses_one_table_free_memo(self, monkeypatch):
-        cycles._idle_walkers.cache_clear()
-        memos = capture_memos(monkeypatch)
-        # 1331 enters cycle 13 and 435 cycle 17
-        outs = [detect_outcome(seed, RULE_5Z, SCAN_LIMITS) for seed in (1331, 435, 1331)]
-        assert [o.cycle.smallest_odd for o in outs] == [13, 17, 13]
-        (memo,) = memos  # built by the first call, walked with by all three
-        assert memo.top == memo.lo and memo.cycles == []  # no cycle code outlives a call
-        # the walker refers to the memo, never the other way: once the idle
-        # walkers are dropped, the memo is freed without the cyclic collector
-        ref = weakref.ref(memos.pop())
-        del memo
+    def test_detect_outcome_builds_one_memo_per_call(self, monkeypatch):
+        made = []
+        init = cycles._OrbitMemo.__init__
+
+        def spy(memo, *args):
+            init(memo, *args)
+            assert memo.top == memo.lo  # holds no value
+            made.append(weakref.ref(memo))
+
+        monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+        # each call's memo, table and cycle list are freed on return without
+        # the cyclic collector: the walker refers to the memo, never the
+        # other way
         gc.collect()
         gc.disable()
         try:
-            cycles._idle_walkers.cache_clear()
-            assert ref() is None
+            # 1331 enters cycle 13 and 435 cycle 17
+            for seed, smallest in ((1331, 13), (435, 17), (1331, 13)):
+                assert detect_outcome(seed, RULE_5Z, SCAN_LIMITS).cycle.smallest_odd == smallest
+                assert made[-1]() is None
+            assert len(made) == 3
         finally:
             gc.enable()
 
@@ -601,11 +603,10 @@ class TestScanMemo:
             return record
 
         monkeypatch.setattr(cycles, "canonical_cycle", nested)
-        cycles._idle_walkers.cache_clear()
         memos = capture_memos(monkeypatch)
         out = detect_outcome(1331, RULE_5Z, SCAN_LIMITS)
         assert (out.cycle.smallest_odd, inner[0].cycle.smallest_odd) == (13, 17)
-        assert len(memos) == 2 and len(cycles._idle_walkers(RULE_5Z, SCAN_LIMITS)) == 2
+        assert len(memos) == 2
 
     def test_detect_outcome_from_threads(self):
         # threads that meet different cycles at once: a walker shared between
@@ -657,10 +658,11 @@ class TestScanMemo:
     def test_narrow_arrays_follow_the_limits(self):
         memo = cycles._OrbitMemo(1, 99, RULE_3Z, SCAN_LIMITS)
         assert (memo.steps.typecode, memo.peaks.typecode) == ("I", "H")
-        edge_limits = OrbitLimits(max_steps=2**32 - 1, max_value_bits=2**16 - 9)
+        # a peak of 3Z+1 is at most 2 bits wider than the cap
+        edge_limits = OrbitLimits(max_steps=2**32 - 1, max_value_bits=2**16 - 3)
         edge = cycles._OrbitMemo(1, 99, RULE_3Z, edge_limits)
         assert (edge.steps.typecode, edge.peaks.typecode) == ("I", "H")
-        wide_limits = OrbitLimits(max_steps=2**32, max_value_bits=2**16 - 8)
+        wide_limits = OrbitLimits(max_steps=2**32, max_value_bits=2**16 - 2)
         wide = cycles._OrbitMemo(1, 99, RULE_3Z, wide_limits)
         assert (wide.steps.typecode, wide.peaks.typecode) == ("q", "q")
 
@@ -679,6 +681,16 @@ class TestScanMemo:
         report = scan_range(lo, lo + 18, RULE_5Z, limits, chunk_size=4)
         assert report.counts["undecided_value_limit"] == 10
         assert report.max_excursion_bits == 70003
+
+    def test_wide_multipliers_fit_the_peak_array(self):
+        # q = 2^20 - 1 is 20 bits wide: seed 11 climbs to a 65527-bit value,
+        # whose q*v + 1 of 65538 bits passes the cap and a 16-bit peak array
+        q = 2**20 - 1
+        rule = Rule(q, (1,) + tuple(2**j for j in range(20, 0, -1)))
+        limits = OrbitLimits(10**5, 65527)
+        report = scan_range(11, 11, rule, limits)
+        assert report.max_excursion_bits == 65538
+        assert report_form(report) == oracle_report(11, 11, rule, limits)
 
 
 def check_table_fold(lo, hi, chunk_size, rule, limits):
@@ -1475,6 +1487,33 @@ def _signed_candidate(doc):
     cands[0] = "+" + cands[0]
 
 
+# chunk 0 of VALIDATION_SCAN lists cycles 13 and 17 for its 13 seeds that
+# entered a cycle; each corruption below keeps its counts adding up to 128
+def _no_cycles_listed(doc):
+    doc["chunks"][0]["cycles"] = []
+
+
+def _cycles_listed_without_a_seed_entering_one(doc):
+    counts = doc["chunks"][0]["counts"]
+    counts["converged_trivial"] += counts["entered_cycle"]
+    counts["entered_cycle"] = 0
+
+
+def _more_cycles_than_seeds_entering_one(doc):
+    counts = doc["chunks"][0]["counts"]
+    counts["converged_trivial"] += counts["entered_cycle"] - 1
+    counts["entered_cycle"] = 1
+
+
+def _repeated_cycle(doc):
+    cycles = doc["chunks"][0]["cycles"]
+    cycles.append(cycles[0])
+
+
+def _trivial_cycle_listed(doc):
+    doc["chunks"][0]["cycles"].insert(0, trivial_cycle_record(RULE_5Z).to_doc())
+
+
 class TestCheckpointValidation:
     """A checkpoint whose chunks disagree with its own range is rejected on load."""
 
@@ -1501,6 +1540,11 @@ class TestCheckpointValidation:
             _float_multiplier,
             _rule_name_mismatch,
             _signed_candidate,
+            _no_cycles_listed,
+            _cycles_listed_without_a_seed_entering_one,
+            _more_cycles_than_seeds_entering_one,
+            _repeated_cycle,
+            _trivial_cycle_listed,
         ],
     )
     def test_inconsistent_chunk_rejected(self, tmp_path, capsys, corrupt):
