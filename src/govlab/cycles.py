@@ -78,15 +78,18 @@ entry, builds neither and writes only its seed's entry.
 
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
-Once per walk, at its first odd value whose q*v + 1 is wider than the
-memo's gate, which puts v at or past the memo's floor (at least top, past
-the trivial cycle's members and at least 2^K), the walk hands the orbit to
-a lean walk.  That walk keeps no seen map and no order list and reads no
-memo; it returns a result only when the orbit passes the cap, and returns
-None when a value falls below the floor or the step budget runs out, and
-then the walk goes on from where it handed the orbit over.  The budget also
-ends a lean walk caught in a cycle above the floor.  A result it returns is
-the exact one:
+At an odd value whose q*v + 1 is wider than the memo's gate, which puts v
+at or past the memo's floor (at least top, past the trivial cycle's members
+and at least 2^K), the walk hands the orbit to a lean walk.  That walk
+keeps no seen map and no order list and reads no memo; it returns a result
+only when the orbit passes the cap, and returns None when a value falls
+below the floor or the step budget runs out, and then the walk goes on from
+where it handed the orbit over.  The budget also ends a lean walk caught in
+a cycle above the floor.  The walk then tries no lean walk until it reaches
+an odd value in [lo, top), which re-arms it: its next climb past the gate
+hands over again.  detect_outcome's memo has an empty range, so its walks
+go lean at most once, and orbits that fall only below lo re-arm nothing.  A
+result a lean walk returns is the exact one, wherever the hand-over is:
 
 * an orbit that passes the cap has not repeated a value before: from a
   repeat on it stays among values it has already produced, all within the
@@ -104,15 +107,26 @@ the exact one:
   T^K(b), which is K + c plain steps, with c the odd values among b, T(b),
   ..., T^(K-1)(b).  The table holds, for each residue b, a margin that
   bounds how much wider than v any value inside the jump can be, so a jump
-  is taken only when v's bit length plus the margin is within the cap: no
-  jump passes over a crossing, and the step at which the orbit passes the
-  cap is found by plain steps.  A jump may pass a trivial member or a value
-  of the memo's range; by the first point, that can end no orbit that
-  passes the cap, and the lean walk returns nothing for any other orbit.
+  is taken only when v's bit length plus the margin is within the cap
+  (below 2^(cap - M), M the table's widest margin, it is for every v, and
+  one comparison shows it): no jump passes over a crossing, and the step
+  at which the orbit passes the cap is found by plain steps.  A jump may
+  pass a trivial member or a value of the memo's range; by the first
+  point, that can end no orbit that passes the cap, and the lean walk
+  returns nothing for any other orbit.
+
+None of this depends on the step at which the orbit was handed over, only
+on the orbit from there on, so a re-armed lean walk is exact too.  It may
+repeat steps that an earlier lean walk of the same walk already took: that
+walk compares with the floor only between jumps, so an orbit that dips
+into [lo, top) inside a jump and climbs again goes on lean past the dip,
+and once that walk falls back, the exact walk re-arms at the dip.  Below
+2^17 at the C3 limits those repeats are 20668 of the 12.6M steps that lean
+walks take.
 
 3Z+1 orbits shrink on average and every seed of a 3Z+1 census converges,
-so a lean walk there would be thrown away: its gate is the cap, and the
-loop runs no extra test per transition.
+so a lean walk there would be thrown away: its gate is the cap, re-arming
+sets the cap again, and the loop runs no extra test per transition.
 
 Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
 unknown at their turn, in ascending order, so the memo fills exactly as a
@@ -305,8 +319,8 @@ _MEMO_MAX_SEEDS = 1 << 20
 def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     """detect_outcome's loop under the memo's rule and limits, as a function
     from an odd seed to its (code, steps, peak).  A walk ends at a filled
-    entry of the memo, tries a lean walk once past the memo's gate, and
-    writes the results it determines.
+    entry of the memo, tries a lean walk past the memo's gate, again after
+    each return to the memo's range, and writes the results it determines.
 
     The rule, the limits and the table are bound here once, so build one
     walker per chunk or call, not per walk.  The walker holds the memo, and
@@ -352,8 +366,9 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 if bits > cap:
                     code, steps, tail = _VALUE_LIMIT, s + 1, bits
                     break
-                # cur is past the memo's floor: once per walk, try whether the
-                # orbit passes the cap without this loop's bookkeeping
+                # cur is past the memo's floor: try whether the orbit passes
+                # the cap without this loop's bookkeeping, once until the
+                # orbit falls back into the memo's range
                 lean_gate = cap
                 lean = _lean_walk(cur, s, memo)
                 if lean is not None:
@@ -380,6 +395,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                         break
                     if not first:
                         first = len(order) if order else 1
+                    lean_gate = gate  # the next climb past the gate may go lean again
             elif hit < 0:
                 # first trivial member along t, t>>1 .. t>>k; u itself guarantees one
                 stop = s + 1 + next(j for j in range(k + 1) if (t >> j) in trivial)
@@ -477,6 +493,12 @@ def _jump_table(q: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(table)
 
 
+@cache
+def _widest_margin(q: int) -> int:
+    """The largest margin of _jump_table(q)."""
+    return max(margin for *_, margin in _jump_table(q))
+
+
 def _lean_walk(x: int, s: int, memo: _OrbitMemo) -> tuple[int, int, int] | None:
     """The (code, steps, peak) of the orbit from odd x, reached at step s,
     when it passes the cap; None when a value falls below memo.floor or the
@@ -492,10 +514,12 @@ def _lean_walk(x: int, s: int, memo: _OrbitMemo) -> tuple[int, int, int] | None:
     max_steps = memo.limits.max_steps
     floor = memo.floor
     table = _jump_table(q)
+    # below fast every entry's margin keeps a jump within the cap
+    fast = 1 << max(cap - _widest_margin(q), 0)
     cur = x
     while True:
         mult, low, n, margin = table[cur & _JUMP_MASK]
-        if cur.bit_length() + margin <= cap:
+        if cur < fast or cur.bit_length() + margin <= cap:
             cur = mult * (cur >> _JUMP) + low
             s += n
         elif cur & 1:

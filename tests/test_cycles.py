@@ -18,7 +18,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from govlab import cli, cycles, scan
@@ -61,6 +61,8 @@ AUX_13 = [83, 416, 208, 104, 52, 26, 13, 66, 33, 166]
 # 5Z+1 with the 13-cycle as its trivial cycle: 1 lies on a cycle of its own,
 # and 5 -> 26 reaches the even trivial member 26 at its first transition
 RULE_13 = Rule(5, tuple(AUX_13[6:] + AUX_13[:6]))
+# the 7Z+1 map, whose trivial cycle is 1 -> 8 -> 4 -> 2 -> 1
+RULE_7Z = Rule(7, (1, 8, 4, 2))
 
 # the COUNT_KEYS name of each class that classify_by_orbit tags
 COUNT_KEY_OF_TAG = {
@@ -968,6 +970,42 @@ class TestLeanWalk:
             out = oracle_form(memo.outcome(*result))
             assert out == classify_by_orbit(seed, RULE_5Z, SCAN_LIMITS), seed
 
+    def test_a_walk_goes_lean_again_after_each_fall(self, leans, walks):
+        # an orbit that falls back into the memo's range and climbs past the
+        # gate again hands over to a new lean walk, from a later step; every
+        # lean walk of a walk but its last fell back
+        memo = cycles._OrbitMemo(1, 1023, RULE_5Z, SCAN_LIMITS)
+        results, most = {}, 0
+        for seed, result in chunk_outcomes(1, 1023, memo):
+            results[seed] = result
+            if walks and walks[-1].seed == seed:
+                # the walks spy's probe, over a copy of the memo, makes the
+                # same lean walks before the walk itself
+                half = len(leans) // 2
+                assert leans[:half] == leans[half:], seed
+                ours = leans[:half]
+                assert all(r is None for _, _, r in ours[:-1]), seed
+                assert [s for _, s, _ in ours] == sorted({s for _, s, _ in ours}), seed
+                most = max(most, len(ours))
+            leans.clear()
+        assert most >= 2
+        exact = filled_memo(1, 512, RULE_5Z, SCAN_LIMITS, lean=False)
+        walk = cycles._walker(exact)
+        for seed, result in results.items():
+            assert result == walk(seed), seed
+            out = oracle_form(memo.outcome(*result))
+            assert out == classify_by_orbit(seed, RULE_5Z, SCAN_LIMITS), seed
+
+    def test_detect_outcome_goes_lean_at_most_once(self, leans):
+        # detect_outcome's memo holds no value, so no fall re-arms its walk
+        fell_back = 0
+        for seed in range(1, 1024, 2):
+            leans.clear()
+            detect_outcome(seed, RULE_5Z, SCAN_LIMITS)
+            assert len(leans) <= 1, seed
+            fell_back += bool(leans) and leans[0][2] is None
+        assert fell_back > 10
+
     def test_no_3z_walk_starts_a_lean_walk(self, leans):
         # 3Z+1 orbits shrink on average, so their gate is the cap itself
         for limits in (GENEROUS, SCAN_LIMITS, OrbitLimits(max_steps=300, max_value_bits=20)):
@@ -990,6 +1028,21 @@ class TestLeanWalk:
             assert memo.gate == min(cap, 13)
             report = scan_range(1, 1023, RULE_5Z, limits, chunk_size=100)
             assert report_form(report) == oracle_report(1, 1023, RULE_5Z, limits), cap
+
+    @given(
+        st.sampled_from([RULE_7Z, RULE_5Z]),
+        st.integers(min_value=8, max_value=40),
+        st.sampled_from([60, 400, 10**4]),
+    )
+    # 7Z+1's widest jump margin is 16 bits, more than caps 14 and 15, where
+    # its lean walks start below 2^10
+    @example(RULE_7Z, 14, 60)
+    @example(RULE_7Z, 15, 10**4)
+    @settings(max_examples=40, deadline=None)
+    def test_scan_at_small_caps_matches_the_oracle(self, rule, cap, max_steps):
+        limits = OrbitLimits(max_steps=max_steps, max_value_bits=cap)
+        report = scan_range(1, 1023, rule, limits, chunk_size=100)
+        assert report_form(report) == oracle_report(1, 1023, rule, limits)
 
 
 class TestScan:
