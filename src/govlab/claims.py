@@ -19,9 +19,7 @@ from itertools import islice
 from typing import Callable, Iterable
 
 from .cycles import Classification
-from .dynamics import (
-    RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values, rule_for,
-)
+from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values
 from .genealogy import solve_ancestor_conditions
 from .numerics import governor_index, int_to_decimal, require, show
 from .scan import ScanReport, scan_range
@@ -107,17 +105,16 @@ def _scan(params: dict, rule: Rule, scans: dict[tuple, ScanReport]) -> ScanRepor
     Reports are keyed by rule, range and limits, which decide every byte of
     a report; the worker count does not.
     """
-    steps, bits = params["max_steps"], params["max_value_bits"]
-    key = (rule.multiplier, params["lo"], params["hi"], steps, bits)
+    limits = OrbitLimits(max_steps=params["max_steps"], max_value_bits=params["max_value_bits"])
+    key = (rule, params["lo"], params["hi"], limits)
     if key not in scans:
-        limits = OrbitLimits(max_steps=steps, max_value_bits=bits)
         scans[key] = scan_range(params["lo"], params["hi"], rule, limits, workers=params["workers"])
     return scans[key]
 
 
 def _run_governor_census(report: ScanReport) -> tuple[Verdict, dict]:
     """C1 and C3: every odd cycle member has a trivial governor of the report's rule."""
-    allowed = rule_for(report.rule_multiplier).trivial_indices
+    allowed = report.rule.trivial_indices
     violations = []
     for rec in report.cycles:
         for member, idx in rec.governor_indices:
@@ -279,29 +276,18 @@ def _run_c6(params: dict) -> tuple[Verdict, dict]:
 def _run_c7(params: dict) -> tuple[Verdict, dict]:
     mu_max = params["mu_max"]
     i_max = params["i_max"]
-    expected = {
-        3: {(1, 1, 2)},
-        5: {(1, 2, 4), (2, 1, 1)},
-    }
+    expected = {RULE_3Z: {(1, 1, 2)}, RULE_5Z: {(1, 2, 4), (2, 1, 1)}}
     per_rule = {}
     ok = True
-    for rule in (RULE_3Z, RULE_5Z):
+    for rule, want in expected.items():
         found = solve_ancestor_conditions(rule, mu_max, i_max)
-        found_set = {(s.term_count, s.mu, s.i) for s in found}
-        exact = found_set == expected[rule.multiplier]
+        exact = {(s.term_count, s.mu, s.i) for s in found} == want
         ok = ok and exact
         per_rule[rule.name] = {
-            "solutions": [
-                {"terms": s.term_count, "mu": s.mu, "i": s.i} for s in found
-            ],
-            "expected": [
-                {"terms": t, "mu": mu, "i": i}
-                for t, mu, i in sorted(expected[rule.multiplier])
-            ],
+            "solutions": [{"terms": s.term_count, "mu": s.mu, "i": s.i} for s in found],
+            "expected": [{"terms": t, "mu": mu, "i": i} for t, mu, i in sorted(want)],
             "three_term_solutions": [
-                {"terms": s.term_count, "mu": s.mu, "i": s.i}
-                for s in found
-                if s.term_count == 3
+                {"terms": s.term_count, "mu": s.mu, "i": s.i} for s in found if s.term_count == 3
             ],
             "exact_match": exact,
         }

@@ -18,7 +18,7 @@ import sys
 from itertools import islice
 
 from . import claims as claims_mod
-from .dynamics import OrbitLimits, odd_orbit, orbit, rule_for
+from .dynamics import RULES, OrbitLimits, odd_orbit, orbit, rule_for
 from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
 from .numerics import decimal_to_int, governor_index, require
 from .scan import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
@@ -56,7 +56,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_rule(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rule", type=int, choices=(3, 5), default=3,
+        p.add_argument("--rule", type=int, choices=sorted(RULES), default=3,
                        help="multiplier q of the qZ+1 rule (default 3)")
 
     def add_print_opts(p: argparse.ArgumentParser) -> None:
@@ -121,7 +121,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p_claims.add_argument("--workers", type=_positive_int, default=workers,
                           help=f"{workers_help}, for scan-backed claims")
 
-    return parser.parse_args(argv)
+    ns = parser.parse_args(argv)
+    if "rule" in ns:
+        ns.rule = rule_for(ns.rule)
+    return ns
 
 
 def _fmt_value(v: int, max_print_bits: int | None) -> str:
@@ -141,9 +144,8 @@ def _emit_records(rows: list[dict], fmt: str, columns: list[str]) -> None:
 
 
 def _cmd_orbit(ns: argparse.Namespace) -> int:
-    rule = rule_for(ns.rule)
     limits = OrbitLimits(max_steps=ns.step_limit, max_value_bits=ns.value_limit_bits)
-    trace = orbit(ns.start, rule, limits)
+    trace = orbit(ns.start, ns.rule, limits)
     rows = []
     for value, kind in trace.steps:
         row: dict = {"value": _fmt_value(value, ns.max_print_bits), "kind": kind.value}
@@ -160,7 +162,7 @@ def _cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_trace_governor(ns: argparse.Namespace) -> int:
-    odds = islice(odd_orbit(ns.start, rule_for(ns.rule)), ns.count)
+    odds = islice(odd_orbit(ns.start, ns.rule), ns.count)
     rows = [
         {"position": pos, "value": _fmt_value(v, ns.max_print_bits),
          "governor_index": governor_index(v)}
@@ -171,17 +173,16 @@ def _cmd_trace_governor(ns: argparse.Namespace) -> int:
 
 
 def _cmd_ancestors(ns: argparse.Namespace) -> int:
-    rule = rule_for(ns.rule)
     if ns.depth == 1:
         rows = [
             {"doublings": e.doublings,
              "ancestor": _fmt_value(e.ancestor, ns.max_print_bits),
              "governor_index": governor_index(e.ancestor)}
-            for e in odd_ancestors(ns.start, rule, ns.max_doublings)
+            for e in odd_ancestors(ns.start, ns.rule, ns.max_doublings)
         ]
         _emit_records(rows, ns.format, ["doublings", "ancestor", "governor_index"])
         return EXIT_OK
-    root = ancestor_tree(ns.start, rule, ns.depth, ns.max_doublings)
+    root = ancestor_tree(ns.start, ns.rule, ns.depth, ns.max_doublings)
     rows = []
 
     def walk(node, depth: int, parent: int | None) -> None:
@@ -202,21 +203,19 @@ def _cmd_ancestors(ns: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(ns: argparse.Namespace) -> int:
-    rule = rule_for(ns.rule)
     rows = [
         {"terms": s.term_count, "mu": s.mu, "i": s.i}
-        for s in solve_ancestor_conditions(rule, ns.mu_max, ns.i_max)
+        for s in solve_ancestor_conditions(ns.rule, ns.mu_max, ns.i_max)
     ]
     _emit_records(rows, ns.format, ["terms", "mu", "i"])
     return EXIT_OK
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    rule = rule_for(ns.rule)
     lo, hi = ns.odd_range
     limits = OrbitLimits(max_steps=ns.step_limit, max_value_bits=ns.value_limit_bits)
     report = scan_range(
-        lo, hi, rule, limits,
+        lo, hi, ns.rule, limits,
         workers=ns.workers,
         chunk_size=ns.chunk_size,
         checkpoint_path=ns.checkpoint,

@@ -96,11 +96,12 @@ RULES = {3: RULE_3Z, 5: RULE_5Z}
 
 
 def rule_for(multiplier: int) -> Rule:
-    """Look up the rule for q in {3, 5}."""
+    """Look up the rule of a multiplier in RULES."""
     try:
         return RULES[require(multiplier, "rule_for multiplier")]
     except KeyError:
-        raise ValueError(f"unsupported multiplier {show(multiplier)}; supported: 3, 5") from None
+        known = ", ".join(map(show, RULES))
+        raise ValueError(f"unsupported multiplier {show(multiplier)}; supported: {known}") from None
 
 
 def odd_step(x: int, rule: Rule) -> int:
@@ -184,7 +185,7 @@ class OrbitTrace:
     """
 
     start: int
-    rule_multiplier: int
+    rule: Rule
     steps: tuple[tuple[int, StepKind], ...]
     odd_governors: tuple[tuple[int, int], ...]
     termination: Termination
@@ -228,7 +229,7 @@ def orbit(x: int, rule: Rule, limits: OrbitLimits) -> OrbitTrace:
         cur = nxt
     return OrbitTrace(
         start=x,
-        rule_multiplier=rule.multiplier,
+        rule=rule,
         steps=tuple(steps),
         odd_governors=tuple(odd_governors),
         termination=term,
@@ -312,7 +313,7 @@ class ClosedFormRow:
 @dataclass(frozen=True)
 class ClosedFormFamily:
     name: str
-    rule_multiplier: int
+    multiplier: int  # of the rule whose steps the rows take
     param_name: str
     param_min: int
     row_builder: object = field(repr=False)
@@ -434,10 +435,8 @@ def check_closed_form(
     formulas are exact on that range).
     """
     fam = _closed_form_family(family)
-    if fam.rule_multiplier != rule.multiplier:
-        raise ValueError(
-            f"{family} is a {fam.rule_multiplier}Z+1 family, got rule {rule.name}"
-        )
+    if fam.multiplier != rule.multiplier:
+        raise ValueError(f"{family} is a {fam.multiplier}Z+1 family, got rule {rule.name}")
     what = f"{fam.name} parameter {fam.param_name}"
     require(param_lo, what, fam.param_min)
     require(param_hi, what, fam.param_min)

@@ -1,20 +1,23 @@
 """Range scanning: the chunk layout, the chunk runner, the scan report and
 the checkpoint format, of which this module is the only reader and writer.
 
-scan_range splits a seed range into the chunks of a ScanState's layout,
-folds each with cycles._scan_chunk, and merges the chunk results in index
-order, so the report does not depend on the worker count or on checkpoint
+scan_range runs any Rule, which its ScanState and ScanReport hold; it
+splits a seed range into the chunks of the ScanState's layout, folds each
+with cycles._scan_chunk, and merges the chunk results in index order, so
+the report does not depend on the worker count or on checkpoint
 interruptions.  The chunks left to run go through one runner: in this
 process when one is left, else in a pool of min(workers, chunks left, CPU
 count) processes fed lazily, each with one orbit memo for the scan.
 
 A checkpoint (format CHECKPOINT_VERSION) is a header line, the scan's
 identity, then one line per completed chunk, each a sort_keys json.dumps.
+A report and a header name the rule by Rule.name, its multiplier alone,
+so only a scan of rule_for's rule for its multiplier is checkpointed.
 A checkpointed scan rewrites the file once, atomically (a .tmp file and
 os.replace), then appends and flushes one line per finished chunk.  On load
 a last line without its newline, a torn append, is dropped; the chunks are
-validated against the header's rule, range and chunk size, and a chunk that
-does not fit raises CheckpointError.
+validated against the header's rule, range, limits and chunk size, and a
+chunk that does not fit raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .cycles import (
     COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk,
     canonical_cycle, trivial_cycle_record,
 )
-from .dynamics import OrbitLimits, Rule, rule_for
+from .dynamics import RULES, OrbitLimits, Rule, rule_for
 from .numerics import decimal_to_int, int_to_decimal, require, show
 
 SCHEMA_VERSION = 1  # of the scan report
@@ -39,19 +42,20 @@ CHECKPOINT_VERSION = 2  # of the checkpoint file
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
 
 
-def _identity_doc(multiplier: int, lo: int, hi: int, limits: OrbitLimits) -> dict:
+def _identity_doc(scan: ScanReport | ScanState) -> dict:
     """The rule, range and limits of a scan, as its report and its
     checkpoint header write them."""
+    limits = scan.limits
     return {
-        "rule": rule_for(multiplier).name,
-        "range": {"lo": int_to_decimal(lo), "hi": int_to_decimal(hi)},
+        "rule": scan.rule.name,
+        "range": {"lo": int_to_decimal(scan.lo), "hi": int_to_decimal(scan.hi)},
         "limits": {"max_steps": limits.max_steps, "max_value_bits": limits.max_value_bits},
     }
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    rule_multiplier: int
+    rule: Rule
     lo: int
     hi: int
     limits: OrbitLimits
@@ -66,7 +70,7 @@ class ScanReport:
         return {
             "schema_version": self.schema_version,
             "kind": "govlab-scan-report",
-            **_identity_doc(self.rule_multiplier, self.lo, self.hi, self.limits),
+            **_identity_doc(self),
             "counts": dict(self.counts),
             "cycles": [c.to_doc() for c in self.cycles],
             "divergence_candidates": [int_to_decimal(v) for v in self.divergence_candidates],
@@ -89,7 +93,7 @@ class ScanState:
     """Scan identity plus the chunk results accumulated so far; it owns the
     chunk layout, so its bounds are checked under scan_range's names."""
 
-    rule_multiplier: int
+    rule: Rule
     lo: int
     hi: int
     limits: OrbitLimits
@@ -115,8 +119,8 @@ class ScanState:
         return {
             "schema_version": CHECKPOINT_VERSION,
             "kind": "govlab-scan-checkpoint",
-            **_identity_doc(self.rule_multiplier, self.lo, self.hi, self.limits),
-            "multiplier": self.rule_multiplier,
+            **_identity_doc(self),
+            "multiplier": self.rule.multiplier,
             "chunk_size": self.chunk_size,
         }
 
@@ -198,7 +202,7 @@ def checkpoint_load(path: str) -> ScanState:
             )
         limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
         lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
-        state = ScanState(rule.multiplier, lo, hi, limits, doc["chunk_size"], {})
+        state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
         for line in lines[1:]:
             chunk = _chunk_from_doc(json.loads(line), rule)
             _check_chunk(chunk, state)
@@ -248,9 +252,18 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
         )
     if any(c.classification is Classification.TRIVIAL for c in chunk.cycles.values()):
         raise ValueError(f"{chunk_name} lists the trivial cycle")
+    # a seed's peak is at least its bit length and at most that of a q*v + 1
+    # with v under the cap or at most c_hi, the width _OrbitMemo sizes peaks by
+    steps, peak, least = chunk.max_steps_observed, chunk.max_excursion_bits, c_hi.bit_length()
+    most = max(state.limits.max_value_bits, least) + state.rule.multiplier.bit_length()
+    if steps > state.limits.max_steps or not least <= peak <= most:
+        raise ValueError(
+            f"{chunk_name} maxima of {int_to_decimal(steps)} steps and {int_to_decimal(peak)} "
+            f"bits are past max_steps or outside {least}..{most} bits"
+        )
 
 
-def _merge(state: ScanState, rule: Rule) -> ScanReport:
+def _merge(state: ScanState) -> ScanReport:
     total = ChunkResult(index=0)
     for i in range(state.n_chunks):
         total.merge(state.completed[i])
@@ -258,11 +271,11 @@ def _merge(state: ScanState, rule: Rule) -> ScanReport:
     if counts["converged_trivial"]:
         # seeds reached the trivial cycle, so it was observed even though no
         # seed's outcome carries it as a CycleRecord
-        triv = trivial_cycle_record(rule)
+        triv = trivial_cycle_record(state.rule)
         total.cycles.setdefault(triv.smallest_odd, triv)
     counts["total"] = sum(total.counts)
     return ScanReport(
-        rule_multiplier=rule.multiplier,
+        rule=state.rule,
         lo=state.lo,
         hi=state.hi,
         limits=state.limits,
@@ -331,8 +344,11 @@ def scan_range(
     order, and each chunk that finishes is appended to it as one line.
     """
     require(workers, "scan_range workers")
-    state = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {})
+    state = ScanState(rule, lo, hi, limits, chunk_size, {})
     if checkpoint_path is not None:
+        if rule not in RULES.values():  # checkpoint_load reads only rule_for's rules
+            cycle = ", ".join(map(int_to_decimal, rule.trivial_cycle))
+            raise ValueError(f"a checkpoint cannot hold {rule.name} with trivial cycle ({cycle})")
         if os.path.exists(checkpoint_path):
             loaded = checkpoint_load(checkpoint_path)
             if replace(loaded, completed={}) != state:
@@ -356,4 +372,4 @@ def scan_range(
             if log is not None:
                 log.write(_line(_chunk_doc(chunk)))
                 log.flush()
-    return _merge(state, rule)
+    return _merge(state)

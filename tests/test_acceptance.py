@@ -169,7 +169,7 @@ def test_criterion_8_engineering_determinism(tmp_path):
     # interrupt simulation: only chunks 0 and 5 done, then resume from file
     ckpt = str(tmp_path / "resume.ckpt")
     n_seeds = (hi - lo) // 2 + 1
-    partial = ScanState(5, lo, hi, limits, chunk, {})
+    partial = ScanState(RULE_5Z, lo, hi, limits, chunk, {})
     for i in (0, 5):
         c_lo = lo + 2 * i * chunk
         c_hi = lo + 2 * (min((i + 1) * chunk, n_seeds) - 1)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from govlab import claims
-from govlab.dynamics import RULE_5Z, OrbitLimits
+from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits
 from govlab.claims import (
     ClaimReport,
     Verdict,
@@ -93,7 +93,7 @@ class TestScanClaims:
         # the 5Z+1 cycles hold members of governor index 2, and two of them
         # are auxiliary, so both 3Z+1 checks must fail on this report; C1's
         # runner takes its allowed governors from the report's rule
-        report = replace(scan_range(1, 127, RULE_5Z, OrbitLimits(10**5, 128)), rule_multiplier=3)
+        report = replace(scan_range(1, 127, RULE_5Z, OrbitLimits(10**5, 128)), rule=RULE_3Z)
         verdict, evidence = claims._run_governor_census(report)
         assert verdict is Verdict.FAIL
         violations = [(v["member"], v["governor_index"]) for v in evidence["violations"]]

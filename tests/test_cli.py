@@ -64,6 +64,7 @@ class TestParsing:
              "128", "--step-limit", "100000", "--workers", "4"]
         )
         assert ns.verb == "scan"
+        assert ns.rule is RULE_5Z
         assert ns.odd_range == (1, 131071)
         assert ns.workers == 4
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -700,7 +701,7 @@ def check_table_fold(lo, hi, chunk_size, rule, limits):
     seed-by-seed reference fold, each over its own memo, and check that
     the chunks and the memos agree after each chunk; returns the chunks and
     the seeds that _scan_chunk folded with ChunkResult.add, in order."""
-    state = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {})
+    state = ScanState(rule, lo, hi, limits, chunk_size, {})
     fast = cycles._OrbitMemo(lo, hi, rule, limits)
     ref = cycles._OrbitMemo(lo, hi, rule, limits)
     chunks, added = [], []
@@ -1142,6 +1143,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_range(9, 3, RULE_3Z, SCAN_LIMITS)
 
+    def test_report_of_any_rule_names_it_by_its_multiplier(self):
+        report = scan_range(1, 63, RULE_7Z, OrbitLimits(400, 40))
+        assert report.rule is RULE_7Z
+        assert json.loads(report.to_json())["rule"] == "7Z+1"
+
 
 VALIDATION_SCAN = (1, 1023, RULE_5Z, SCAN_LIMITS)  # four chunks of 128 seeds
 VALIDATION_CLI = ["scan", "--rule", "5", "--odd-range", "1:1023", "--chunk-size", "128"]
@@ -1164,9 +1170,29 @@ def _rejected_everywhere(path, capsys, match=None):
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("rule", [RULE_7Z, RULE_13], ids=["7z", "13-cycle"])
+    def test_rule_a_header_cannot_name_is_not_checkpointed(self, tmp_path, rule):
+        # a header names its rule by the multiplier, which loads as rule_for's rule
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match=re.escape(rule.name)):
+            scan_range(1, 255, rule, SCAN_LIMITS, chunk_size=64, checkpoint_path=str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_of_another_rule_is_not_merged(self, tmp_path):
+        # two chunks of a 5Z+1 scan would pass for two of RULE_13's, whose
+        # fresh scan of 1..255 sees 10 seeds converge and 16 enter a cycle
+        path = tmp_path / "ckpt.json"
+        scan_range(1, 255, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(RULE_13.name)):
+            scan_range(1, 255, RULE_13, SCAN_LIMITS, chunk_size=64, checkpoint_path=str(path))
+        assert path.read_bytes() == before
+
     def _partial_state(self, lo, hi, chunk_size, indices):
         n_seeds = (hi - lo) // 2 + 1
-        state = ScanState(5, lo, hi, SCAN_LIMITS, chunk_size, {})
+        state = ScanState(RULE_5Z, lo, hi, SCAN_LIMITS, chunk_size, {})
         for i in indices:
             c_lo = lo + 2 * i * chunk_size
             c_hi = lo + 2 * (min((i + 1) * chunk_size, n_seeds) - 1)
@@ -1343,7 +1369,7 @@ def _scan_states(draw):
         )
     limits = OrbitLimits(draw(st.integers(1, 10**6)), draw(st.integers(1, 4096)))
     hi = lo + 2 * (n_chunks * chunk_size - 1)
-    return ScanState(rule.multiplier, lo, hi, limits, chunk_size, completed)
+    return ScanState(rule, lo, hi, limits, chunk_size, completed)
 
 
 class TestCheckpointWriter:
@@ -1382,7 +1408,7 @@ class TestCheckpointWriter:
         path = tmp_path / "ckpt.json"
         path.unlink(missing_ok=True)
         done = data.draw(st.permutations(range(n_chunks)))[: data.draw(st.integers(0, n_chunks))]
-        start = ScanState(rule.multiplier, lo, hi, limits, chunk_size, {i: chunks[i] for i in done})
+        start = ScanState(rule, lo, hi, limits, chunk_size, {i: chunks[i] for i in done})
         if done or data.draw(st.booleans()):
             checkpoint_save(start, str(path))
 
@@ -1408,7 +1434,7 @@ class TestCheckpointWriter:
             expected = _checkpoint_json(start) + "".join(map(_line, new))
             assert path.read_text(encoding="utf-8") == expected
             if sorted(done) == list(range(len(done))):  # no loaded chunk follows a new one
-                final = ScanState(rule.multiplier, lo, hi, limits, chunk_size, chunks)
+                final = ScanState(rule, lo, hi, limits, chunk_size, chunks)
                 checkpoint_save(final, str(tmp_path / "final.json"))
                 assert path.read_bytes() == (tmp_path / "final.json").read_bytes()
 
@@ -1567,6 +1593,21 @@ def _trivial_cycle_listed(doc):
     doc["chunks"][0]["cycles"].insert(0, trivial_cycle_record(RULE_5Z).to_doc())
 
 
+# no seed takes more steps than the budget, and chunk 0's peak lies in
+# [bits(255), cap + bits(5)] = [8, 131]: each seed's peak is at least its own
+# bit length, and at most that of a 5*v + 1 with v under the cap
+def _steps_past_the_budget(doc):
+    doc["chunks"][0]["max_steps_observed"] = doc["limits"]["max_steps"] + 1
+
+
+def _peak_past_the_cap(doc):
+    doc["chunks"][0]["max_excursion_bits"] = doc["limits"]["max_value_bits"] + 4
+
+
+def _peak_below_the_last_seed(doc):
+    doc["chunks"][0]["max_excursion_bits"] = 7
+
+
 class TestCheckpointValidation:
     """A checkpoint whose chunks disagree with its own range is rejected on load."""
 
@@ -1598,6 +1639,9 @@ class TestCheckpointValidation:
             _more_cycles_than_seeds_entering_one,
             _repeated_cycle,
             _trivial_cycle_listed,
+            _steps_past_the_budget,
+            _peak_past_the_cap,
+            _peak_below_the_last_seed,
         ],
     )
     def test_inconsistent_chunk_rejected(self, tmp_path, capsys, corrupt):
@@ -1624,7 +1668,7 @@ class TestCheckpointValidation:
 
     def test_zero_chunk_size_rejected(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
-        checkpoint_save(ScanState(5, 1, 1023, SCAN_LIMITS, 128, {}), str(path))
+        checkpoint_save(ScanState(RULE_5Z, 1, 1023, SCAN_LIMITS, 128, {}), str(path))
         doc = read_checkpoint_doc(path)
         doc["chunk_size"] = 0
         write_checkpoint_doc(path, doc)
