@@ -8,25 +8,25 @@ layout, runner, report and checkpoints) is govlab.scan; this module gives it
 the fold of one chunk, _scan_chunk, which pool workers run.
 
 The scan kernel (walks, the orbit memo and the chunk fold) passes an
-orbit's result as one (code, steps, peak) triple.  The code is 0 for a
-step-limited result, 1 converged, 2 value-limited, and 3 + i for cycle i of
-the memo's list of cycles met so far.  Only detect_outcome turns a result
-into the public Outcome, through _OrbitMemo.outcome.  The chunk fold counts
-each class at its code, every cycle at code 3: COUNT_KEYS names the counts
-in code order.
+orbit's result as one (code, steps, peak) triple.  The code is 1 for a
+step-limited result, 2 converged, 3 value-limited, and 4 + i for cycle i of
+the memo's list of cycles met so far; 0 is no result.  Only detect_outcome
+turns a result into the public Outcome, through _OrbitMemo.outcome.  The
+chunk fold counts each class at its code minus 1, every cycle at 3:
+COUNT_KEYS names the counts in code order.
 
 A scan keeps an orbit memo in each process that runs its chunks, which also
 carries the scan's rule and limits: a kind byte holding the result code,
 steps and peak for each odd value of [lo, top), in arrays indexed by
 (v - lo) >> 1, where lo is the scan's first seed and top covers its first
-2^20 seeds (about 7 MB at most).  A step-limited result is never written,
-so code 0 reads back as unknown, and only codes below 256 fit the byte and
-are written; a cycle with a larger code is walked each time.  The memo is
-filled from every finished walk of every chunk the process runs for the
-scan, not only from the seeds, and a seed whose entry is already filled
-takes it without a walk.  In a scan of more than 2^20 seeds, the values
-from top on are held by no memo, but walks from them still end on the
-entries below top that their orbits reach.
+2^20 seeds (about 7 MB at most).  Code 0 marks an entry not yet filled.
+Only codes below 256 fit the byte and are written, which holds 252 cycles;
+a cycle with a larger code is walked each time.  The memo is filled from
+every finished walk of every chunk the process runs for the scan, not only
+from the seeds, and a seed whose entry is already filled takes it without
+a walk.  In a scan of more than 2^20 seeds, the values from top on are
+held by no memo, but walks from them still end on the entries below top
+that their orbits reach.
 
 The walk.  _walker binds a memo's rule, limits and arrays once and
 returns the walk, which reads and writes the table inside its own loop, by
@@ -36,45 +36,45 @@ so no two calls share a cycle list.  The walker refers to its memo; the
 memo never refers to a walker, so no reference cycle keeps a table alive
 past its scan or call.
 
-Write.  A walk that ends converged, value-limited or in a cycle writes
-each odd value v on it that lies in [lo, top): steps is the walk's total
-minus v's step index, and peak is the largest bit length from v on, a
-suffix maximum over (q*v + 1).bit_length() and the end of the walk (the
-read entry's peak, when the walk ended on one).  A walk writes from the
-first value in [lo, top) after its seed that it goes on past, plus the seed
-itself from its outcome, so a walk that goes on past no such value writes
-one entry.  This is v's own result unless some value of the walk before v
-lies on v's suffix; then v lies on a cycle.  So:
+Write.  A walk writes odd values v on it that lie in [lo, top): steps is
+the walk's total minus v's step index, and peak is the largest bit length
+from v on, a suffix maximum over (q*v + 1).bit_length() and the end of the
+walk (the read entry's peak, when the walk ended on one).  A walk writes
+from the first value in [lo, top) after its seed that it goes on past,
+plus the seed itself from its outcome, so a walk that goes on past no such
+value writes one entry.  This is v's own result unless some value of the
+walk before v lies on v's suffix; then v lies on a cycle.  So:
 
 * a converged result is written: the only cycle it can reach is the
-  trivial one, and trivial members end the walk before they are written;
+  trivial one, whose members end the walk before it goes on past them;
 * a value-limit result is written: an orbit that passes the cap is not
   periodic;
 * of a cycle result only the values before the cycle's entry point are
   written, never the cycle's members; an orbit that reaches a member from
   outside enters the cycle at its own entry point, not at the member;
-* a step-limit result writes nothing: its steps and peak are cut short.
+* a step-limit result writes only its seed, whose own result it is: the
+  other values' steps and peaks are cut short;
+* a trivial odd member, as a seed, writes its own (converged, 0, bits).
 
 Read.  When a walk reaches an odd value u in [lo, top) that is neither a
 trivial member nor one of its own earlier values, and u's entry is filled,
 the orbit from there on is u's orbit, so the result is the prefix plus
-u's: steps add, peaks take the maximum.  By the rules above u lies on no
-cycle, so no value from before u can repeat after it.  The entry is used
-only when the total stays within the step budget; otherwise the walk goes
-on, which keeps the step-limit peak exact.  The trivial and repetition
-checks come first, as in dynamics.orbit.
+u's: steps add, peaks take the maximum.  The trivial and repetition checks
+come first, as in dynamics.orbit, so no walk reads a trivial member's
+entry.  The entry is used only when the total stays within the step
+budget; otherwise the walk goes on, which keeps the step-limit peak exact.
+So no walk reads a step-limited entry either: it holds the whole budget,
+and a walk reaches u after at least 2 steps.  Every entry a walk reads is
+then written by the first three rules above, so u lies on no cycle, and no
+value from before u can repeat after it.
 
 A walk builds its seen map and its list of odd values only once its orbit
 goes on past its first odd value u.  Until then it looks u up among the
 trivial members alone, which is exact: the only earlier odd value is the
 seed x, and u == x means q*x + 1 = x * 2^k, so x = 1 and q + 1 = 2^k; the
-walk from 1 starts with both built.  Nor could the table end such a walk
-on a value it should have found repeated: a value that repeats lies on a
-cycle, the trivial one included, and neither a cycle member nor a trivial
-member is ever written, by any walk, so their entries are never filled,
-also under a table that several processes fill.  So a walk that ends at
-its first odd value, on a trivial member, past the cap or on a filled
-entry, builds neither and writes only its seed's entry.
+walk from 1 starts with both built.  So a walk that ends at its first odd
+value, on a trivial member, past the cap or on a filled entry, builds
+neither and writes only its seed's entry.
 
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
@@ -129,18 +129,17 @@ so a lean walk there would be thrown away: its gate is the cap, re-arming
 sets the cap again, and the loop runs no extra test per transition.
 
 Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
-unknown at their turn, in ascending order, so the memo fills exactly as a
-seed-by-seed fold would fill it.  A seed whose entry is still unknown after
-its own walk goes through ChunkResult.add: a trivial odd member, a cycle
-member, a step-limited seed, or a seed whose cycle code passes the kind
-byte.  No later walk writes such an entry: members are never written, an
-orbit through a step-limited seed is step-limited too, and a code past the
-byte is never written.  Every other seed below top then holds its own
-result, and the chunk folds them from its slice of the table: each
-class's count from kinds.count of its codes, the value-limited candidates
-from the positions of code 2, merged in order with the added ones, and the
-maxima from max over the steps and peaks slices.  The seeds from top on are
-walked and added one by one.
+empty at their turn, in ascending order, so the memo fills exactly as a
+seed-by-seed fold would fill it.  A seed whose entry is still empty after
+its own walk goes through ChunkResult.add: a cycle member, or a seed whose
+cycle code passes the kind byte.  No later walk writes such an entry:
+members are never written, nor is a code past the byte.  Every other seed
+below top then holds its own result, and the chunk folds them from its
+slice of the table: each class's count from kinds.count of its codes, the
+divergence candidates from one translate of the slice that selects the two
+undecided codes, and the maxima from max over the steps and peaks slices.
+No added seed is a candidate, so the candidates come out in order.  The
+seeds from top on are walked and added one by one.
 
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
@@ -165,8 +164,9 @@ from itertools import compress, islice
 from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values
 from .numerics import governor_index, int_to_decimal, require
 
-# the outcome counts of a chunk, each at its class's result code (every
-# cycle's at the first cycle code); a report lists them in sorted order
+# the outcome counts of a chunk, each at its class's result code minus 1
+# (every cycle's at the first cycle code's); a report lists them in sorted
+# order
 COUNT_KEYS = (
     "undecided_step_limit",
     "converged_trivial",
@@ -299,12 +299,12 @@ def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
 
 
 # the result code of an orbit, shared by walks, orbit memo entries and the
-# chunk fold; a step-limited result is never written to the memo, so its
-# code 0 reads back as unknown
-_STEP_LIMIT, _TRIVIAL, _VALUE_LIMIT = 0, 1, 2
-_CYCLE = 3  # plus the cycle's position in _OrbitMemo.cycles
-# the public (tag, undecided reason) of a result, at min(code, _CYCLE); bound
-# here once, as an enum member read through its class costs a descriptor call
+# chunk fold; code 0 is an entry of the memo that holds no result
+_STEP_LIMIT, _TRIVIAL, _VALUE_LIMIT = 1, 2, 3
+_CYCLE = 4  # plus the cycle's position in _OrbitMemo.cycles
+# the public (tag, undecided reason) of a result, at min(code, _CYCLE) - 1;
+# bound here once, as an enum member read through its class costs a
+# descriptor call
 _TAG_REASON = (
     (OutcomeTag.UNDECIDED, TerminationKind.STEP_LIMIT),
     (OutcomeTag.CONVERGED_TRIVIAL, None),
@@ -340,6 +340,8 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     def walk(x: int) -> tuple[int, int, int]:
         peak = x.bit_length()
         if x in trivial_odds:
+            if x < top:  # no walk reads it: every walk finds x in seen first
+                kinds[(x - lo) >> 1], entry_peaks[(x - lo) >> 1] = _TRIVIAL, peak
             return _TRIVIAL, 0, peak
         # seen maps an odd value to the valuation of the run that entered it
         # (0 for x), or to -1 for a trivial odd member, so that one lookup
@@ -403,7 +405,10 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 # second occurrence of the first repeated value u << min(entry valuations)
                 stop = s + 1 + k - min(hit, k)
             if stop > max_steps:
-                return _STEP_LIMIT, max_steps, peak
+                # write the seed's result only: the other values' steps and
+                # peaks are cut short, and no walk reads the seed's entry
+                code, steps, first = _STEP_LIMIT, max_steps, 0
+                break
             if hit is not None:
                 steps = stop
                 if hit < 0:
@@ -548,10 +553,11 @@ class _OrbitMemo:
     [lo, top), filled by the walks of the scan's chunks.
 
     Entry (v - lo) >> 1 holds the result code, the steps taken and the peak
-    bits of v's orbit; code 0 means unknown.  The walks of _walker read and
-    write the arrays directly.  The range covers the first
+    bits of v's orbit; code 0 means no result yet.  The walks of _walker
+    read and write the arrays directly.  The range covers the first
     _MEMO_MAX_SEEDS seeds of lo..hi, and is empty when hi is lo - 2.  The
-    module docstring says which results are written and why each is exact.
+    module docstring says which results are written, which are read, and
+    why each is exact.
     """
 
     def __init__(self, lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
@@ -588,7 +594,7 @@ class _OrbitMemo:
         """The public form of a (code, steps, peak) result."""
         # positional fields and module-level members: building a frozen
         # dataclass is a large share of a detect_outcome call
-        tag, reason = _TAG_REASON[code if code < _CYCLE else _CYCLE]  # min() is a call
+        tag, reason = _TAG_REASON[(code if code < _CYCLE else _CYCLE) - 1]  # min() is a call
         cycle = self.cycles[code - _CYCLE] if code >= _CYCLE else None
         return Outcome(tag, cycle, reason, steps, peak)
 
@@ -602,7 +608,7 @@ class _OrbitMemo:
 class ChunkResult:
     """Fold of seed outcomes, built seed by seed and merged chunk by chunk.
 
-    counts[min(code, _CYCLE)] counts the seeds of a result code's class,
+    counts[min(code, _CYCLE) - 1] counts the seeds of a result code's class,
     named by COUNT_KEYS.  A chunk's result is fully determined by its
     bounds; merge is associative, so folding chunks in index order does not
     depend on how seeds were grouped.
@@ -618,7 +624,7 @@ class ChunkResult:
     def add(self, seed: int, code: int, steps: int, peak: int, cycles: list[CycleRecord]) -> None:
         """Fold in the (code, steps, peak) result of one seed, after every
         seed below it; cycles maps cycle codes to their records."""
-        self.counts[min(code, _CYCLE)] += 1
+        self.counts[min(code, _CYCLE) - 1] += 1
         if code >= _CYCLE:
             cycle = cycles[code - _CYCLE]
             self.cycles.setdefault(cycle.smallest_odd, cycle)
@@ -639,29 +645,28 @@ class ChunkResult:
         self.max_steps_observed = max(self.max_steps_observed, other.max_steps_observed)
 
 
-# 1 at the value-limit code and 0 elsewhere: a slice of kind bytes translated
-# by it selects the value-limited seeds
-_VALUE_LIMIT_MASK = bytes(code == _VALUE_LIMIT for code in range(256))
+# 1 at the two undecided codes and 0 elsewhere: a slice of kind bytes
+# translated by it selects the divergence candidates
+_UNDECIDED_MASK = bytes(code in (_STEP_LIMIT, _VALUE_LIMIT) for code in range(256))
 
 
 def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
     """Fold in the filled entries among the memo's entries a..b - 1 as
-    ChunkResult.add of each would, and sort the chunk's candidates, which
-    may hold added seeds on either side of them."""
+    ChunkResult.add of each would, in order; the seeds added to the chunk
+    so far must include no candidate."""
     kinds = memo.kinds
-    # code 0 is unknown in the table; codes past the kind byte are never written
-    for code in range(_TRIVIAL, min(_CYCLE + len(memo.cycles), 256)):
+    # code 0 holds no result; codes past the kind byte are never written
+    for code in range(_STEP_LIMIT, min(_CYCLE + len(memo.cycles), 256)):
         n = kinds.count(code, a, b)
         if not n:
             continue
-        chunk.counts[min(code, _CYCLE)] += n
+        chunk.counts[min(code, _CYCLE) - 1] += n
         if code >= _CYCLE:
             cycle = memo.cycles[code - _CYCLE]
             chunk.cycles.setdefault(cycle.smallest_odd, cycle)
-        elif code == _VALUE_LIMIT:
-            seeds = range(memo.lo + 2 * a, memo.lo + 2 * b, 2)
-            chunk.candidates += compress(seeds, kinds[a:b].translate(_VALUE_LIMIT_MASK))
-            chunk.candidates.sort()
+    undecided = kinds[a:b].translate(_UNDECIDED_MASK)
+    if 1 in undecided:  # compress steps through every seed, selected or not
+        chunk.candidates += compress(range(memo.lo + 2 * a, memo.lo + 2 * b, 2), undecided)
     # views, not copies, of the wider arrays
     chunk.max_excursion_bits = max(chunk.max_excursion_bits, max(memoryview(memo.peaks)[a:b]))
     chunk.max_steps_observed = max(chunk.max_steps_observed, max(memoryview(memo.steps)[a:b]))
@@ -694,7 +699,7 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
         while i >= 0:
             seed = base + 2 * i
             result = walk(seed)
-            if not kinds[i]:  # a result the table never holds
+            if not kinds[i]:  # a cycle member, or a cycle code past the kind byte
                 chunk.add(seed, *result, cycles)
             i = kinds.find(0, i + 1, b)
         _fold_table(chunk, memo, a, b)

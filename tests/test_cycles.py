@@ -13,7 +13,7 @@ import weakref
 from array import array
 from concurrent.futures import Future
 from contextlib import closing
-from itertools import count, islice
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -326,8 +326,9 @@ class TestSeedMemo:
         entries = memo_entries(memo)
         # walks also write values of the chunk other than their own seed
         assert set(entries) - {w.seed for w in walks}
-        # step-limited results are never written
-        assert not any(outs[v].undecided_reason is TerminationKind.STEP_LIMIT for v in entries)
+        # every step-limited seed's entry is filled, and only by its own walk
+        step_limited = {v for v, o in outs.items() if o.undecided_reason is TerminationKind.STEP_LIMIT}
+        assert step_limited <= set(entries) & {w.seed for w in walks}
 
     def test_every_outcome_class_is_reused(self, walks):
         # small limits make all four classes occur, and each reusable one is reused
@@ -383,6 +384,19 @@ class TestSeedMemo:
         walk = walk_of(walks, seed)
         assert walk.kinds[(u - 1) >> 1] and walk.read is None  # u's entry is filled
         assert outs[seed].undecided_reason is TerminationKind.STEP_LIMIT
+
+    def test_walk_goes_on_past_a_step_limited_entry(self, walks):
+        # 937 -> 2812 -> 1406 -> 703 meets 703 after 3 steps; 703, 168 steps
+        # from the trivial cycle, is step-limited at 150, and its own walk
+        # has filled its entry
+        limits = OrbitLimits(max_steps=150, max_value_bits=10**4)
+        assert [v for v, _ in islice(odd_orbit(937, RULE_3Z), 2)] == [937, 703]
+        outs, memo = self.check_chunk(1, 937, RULE_3Z, limits)
+        assert memo_entries(memo)[703] == ("step_limit", None, 150, outs[703].peak_bits)
+        walk = walk_of(walks, 937)
+        assert walk.kinds[(703 - 1) >> 1] and walk.read is None
+        assert outs[937] == detect_outcome(937, RULE_3Z, limits)
+        assert outs[937].undecided_reason is TerminationKind.STEP_LIMIT
 
     def test_memo_records_a_bounded_prefix_of_the_chunk(self, monkeypatch, walks):
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
@@ -696,11 +710,26 @@ class TestScanMemo:
         assert report_form(report) == oracle_report(11, 11, rule, limits)
 
 
+# 1 at the two undecided result codes: the kind bytes of the divergence candidates
+UNDECIDED = bytes(code in (cycles._STEP_LIMIT, cycles._VALUE_LIMIT) for code in range(256))
+
+
+def stays_empty(seed, memo):
+    """Whether seed's own walk leaves its entry of memo empty: seed is a
+    member of the cycle it enters, or that cycle's code passes the kind byte."""
+    out = detect_outcome(seed, memo.rule, memo.limits)
+    if out.tag is not OutcomeTag.CYCLE:
+        return False
+    return seed in out.cycle.odd_members or cycles._CYCLE + memo.cycles.index(out.cycle) > 255
+
+
 def check_table_fold(lo, hi, chunk_size, rule, limits):
     """Fold every chunk of the scan of lo..hi with _scan_chunk and with the
     seed-by-seed reference fold, each over its own memo, and check that
-    the chunks and the memos agree after each chunk; returns the chunks and
-    the seeds that _scan_chunk folded with ChunkResult.add, in order."""
+    the chunks and the memos agree after each chunk, and that below the
+    memo's top only the seeds that stay_empty are added and the candidates
+    come from the table; returns the chunks and the seeds that _scan_chunk
+    folded with ChunkResult.add, in order."""
     state = ScanState(rule, lo, hi, limits, chunk_size, {})
     fast = cycles._OrbitMemo(lo, hi, rule, limits)
     ref = cycles._OrbitMemo(lo, hi, rule, limits)
@@ -713,18 +742,29 @@ def check_table_fold(lo, hi, chunk_size, rule, limits):
 
     for i in range(state.n_chunks):
         c_lo, c_hi = state.chunk_bounds(i)
+        first_added = len(added)
         with mock.patch.object(ChunkResult, "add", spy):
             chunk = _scan_chunk(i, c_lo, c_hi, fast)
         assert chunk == fold_chunk(i, c_lo, c_hi, ref), (c_lo, c_hi)
         # the walks fill the memo in the reference fold's order
         assert (fast.kinds, fast.steps, fast.peaks) == (ref.kinds, ref.steps, ref.peaks)
         assert fast.cycles == ref.cycles
+        # below top the empty entries are the added seeds, and the candidates
+        # are the seeds whose kind byte is an undecided code
+        held = range(c_lo, min(c_hi + 2, fast.top), 2)
+        a = (c_lo - lo) >> 1
+        held_kinds = fast.kinds[a : a + len(held)]
+        empty = [x for x, kind in zip(held, held_kinds) if not kind]
+        assert empty == [x for x in held if stays_empty(x, fast)], (c_lo, c_hi)
+        assert empty == [x for x in added[first_added:] if x < fast.top]
+        table_candidates = list(compress(held, held_kinds.translate(UNDECIDED)))
+        assert [x for x in chunk.candidates if x < fast.top] == table_candidates
         chunks.append(chunk)
     return chunks, added
 
 
 class TestTableFold:
-    """_scan_chunk, which walks only the seeds whose entry is unknown and
+    """_scan_chunk, which walks only the seeds whose entry is empty and
     folds the rest from the memo's table, against ChunkResult.add of every
     seed's result."""
 
@@ -748,22 +788,22 @@ class TestTableFold:
         with mock.patch.object(cycles, "_MEMO_MAX_SEEDS", cap):
             check_table_fold(lo, lo + 2 * (n_seeds - 1), chunk_size, rule, limits)
 
-    def test_trivial_odd_members_are_added(self):
-        # 1 is never written, so it is the only seed of the chunk folded by add
+    def test_trivial_odd_members_are_folded_from_the_table(self):
+        # 1's own walk writes its entry, so no seed of the chunk is added
         [chunk], added = check_table_fold(1, 999, 1000, RULE_3Z, GENEROUS)
-        assert added == [1]
+        assert added == []
         assert counts_by_name(chunk) == only("converged_trivial", 500)
 
     def test_cycle_members_are_added(self):
-        # besides 5Z+1's trivial odd members 1 and 3, the seeds no entry
-        # holds are the members of its auxiliary cycles at 13 and 17
+        # the seeds no entry holds are the members of 5Z+1's auxiliary
+        # cycles at 13 and 17; its trivial odd members 1 and 3 are written
         [chunk], added = check_table_fold(1, 99, 50, RULE_5Z, SCAN_LIMITS)
-        assert added == sorted({1, 3, 13, 33, 83, 17, 27, 43})
+        assert added == sorted({13, 33, 83, 17, 27, 43})
         assert sorted(chunk.cycles) == [13, 17]
 
-    def test_step_limited_seeds_are_added(self):
-        # every class occurs; the step-limited candidates come from add, the
-        # value-limited ones from the table, and they are merged in order
+    def test_step_limited_seeds_are_folded_from_the_table(self):
+        # every class occurs; the step-limited and the value-limited
+        # candidates come interleaved from one pass over the table
         limits = OrbitLimits(max_steps=120, max_value_bits=40)
         [chunk], added = check_table_fold(1, 1999, 1000, RULE_5Z, limits)
         assert all(chunk.counts)
@@ -772,8 +812,9 @@ class TestTableFold:
             if classify_by_orbit(x, RULE_5Z, limits)[0] == "step_limit"
         ]
         assert len(step_limited) == counts_by_name(chunk)["undecided_step_limit"]
-        assert set(step_limited) <= set(added)
+        assert not set(step_limited) & set(added)
         assert step_limited != chunk.candidates[: len(step_limited)]  # interleaved
+        assert chunk.candidates == sorted(chunk.candidates)
 
     def test_cycle_codes_past_the_kind_byte_are_added(self, cycle_codes_from_255):
         # cycle 13 is met first and takes code 255, which the byte holds;
@@ -788,14 +829,14 @@ class TestTableFold:
         assert {13, 17} <= set(chunk.cycles)
 
     def test_chunk_straddling_the_memo_top(self, monkeypatch):
-        # the memo holds 1..15: 1 and every seed from 17 on go through add,
-        # the rest of 1..15 through the table
+        # the memo holds 1..15, all of them through the table; every seed
+        # from 17 on goes through add
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 8)
         chunks, added = check_table_fold(1, 199, 60, RULE_3Z, GENEROUS)
         assert list(map(counts_by_name, chunks)) == [
             only("converged_trivial", 60), only("converged_trivial", 40)
         ]
-        assert added == [1, *range(17, 200, 2)]
+        assert added == list(range(17, 200, 2))
 
 
 class TestCountsByCode:
