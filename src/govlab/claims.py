@@ -144,7 +144,7 @@ def _run_c2(report: ScanReport) -> tuple[Verdict, dict]:
     # of the leading term being absorbed into the placeholder
     p = _C2_SUCCESSOR_SAMPLE_EXPONENT
     start = (1 << p) + 1
-    val = RULE_3Z.step(RULE_3Z.step(start))
+    val, _ = RULE_3Z.replay(start, "OE")
     evidence["successor_congruence_note"] = {
         "start": int_to_decimal(start),
         "steps": "OE",
@@ -217,30 +217,6 @@ SUCCESSOR_FAMILIES: tuple[tuple[str, int, tuple[tuple[str, int, int], ...]], ...
 )
 
 
-def replay_steps(x: int, steps: str) -> tuple[int, bool]:
-    """Apply a literal O/E step string of 5Z+1, the rule of the successor
-    families; returns (value, parity_respected).
-
-    parity_respected is False when an O lands on an even value or an E on an
-    odd one; replay continues arithmetically (E uses floor halving) so the
-    divergence from the stated expression stays visible.
-    """
-    ok = True
-    v = x
-    for ch in steps:
-        if ch == "O":
-            if v % 2 == 0:
-                ok = False
-            v = RULE_5Z.multiplier * v + 1
-        elif ch == "E":
-            if v % 2 == 1:
-                ok = False
-            v //= 2
-        else:
-            raise ValueError(f"step string may contain only O and E, got {ch!r}")
-    return v, ok
-
-
 def _run_c6(params: dict) -> tuple[Verdict, dict]:
     # from 12 on, no family's stated residue collides with the placeholder
     q_exp = require(params["placeholder_exponent"], "C6 parameter placeholder_exponent", 12)
@@ -249,7 +225,8 @@ def _run_c6(params: dict) -> tuple[Verdict, dict]:
     for family, tail, family_rows in SUCCESSOR_FAMILIES:
         x = (1 << q_exp) + tail
         for steps, stated_low, shift in family_rows:
-            value, parity_ok = replay_steps(x, steps)
+            value, broken = RULE_5Z.replay(x, steps)
+            parity_ok = broken is None
             mod_exp = q_exp - shift
             residue = value % (1 << mod_exp)
             match = parity_ok and residue == stated_low

@@ -230,8 +230,6 @@ def canonical_cycle(members, rule: Rule) -> CycleRecord:
     members = tuple(members)
     if not members:
         raise ValueError("a cycle must have at least one member")
-    if len(set(members)) != len(members):
-        raise ValueError("cycle members must be distinct")
     rule.check_closed(members)
     odds = tuple(sorted(v for v in members if v % 2))
     # a closed cycle of only even values is impossible (halving decreases)
@@ -548,6 +546,13 @@ def _zeros(typecode: str, n: int, bound: int) -> array:
     return array(typecode, [0]) * n
 
 
+def peak_bound(rule: Rule, limits: OrbitLimits, v: int) -> int:
+    """The most bits an orbit peak can have on a scan whose seeds are at most
+    v: the bit length of some q*u + 1 with u under the cap or at most v has at
+    most bits(q) + bits(u) bits."""
+    return max(limits.max_value_bits, v.bit_length()) + rule.multiplier.bit_length()
+
+
 class _OrbitMemo:
     """One scan's rule and limits, and the results of the odd values of
     [lo, top), filled by the walks of the scan's chunks.
@@ -568,12 +573,9 @@ class _OrbitMemo:
         self.top = lo + 2 * n  # the first odd value not held
         self.kinds = bytearray(n)
         if n:
-            # an entry's steps are at most max_steps; its peak is the bit length
-            # of some q*v + 1 with v under the cap or below top, which has at
-            # most bits(q) + bits(v) bits
+            # an entry's steps are at most max_steps, its peak at most peak_bound
             self.steps = _zeros("I", n, limits.max_steps)
-            width = max(limits.max_value_bits, self.top.bit_length())
-            self.peaks = _zeros("H", n, width + rule.multiplier.bit_length())
+            self.peaks = _zeros("H", n, peak_bound(rule, limits, self.top))
         else:  # detect_outcome's memo: nothing is read or written
             self.steps = self.peaks = ()
         self.cycles: list[CycleRecord] = []

@@ -34,10 +34,10 @@ def step_kind_of(x: int) -> StepKind:
 class Rule:
     """A qZ+1 rule with its known repeating cycle.
 
-    trivial_cycle is replayed at construction: odd members must take the odd
-    step, even members the even step, and the last member must map to the
-    first.  The trivial governors, trivial_indices, are the governor indices
-    of its odd members.
+    trivial_cycle is replayed at construction: its members must be distinct,
+    each must step to the next, and the last member must map to the first.
+    The trivial governors, trivial_indices, are the governor indices of its
+    odd members.
     """
 
     multiplier: int
@@ -53,8 +53,29 @@ class Rule:
         """One step of the rule: q*x + 1 for odd x, x / 2 for even x."""
         return self.multiplier * x + 1 if x % 2 else x // 2
 
+    def replay(self, x: int, steps: str) -> tuple[int, int | None]:
+        """Apply an O/E step word from x: O as q*v + 1, E as v // 2, whatever
+        v's parity; returns (value, broken).
+
+        broken is the first value whose parity its step does not fit, or None.
+        Replay goes on arithmetically past it, so the divergence from a
+        stated expression stays visible.
+        """
+        broken = None
+        for ch in steps:
+            if ch not in ("O", "E"):
+                raise ValueError(f"step string may contain only O and E, got {ch!r}")
+            odd = ch == "O"
+            if broken is None and x % 2 != odd:
+                broken = x
+            x = self.multiplier * x + 1 if odd else x // 2
+        return x, broken
+
     def check_closed(self, members: tuple[int, ...]) -> None:
-        """Raise ValueError unless each member steps to the next, the last to the first."""
+        """Raise ValueError unless the members are distinct and each steps to
+        the next, the last to the first."""
+        if len(set(members)) != len(members):
+            raise ValueError("cycle members must be distinct")
         n = len(members)
         for i, x in enumerate(members):
             succ = members[(i + 1) % n]
@@ -108,7 +129,7 @@ def odd_step(x: int, rule: Rule) -> int:
     """q*x + 1 for odd x; the result is always even."""
     if x % 2 == 0:
         raise ValueError(f"odd_step requires an odd value, got {show(x)}")
-    return rule.multiplier * x + 1
+    return rule.step(x)
 
 
 def even_step(x: int) -> int:
@@ -121,7 +142,7 @@ def even_step(x: int) -> int:
 def next_odd(x: int, rule: Rule) -> tuple[int, int]:
     """Accelerated odd-to-odd map: ((q*x + 1) / 2^k, k) with k = v2(q*x + 1)."""
     require(x, "next_odd x", odd=True)
-    t = rule.multiplier * x + 1
+    t = rule.step(x)
     k = v2(t)
     return t >> k, k
 
@@ -301,13 +322,12 @@ def verify_descent(x: int, rule: Rule) -> DescentCheck:
 
 @dataclass(frozen=True)
 class ClosedFormRow:
-    """One family row: the value predicted after applying `repeat` steps of
-    `kind` to the previous row's value (kind is None for the X row)."""
+    """One family row: the value predicted after replaying the O/E word
+    steps from the previous row's value (steps is empty for the X row)."""
 
     label: str
     value: int
-    kind: StepKind | None = None
-    repeat: int = 1
+    steps: str = ""
 
 
 @dataclass(frozen=True)
@@ -323,26 +343,22 @@ class ClosedFormFamily:
         return self.row_builder(param)  # type: ignore[operator]
 
 
-_O = StepKind.O
-_E = StepKind.E
-
-
 def _t1_3z(m: int) -> list[ClosedFormRow]:
     return [
         ClosedFormRow("X", (1 << m) - 1),
-        ClosedFormRow("O{1}", (1 << (m + 1)) + (1 << m) - 2, _O),
-        ClosedFormRow("E{1}", (1 << m) + (1 << (m - 1)) - 1, _E),
-        ClosedFormRow("O{2}", (1 << (m + 2)) + (1 << (m - 1)) - 2, _O),
-        ClosedFormRow("E{2}", (1 << (m + 1)) + (1 << (m - 2)) - 1, _E),
+        ClosedFormRow("O{1}", (1 << (m + 1)) + (1 << m) - 2, "O"),
+        ClosedFormRow("E{1}", (1 << m) + (1 << (m - 1)) - 1, "E"),
+        ClosedFormRow("O{2}", (1 << (m + 2)) + (1 << (m - 1)) - 2, "O"),
+        ClosedFormRow("E{2}", (1 << (m + 1)) + (1 << (m - 2)) - 1, "E"),
         ClosedFormRow(
             "O{3}",
             (1 << (m + 2)) + (1 << (m + 1)) + (1 << (m - 1)) + (1 << (m - 2)) - 2,
-            _O,
+            "O",
         ),
         ClosedFormRow(
             "E{3}",
             (1 << (m + 1)) + (1 << m) + (1 << (m - 2)) + (1 << (m - 3)) - 1,
-            _E,
+            "E",
         ),
     ]
 
@@ -350,29 +366,29 @@ def _t1_3z(m: int) -> list[ClosedFormRow]:
 def _t1_5z(m: int) -> list[ClosedFormRow]:
     return [
         ClosedFormRow("X", (1 << m) - 1),
-        ClosedFormRow("O{1}", (1 << (m + 2)) + (1 << m) - 4, _O),
-        ClosedFormRow("E^(1){1}", (1 << (m + 1)) + (1 << (m - 1)) - 2, _E),
-        ClosedFormRow("E^(2){1}", (1 << m) + (1 << (m - 2)) - 1, _E),
-        ClosedFormRow("O{2}", (1 << (m + 2)) + (1 << (m + 1)) + (1 << (m - 2)) - 4, _O),
-        ClosedFormRow("E^(1){2}", (1 << (m + 1)) + (1 << m) + (1 << (m - 3)) - 2, _E),
-        ClosedFormRow("E^(2){2}", (1 << m) + (1 << (m - 1)) + (1 << (m - 4)) - 1, _E),
+        ClosedFormRow("O{1}", (1 << (m + 2)) + (1 << m) - 4, "O"),
+        ClosedFormRow("E^(1){1}", (1 << (m + 1)) + (1 << (m - 1)) - 2, "E"),
+        ClosedFormRow("E^(2){1}", (1 << m) + (1 << (m - 2)) - 1, "E"),
+        ClosedFormRow("O{2}", (1 << (m + 2)) + (1 << (m + 1)) + (1 << (m - 2)) - 4, "O"),
+        ClosedFormRow("E^(1){2}", (1 << (m + 1)) + (1 << m) + (1 << (m - 3)) - 2, "E"),
+        ClosedFormRow("E^(2){2}", (1 << m) + (1 << (m - 1)) + (1 << (m - 4)) - 1, "E"),
     ]
 
 
 def _t2_3z(p: int) -> list[ClosedFormRow]:
     return [
         ClosedFormRow("X", (1 << p) + 1),
-        ClosedFormRow("O{m}", (1 << (p + 1)) + (1 << p) + 4, _O),
-        ClosedFormRow("E^(1){m}", (1 << p) + (1 << (p - 1)) + 2, _E),
-        ClosedFormRow("E^(2){m}", (1 << (p - 1)) + (1 << (p - 2)) + 1, _E),
+        ClosedFormRow("O{m}", (1 << (p + 1)) + (1 << p) + 4, "O"),
+        ClosedFormRow("E^(1){m}", (1 << p) + (1 << (p - 1)) + 2, "E"),
+        ClosedFormRow("E^(2){m}", (1 << (p - 1)) + (1 << (p - 2)) + 1, "E"),
     ]
 
 
 def _t2_5z_odd(p: int) -> list[ClosedFormRow]:
     return [
         ClosedFormRow("X", (1 << p) + 1),
-        ClosedFormRow("O{(m+1)/2}", (1 << (p + 2)) + (1 << p) + 6, _O),
-        ClosedFormRow("E{(m+1)/2}", (1 << (p + 1)) + (1 << (p - 1)) + 3, _E),
+        ClosedFormRow("O{(m+1)/2}", (1 << (p + 2)) + (1 << p) + 6, "O"),
+        ClosedFormRow("E{(m+1)/2}", (1 << (p + 1)) + (1 << (p - 1)) + 3, "E"),
     ]
 
 
@@ -380,8 +396,8 @@ def _t2_5z_even(p: int) -> list[ClosedFormRow]:
     # only the fourth halving after the odd step is a listed row
     return [
         ClosedFormRow("X", (1 << p) + 3),
-        ClosedFormRow("O{m/2}", (1 << (p + 2)) + (1 << p) + 16, _O),
-        ClosedFormRow("E^(4){m/2}", (1 << (p - 2)) + (1 << (p - 4)) + 1, _E, repeat=4),
+        ClosedFormRow("O{m/2}", (1 << (p + 2)) + (1 << p) + 16, "O"),
+        ClosedFormRow("E^(4){m/2}", (1 << (p - 2)) + (1 << (p - 4)) + 1, "EEEE"),
     ]
 
 
@@ -429,8 +445,8 @@ def check_closed_form(
     """Replay each family row against the literal step functions.
 
     The oracle is direct iteration: starting from the X row, each successive
-    row must be produced by the step dictated by the current value's parity,
-    and that step's kind must agree with the row label.  Returns all
+    row must be the value its step word replays to, and each step of the
+    word must fit the parity of the value it applies to.  Returns all
     mismatches over param_lo..param_hi inclusive (an empty list means the
     formulas are exact on that range).
     """
@@ -439,23 +455,22 @@ def check_closed_form(
         raise ValueError(f"{family} is a {fam.multiplier}Z+1 family, got rule {rule.name}")
     what = f"{fam.name} parameter {fam.param_name}"
     require(param_lo, what, fam.param_min)
-    require(param_hi, what, fam.param_min)
+    require(param_hi, what, param_lo)
     mismatches: list[ClosedFormMismatch] = []
     for param in range(param_lo, param_hi + 1):
         rows = fam.rows(param)
         cur = rows[0].value
         for row in rows[1:]:
-            for _ in range(row.repeat):
-                if step_kind_of(cur) is not row.kind:
-                    reason = (
-                        f"row expects an {row.kind.value} step but the value "
-                        f"{int_to_decimal(cur)} takes an {step_kind_of(cur).value} step"
-                    )
-                    break
-                cur = rule.step(cur)
+            cur, broken = rule.replay(cur, row.steps)
+            if broken is not None:
+                takes, expects = ("O", "E") if broken % 2 else ("E", "O")
+                cur, reason = broken, (
+                    f"row expects an {expects} step but the value "
+                    f"{int_to_decimal(broken)} takes an {takes} step"
+                )
+            elif cur == row.value:
+                continue
             else:
-                if cur == row.value:
-                    continue
                 reason = "value"
             # the first mismatch ends the family's replay at this param
             mismatches.append(

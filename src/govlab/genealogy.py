@@ -22,7 +22,8 @@ class AncestorEntry(NamedTuple):
 
 
 def even_ancestor(x: int, i: int) -> int:
-    """The even ancestor 2^i * x (i >= 1)."""
+    """The even ancestor 2^i * x of odd x (i >= 1)."""
+    require(x, "even_ancestor x", odd=True)
     return x << require(i, "even_ancestor i")
 
 
@@ -103,8 +104,9 @@ _TERM_COUNT = {odd: terms for terms, odd in _RHS_ODD_PART.items()}
 
 
 def condition_equation_sides(rule: Rule, sol: ConditionSolution) -> tuple[int, int]:
-    """Left and right side values of a solution's defining equation."""
-    lhs = rule.multiplier * ((1 << sol.mu) - 1) + 1
+    """Left and right side values of a solution's defining equation (mu >= 1,
+    where 2^mu - 1 is odd and takes the odd step)."""
+    lhs = rule.step((1 << require(sol.mu, "condition_equation_sides mu")) - 1)
     rhs = _RHS_ODD_PART[sol.term_count] << sol.i
     return lhs, rhs
 
@@ -123,10 +125,9 @@ def solve_ancestor_conditions(
     """
     require(mu_max, "solve_ancestor_conditions mu_max")
     require(i_max, "solve_ancestor_conditions i_max")
-    q = rule.multiplier
     out: list[ConditionSolution] = []
     for mu in range(1, mu_max + 1):
-        lhs = q * ((1 << mu) - 1) + 1
+        lhs = rule.step((1 << mu) - 1)
         i = v2(lhs)
         term_count = _TERM_COUNT.get(lhs >> i)
         if term_count is not None and 1 <= i <= i_max:

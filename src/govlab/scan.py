@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .cycles import (
     COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk,
-    canonical_cycle, trivial_cycle_record,
+    canonical_cycle, peak_bound, trivial_cycle_record,
 )
 from .dynamics import RULES, OrbitLimits, Rule, rule_for
 from .numerics import decimal_to_int, int_to_decimal, require, show
@@ -252,10 +252,10 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
         )
     if any(c.classification is Classification.TRIVIAL for c in chunk.cycles.values()):
         raise ValueError(f"{chunk_name} lists the trivial cycle")
-    # a seed's peak is at least its bit length and at most that of a q*v + 1
-    # with v under the cap or at most c_hi, the width _OrbitMemo sizes peaks by
+    # a seed's peak is at least its bit length and at most the peak_bound
+    # that _OrbitMemo sizes its peaks by
     steps, peak, least = chunk.max_steps_observed, chunk.max_excursion_bits, c_hi.bit_length()
-    most = max(state.limits.max_value_bits, least) + state.rule.multiplier.bit_length()
+    most = peak_bound(state.rule, state.limits, c_hi)
     if steps > state.limits.max_steps or not least <= peak <= most:
         raise ValueError(
             f"{chunk_name} maxima of {int_to_decimal(steps)} steps and {int_to_decimal(peak)} "

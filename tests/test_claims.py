@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +12,6 @@ from govlab.claims import (
     Verdict,
     claim_defaults,
     list_claims,
-    replay_steps,
     run_all,
     run_claim,
     run_claims,
@@ -160,7 +161,7 @@ class TestSuccessorCongruences:
     def test_mismatch_evidence_is_replayable(self):
         res = run_claim("C6")
         for row in res.evidence["rows"]:
-            value, _ = replay_steps(int(row["start"]), row["steps"])
+            value, _ = RULE_5Z.replay(int(row["start"]), row["steps"])
             assert str(value) == row["computed_value"]
             modulus = 1 << row["modulus_exponent"]
             assert str(value % modulus) == row["computed_residue"]
@@ -170,14 +171,27 @@ class TestSuccessorCongruences:
             run_claim("C6", {"placeholder_exponent": 8})
 
     def test_replay_flags_a_step_against_parity(self):
-        # replay goes on arithmetically, but the parity flag drops
-        assert replay_steps(4, "O") == (21, False)
-        assert replay_steps(3, "E") == (1, False)
-        assert replay_steps(3, "OE") == (8, True)
+        # replay goes on arithmetically, and names the value the step broke at
+        assert RULE_5Z.replay(4, "O") == (21, 4)
+        assert RULE_5Z.replay(3, "E") == (1, 3)
+        assert RULE_5Z.replay(3, "OE") == (8, None)
 
     def test_replay_rejects_bad_step_chars(self):
-        with pytest.raises(ValueError):
-            replay_steps(27, "OXE")
+        with pytest.raises(ValueError, match="only O and E, got 'X'"):
+            RULE_5Z.replay(27, "OXE")
+
+    @pytest.mark.parametrize(
+        "exponent,digest",
+        [
+            (12, "5b481904a4a3eca6106f72fe6f5862c8ec52d8159226a53d90c5a36cf6038951"),
+            (20, "7d0677e11943b272af279f60f81df47037c1458e895ffa8f96b5b91827aa672c"),
+            (64, "446e4f0f10327441fb693a392fd5fdedef9e750d6385db5913e4cd1e28bc4793"),
+        ],
+    )
+    def test_evidence_is_pinned(self, exponent, digest):
+        report = run_claims(["C6"], {"C6": {"placeholder_exponent": exponent}})
+        text = json.dumps(report.canonical_doc(), sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestConditionClaim:

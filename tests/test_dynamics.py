@@ -24,6 +24,7 @@ from govlab.dynamics import (
     orbit,
     orbit_values,
     rule_for,
+    step_kind_of,
     verify_descent,
 )
 from govlab.numerics import governor_index, v2
@@ -54,6 +55,28 @@ class TestRule:
             Rule(3, (1, 4, 3))
         with pytest.raises(ValueError):
             Rule(4, (1, 4, 2))
+
+    def test_repeated_trivial_member_rejected(self):
+        # the doubled 3Z+1 cycle steps closed, but a cycle lists each member once
+        with pytest.raises(ValueError, match="cycle members must be distinct"):
+            Rule(3, (1, 4, 2, 1, 4, 2))
+
+
+class TestReplay:
+    @given(odd_values, rules, st.integers(min_value=0, max_value=40))
+    def test_parity_word_replays_the_steps(self, x, rule, n):
+        values = [x]
+        for _ in range(n):
+            values.append(rule.step(values[-1]))
+        word = "".join(step_kind_of(v).value for v in values[:-1])
+        assert rule.replay(x, word) == (values[-1], None)
+
+    def test_broken_is_the_first_value_against_its_step(self):
+        # 7 takes O to 22 and E to 11; the next E meets odd 11 and floors it
+        # to 5, and the last E meets odd 5 too, but only 11 is named
+        assert RULE_3Z.replay(7, "OEEE") == (2, 11)
+        assert RULE_3Z.replay(8, "O") == (25, 8)
+        assert RULE_3Z.replay(7, "") == (7, None)
 
 
 class TestSteps:
@@ -243,6 +266,11 @@ class TestClosedForms:
     def test_no_mismatches_on_validity_range(self, family, lo, hi, rule):
         assert check_closed_form(family, lo, hi, rule) == []
 
+    def test_empty_range_rejected(self):
+        # param_hi below param_lo would check nothing and report the formulas exact
+        with pytest.raises(ValueError, match="T1_3Z parameter m must be an integer >= 10, got 5"):
+            check_closed_form("T1_3Z", 10, 5, RULE_3Z)
+
     def test_rule_pairing_enforced(self):
         with pytest.raises(ValueError):
             check_closed_form("T1_3Z", 5, 10, RULE_5Z)
@@ -265,7 +293,7 @@ class TestClosedForms:
             (5, "E{1}", e1 + 1, e1, "value")
         ]
         # O{1} claims an even step, but the X row 2^m - 1 is odd
-        monkeypatch.setitem(CLOSED_FORM_FAMILIES, "T1_3Z", patched(1, kind=StepKind.E))
+        monkeypatch.setitem(CLOSED_FORM_FAMILIES, "T1_3Z", patched(1, steps="E"))
         found = check_closed_form("T1_3Z", 5, 6, RULE_3Z)
         assert [(f.param, f.label, f.actual, f.reason) for f in found] == [
             (m, "O{1}", (1 << m) - 1,

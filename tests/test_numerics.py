@@ -21,7 +21,9 @@ from govlab.dynamics import (
     rule_for,
 )
 from govlab.genealogy import (
+    ConditionSolution,
     ancestor_tree,
+    condition_equation_sides,
     even_ancestor,
     odd_ancestors,
     solve_ancestor_conditions,
@@ -220,10 +222,13 @@ ENTRY_POINTS = [
     ("T1_3Z parameter m", 4, False, lambda v: check_closed_form("T1_3Z", 4, v, RULE_3Z)),
     ("find_promotions seed", 1, True, lambda v: find_promotions(v, RULE_3Z, 5)),
     ("find_promotions horizon", 1, False, lambda v: find_promotions(27, RULE_3Z, v)),
+    ("even_ancestor x", 1, True, lambda v: even_ancestor(v, 3)),
     ("even_ancestor i", 1, False, lambda v: even_ancestor(5, v)),
     ("odd_ancestors x", 1, True, lambda v: odd_ancestors(v, RULE_3Z, 8)),
     ("odd_ancestors max_doublings", 1, False, lambda v: odd_ancestors(5, RULE_3Z, v)),
     ("ancestor_tree depth", 1, False, lambda v: ancestor_tree(5, RULE_3Z, v, 8)),
+    ("condition_equation_sides mu", 1, False,
+     lambda v: condition_equation_sides(RULE_3Z, ConditionSolution(1, v, 1))),
     ("solve_ancestor_conditions mu_max", 1, False, lambda v: solve_ancestor_conditions(RULE_3Z, v, 8)),
     ("solve_ancestor_conditions i_max", 1, False, lambda v: solve_ancestor_conditions(RULE_3Z, 8, v)),
     ("detect_outcome seed", 1, True, lambda v: detect_outcome(v, RULE_3Z, LIMITS)),
