@@ -19,8 +19,9 @@ from itertools import islice
 from typing import Callable, Iterable
 
 from .cycles import Classification
-from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, find_promotions, odd_orbit, orbit_values
+from .dynamics import RULE_3Z, RULE_5Z, OrbitLimits, Rule, odd_orbit, orbit_values
 from .genealogy import solve_ancestor_conditions
+from .laws import find_promotions
 from .numerics import governor_index, int_to_decimal, require, show
 from .scan import ScanReport, scan_range
 

@@ -16,12 +16,14 @@ import json
 import os
 import sys
 from itertools import islice
+from typing import Iterable
 
-from . import claims as claims_mod
 from .dynamics import RULES, OrbitLimits, odd_orbit, orbit, rule_for
-from .genealogy import ancestor_tree, odd_ancestors, solve_ancestor_conditions
 from .numerics import decimal_to_int, governor_index, require
 from .scan import DEFAULT_CHUNK_SIZE, CheckpointError, scan_range
+
+# claims and genealogy are imported by the verbs that run them, so the other
+# verbs never load them
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -133,7 +135,9 @@ def _fmt_value(v: int, max_print_bits: int | None) -> str:
     return str(v)
 
 
-def _emit_records(rows: list[dict], fmt: str, columns: list[str]) -> None:
+def _emit_records(rows: Iterable[dict], fmt: str, columns: list[str]) -> None:
+    """Print each row as it comes, after the csv header; a generator of rows
+    is never held whole."""
     if fmt == "records":
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -163,23 +167,25 @@ def _cmd_orbit(ns: argparse.Namespace) -> int:
 
 def _cmd_trace_governor(ns: argparse.Namespace) -> int:
     odds = islice(odd_orbit(ns.start, ns.rule), ns.count)
-    rows = [
+    rows = (
         {"position": pos, "value": _fmt_value(v, ns.max_print_bits),
          "governor_index": governor_index(v)}
         for pos, (v, _) in enumerate(odds)
-    ]
+    )
     _emit_records(rows, ns.format, ["position", "value", "governor_index"])
     return EXIT_OK
 
 
 def _cmd_ancestors(ns: argparse.Namespace) -> int:
+    from .genealogy import ancestor_tree, odd_ancestors
+
     if ns.depth == 1:
-        rows = [
+        rows = (
             {"doublings": e.doublings,
              "ancestor": _fmt_value(e.ancestor, ns.max_print_bits),
              "governor_index": governor_index(e.ancestor)}
             for e in odd_ancestors(ns.start, ns.rule, ns.max_doublings)
-        ]
+        )
         _emit_records(rows, ns.format, ["doublings", "ancestor", "governor_index"])
         return EXIT_OK
     root = ancestor_tree(ns.start, ns.rule, ns.depth, ns.max_doublings)
@@ -203,10 +209,12 @@ def _cmd_ancestors(ns: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(ns: argparse.Namespace) -> int:
-    rows = [
+    from .genealogy import solve_ancestor_conditions
+
+    rows = (
         {"terms": s.term_count, "mu": s.mu, "i": s.i}
         for s in solve_ancestor_conditions(ns.rule, ns.mu_max, ns.i_max)
-    ]
+    )
     _emit_records(rows, ns.format, ["terms", "mu", "i"])
     return EXIT_OK
 
@@ -225,6 +233,8 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def _cmd_claims(ns: argparse.Namespace) -> int:
+    from . import claims as claims_mod
+
     if ns.list:
         for claim_id, title, statement in claims_mod.list_claims():
             print(json.dumps(

@@ -2,9 +2,9 @@
 
 An odd a is an ancestor of odd x at i doublings when q*a + 1 = 2^i * x: the
 orbit of a reaches x through one odd step and exactly i even steps.  The
-condition solver reproduces, over a bounded range of mu, the small solution
-sets for which q*(2^mu - 1) + 1 collapses to one, two, or three adjacent
-powers of two.
+condition solver finds the small solution sets for which q*(2^mu - 1) + 1
+collapses to one, two, or three adjacent powers of two; every solution has
+mu <= max(v2(q - 1), 2).
 """
 
 from __future__ import annotations
@@ -119,14 +119,19 @@ def solve_ancestor_conditions(
     Finds where q*(2^mu - 1) + 1 equals 2^(i+2) + 2^(i+1) + 2^i (three
     terms), 2^(i+1) + 2^i (two terms), or 2^i (one term).  The right sides
     are 7, 3 and 1 times 2^i, so for each mu the only candidate is
-    i = v2(lhs) with odd part lhs >> i in {1, 3, 7}.  Both sides grow
-    exponentially, so any solutions sit at tiny indices; the default bound
-    of 64 in callers is a bounded verification, not a proof.
+    i = v2(lhs) with odd part lhs >> i in {1, 3, 7}.
+
+    No solution has mu > max(d, 2), where d = v2(q - 1), so the search stops
+    there and the result is complete for any mu_max.  Write q - 1 = 2^d * r
+    with r odd.  For mu > d, lhs = 2^d * (q * 2^(mu-d) - r) with the bracket
+    odd, so i = d, and the odd part is at most 7 only if
+    2^mu <= (7 + r) * 2^d / q = 7 * 2^d / q + (q - 1) / q < 7 + 1, since
+    2^d < q: so mu <= 2.
     """
     require(mu_max, "solve_ancestor_conditions mu_max")
     require(i_max, "solve_ancestor_conditions i_max")
     out: list[ConditionSolution] = []
-    for mu in range(1, mu_max + 1):
+    for mu in range(1, min(mu_max, max(v2(rule.multiplier - 1), 2)) + 1):
         lhs = rule.step((1 << mu) - 1)
         i = v2(lhs)
         term_count = _TERM_COUNT.get(lhs >> i)

@@ -11,15 +11,9 @@ import pytest
 
 from govlab.claims import Verdict, run_claim
 from govlab.cycles import Classification, _OrbitMemo, _scan_chunk
-from govlab.dynamics import (
-    RULE_3Z,
-    RULE_5Z,
-    OrbitLimits,
-    check_closed_form,
-    orbit,
-    verify_descent,
-)
+from govlab.dynamics import RULE_3Z, RULE_5Z, OrbitLimits, orbit
 from govlab.genealogy import solve_ancestor_conditions
+from govlab.laws import check_closed_form, verify_descent
 from govlab.numerics import decompose, governor_index, reconstruct
 from govlab.scan import ScanState, checkpoint_save, scan_range
 

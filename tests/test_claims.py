@@ -207,6 +207,11 @@ class TestConditionClaim:
         assert rules["3Z+1"]["three_term_solutions"] == []
         assert rules["5Z+1"]["three_term_solutions"] == []
 
+    def test_huge_mu_max_passes_with_the_same_sets(self):
+        res = run_claim("C7", {"mu_max": 10**30})
+        assert res.verdict is Verdict.PASS
+        assert res.evidence["rules"] == run_claim("C7").evidence["rules"]
+
 
 class TestReports:
     def test_run_all_with_small_bounds(self):

@@ -1,9 +1,11 @@
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -260,6 +262,47 @@ class TestTraceVerb:
             "5,485,1",
         ]
 
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("records", [
+            '{"governor_index": 3, "position": 0, "value": "7"}',
+            '{"governor_index": 1, "position": 1, "value": "9"}',
+            '{"governor_index": 3, "position": 2, "value": "23"}',
+            '{"governor_index": 1, "position": 3, "value": "29"}',
+            '{"governor_index": 1, "position": 4, "value": "73"}',
+            '{"governor_index": 3, "position": 5, "value": "183"}',
+            '{"governor_index": 1, "position": 6, "value": "229"}',
+            '{"governor_index": 1, "position": 7, "value": "<elided 10-bit value>"}',
+            '{"governor_index": 1, "position": 8, "value": "<elided 11-bit value>"}',
+        ]),
+        ("csv", [
+            "position,value,governor_index",
+            "0,7,3", "1,9,1", "2,23,3", "3,29,1", "4,73,1", "5,183,3", "6,229,1",
+            "7,<elided 10-bit value>,1", "8,<elided 11-bit value>,1",
+        ]),
+    ])
+    def test_streamed_rows_keep_their_bytes(self, capsys, fmt, expected):
+        code, out, err = run_cli(
+            capsys, "trace-governor", "--rule", "5", "--start", "7", "--count", "9",
+            "--format", fmt, "--max-print-bits", "9",
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in expected)
+
+    def test_rows_are_printed_as_they_come(self):
+        # 10^5 rows held at once peaked near 27 MB under tracemalloc; printed
+        # one at a time they need a few rows' worth
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(
+                    ["trace-governor", "--start", "27", "--count", "100000", "--format", "csv"]
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1024 * 1024
 
     @pytest.mark.parametrize("count", [sys.maxsize + 1, 10**20])
     def test_count_past_sys_maxsize_rejected_by_name(self, capsys, count):

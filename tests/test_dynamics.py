@@ -6,17 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from govlab.dynamics import (
-    CLOSED_FORM_FAMILIES,
     RULE_3Z,
     RULE_5Z,
     OrbitLimits,
     Rule,
     StepKind,
     TerminationKind,
-    check_closed_form,
-    eval_closed_form,
     even_step,
-    find_promotions,
     governor_trace,
     next_odd,
     odd_orbit,
@@ -25,6 +21,12 @@ from govlab.dynamics import (
     orbit_values,
     rule_for,
     step_kind_of,
+)
+from govlab.laws import (
+    CLOSED_FORM_FAMILIES,
+    check_closed_form,
+    eval_closed_form,
+    find_promotions,
     verify_descent,
 )
 from govlab.numerics import governor_index, v2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.dynamics import RULE_3Z, RULE_5Z, even_step, odd_step
+from govlab.dynamics import RULE_3Z, RULE_5Z, Rule, even_step, odd_step
 from govlab.genealogy import (
     AncestorEntry,
     ancestor_tree,
@@ -11,7 +11,7 @@ from govlab.genealogy import (
     odd_ancestors,
     solve_ancestor_conditions,
 )
-from govlab.numerics import governor_index
+from govlab.numerics import governor_index, v2
 
 odd_values = st.integers(min_value=0, max_value=(1 << 64) - 1).map(lambda n: 2 * n + 1)
 rules = st.sampled_from([RULE_3Z, RULE_5Z])
@@ -146,3 +146,35 @@ class TestConditionSolver:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             solve_ancestor_conditions(RULE_3Z, 0, 4)
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z] + [
+        Rule((1 << k) - 1, (1,) + tuple(1 << j for j in range(k, 0, -1))) for k in range(3, 9)
+    ])
+    def test_bounded_search_equals_the_full_loop(self, rule):
+        # every mu up to mu_max, as the solver looped before its bound
+        full = []
+        for mu in range(1, 201):
+            lhs = rule.multiplier * ((1 << mu) - 1) + 1
+            i = v2(lhs)
+            terms = {1: 1, 3: 2, 7: 3}.get(lhs >> i)
+            if terms is not None and i <= 200:
+                full.append((terms, mu, i))
+        for mu_max in (1, 2, 3, 7, 64, 200):
+            found = solve_ancestor_conditions(rule, mu_max, 200)
+            assert [(s.term_count, s.mu, s.i) for s in found] == sorted(
+                sol for sol in full if sol[1] <= mu_max
+            )
+
+    def test_no_solution_past_the_bound(self):
+        # the docstring's argument, checked over multipliers that no Rule
+        # here has: the odd part of q*(2^mu - 1) + 1 is never 1, 3 or 7 once
+        # mu > max(v2(q - 1), 2)
+        for q in range(3, 1024, 2):
+            for mu in range(max(v2(q - 1), 2) + 1, 160):
+                lhs = q * ((1 << mu) - 1) + 1
+                assert lhs >> v2(lhs) not in (1, 3, 7), (q, mu)
+
+    def test_huge_mu_max_returns_at_once(self):
+        # before the bound, this loop ran past 10**30 values of mu
+        sols = solve_ancestor_conditions(RULE_5Z, 10**30, 10**30)
+        assert [(s.term_count, s.mu, s.i) for s in sols] == [(1, 2, 4), (2, 1, 1)]

@@ -11,9 +11,6 @@ from govlab.dynamics import (
     RULE_3Z,
     OrbitLimits,
     Rule,
-    check_closed_form,
-    eval_closed_form,
-    find_promotions,
     governor_trace,
     next_odd,
     odd_orbit,
@@ -28,6 +25,7 @@ from govlab.genealogy import (
     odd_ancestors,
     solve_ancestor_conditions,
 )
+from govlab.laws import check_closed_form, eval_closed_form, find_promotions
 from govlab.numerics import (
     GovernorForm,
     decimal_to_int,
