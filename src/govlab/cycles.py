@@ -17,16 +17,18 @@ COUNT_KEYS names the counts in code order.
 
 A scan keeps an orbit memo in each process that runs its chunks, which also
 carries the scan's rule and limits: a kind byte holding the result code,
-steps and peak for each odd value of [lo, top), in arrays indexed by
-(v - lo) >> 1, where lo is the scan's first seed and top covers its first
-2^20 seeds (about 7 MB at most).  Code 0 marks an entry not yet filled.
-Only codes below 256 fit the byte and are written, which holds 252 cycles;
-a cycle with a larger code is walked each time.  The memo is filled from
-every finished walk of every chunk the process runs for the scan, not only
-from the seeds, and a seed whose entry is already filled takes it without
-a walk.  In a scan of more than 2^20 seeds, the values from top on are
-held by no memo, but walks from them still end on the entries below top
-that their orbits reach.
+steps and peak for each odd value of [base, top), in arrays indexed by
+(v - base) >> 1.  top covers the scan's first 2^20 seeds from its first
+seed lo.  base is 1 when [1, top) holds at most 2^20 odd values, so a scan
+that starts above 1 also keeps the values below its first seed; else base
+is lo.  The table holds at most 2^20 entries (about 7 MB).  Code 0 marks
+an entry not yet filled.  Only codes below 256 fit the byte and are
+written, which holds 252 cycles; a cycle with a larger code is walked each
+time.  The memo is filled from every finished walk of every chunk the
+process runs for the scan, not only from the seeds, and a seed whose entry
+is already filled takes it without a walk.  The values below base and
+from top on are held by no memo, but walks through them still end on the
+entries of [base, top) that their orbits reach.
 
 The walk.  _walker binds a memo's rule, limits and arrays once and
 returns the walk, which reads and writes the table inside its own loop, by
@@ -36,11 +38,11 @@ so no two calls share a cycle list.  The walker refers to its memo; the
 memo never refers to a walker, so no reference cycle keeps a table alive
 past its scan or call.
 
-Write.  A walk writes odd values v on it that lie in [lo, top): steps is
+Write.  A walk writes odd values v on it that lie in [base, top): steps is
 the walk's total minus v's step index, and peak is the largest bit length
 from v on, a suffix maximum over (q*v + 1).bit_length() and the end of the
 walk (the read entry's peak, when the walk ended on one).  A walk writes
-from the first value in [lo, top) after its seed that it goes on past,
+from the first value in [base, top) after its seed that it goes on past,
 plus the seed itself from its outcome, so a walk that goes on past no such
 value writes one entry.  This is v's own result unless some value of the
 walk before v lies on v's suffix; then v lies on a cycle.  So:
@@ -56,7 +58,7 @@ walk before v lies on v's suffix; then v lies on a cycle.  So:
   other values' steps and peaks are cut short;
 * a trivial odd member, as a seed, writes its own (converged, 0, bits).
 
-Read.  When a walk reaches an odd value u in [lo, top) that is neither a
+Read.  When a walk reaches an odd value u in [base, top) that is neither a
 trivial member nor one of its own earlier values, and u's entry is filled,
 the orbit from there on is u's orbit, so the result is the prefix plus
 u's: steps add, peaks take the maximum.  The trivial and repetition checks
@@ -86,10 +88,11 @@ only when the orbit passes the cap, and returns None when a value falls
 below the floor or the step budget runs out, and then the walk goes on from
 where it handed the orbit over.  The budget also ends a lean walk caught in
 a cycle above the floor.  The walk then tries no lean walk until it reaches
-an odd value in [lo, top), which re-arms it: its next climb past the gate
-hands over again.  detect_outcome's memo has an empty range, so its walks
-go lean at most once, and orbits that fall only below lo re-arm nothing.  A
-result a lean walk returns is the exact one, wherever the hand-over is:
+an odd value in [base, top), which re-arms it: its next climb past the
+gate hands over again.  detect_outcome's memo has an empty range, so its
+walks go lean at most once.  An orbit that falls below a scan's first seed
+re-arms the walk only when the scan's table starts at 1.  A result a lean
+walk returns is the exact one, wherever the hand-over is:
 
 * an orbit that passes the cap has not repeated a value before: from a
   repeat on it stays among values it has already produced, all within the
@@ -119,7 +122,7 @@ None of this depends on the step at which the orbit was handed over, only
 on the orbit from there on, so a re-armed lean walk is exact too.  It may
 repeat steps that an earlier lean walk of the same walk already took: that
 walk compares with the floor only between jumps, so an orbit that dips
-into [lo, top) inside a jump and climbs again goes on lean past the dip,
+into [base, top) inside a jump and climbs again goes on lean past the dip,
 and once that walk falls back, the exact walk re-arms at the dip.  Below
 2^17 at the C3 limits those repeats are 20668 of the 12.6M steps that lean
 walks take.
@@ -139,17 +142,19 @@ slice of the table: each class's count from kinds.count of its codes, the
 divergence candidates from one translate of the slice that selects the two
 undecided codes, and the maxima from max over the steps and peaks slices.
 No added seed is a candidate, so the candidates come out in order.  The
-seeds from top on are walked and added one by one.
+seeds from top on are walked and added one by one.  The fold reads only
+the chunk's own seeds, so the entries below the scan's first seed are
+never folded: they only end walks.
 
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
 checkpoints and report bytes do not depend on the worker count, the chunk
 size or resumes.  A resumed scan starts with an empty memo, which its walks
-fill over the whole range, completed chunks included.  A memo lives only as
-long as its scan (the in-process runner's local, or the pool worker
-processes), because its entries hold only for one rule and one set of
-limits.
+fill over the whole table, the completed chunks' values and those below
+the first seed included.  A memo lives only as long as its scan (the
+in-process runner's local, or the pool worker processes), because its
+entries hold only for one rule and one set of limits.
 """
 
 from __future__ import annotations
@@ -309,8 +314,9 @@ _TAG_REASON = (
     (OutcomeTag.UNDECIDED, TerminationKind.VALUE_LIMIT),
     (OutcomeTag.CYCLE, None),
 )
-# about 7 MB with 32-bit steps and 16-bit peaks (17 MB with 64-bit ones):
-# the table stays bounded for any range
+# the most entries an orbit memo holds, seeds and the values below its
+# first seed together: about 7 MB with 32-bit steps and 16-bit peaks (17 MB
+# with 64-bit ones), so the table stays bounded for any range
 _MEMO_MAX_SEEDS = 1 << 20
 
 
@@ -328,32 +334,32 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     q = memo.rule.multiplier
     trivial = memo.rule.trivial_members
     trivial_odds = memo.rule.trivial_odd_members
-    base = dict.fromkeys(trivial_odds, -1)  # the seen map of a walk at its first odd value
+    trivial_seen = dict.fromkeys(trivial_odds, -1)  # the seen map of a walk at its first odd value
     max_steps = memo.limits.max_steps
     cap = memo.limits.max_value_bits
     gate = memo.gate  # cap, or below it where a value past it may start a lean walk
-    lo, top = memo.lo, memo.top
+    base, top = memo.base, memo.top
     kinds, entry_steps, entry_peaks = memo.kinds, memo.steps, memo.peaks
 
     def walk(x: int) -> tuple[int, int, int]:
         peak = x.bit_length()
         if x in trivial_odds:
             if x < top:  # no walk reads it: every walk finds x in seen first
-                kinds[(x - lo) >> 1], entry_peaks[(x - lo) >> 1] = _TRIVIAL, peak
+                kinds[(x - base) >> 1], entry_peaks[(x - base) >> 1] = _TRIVIAL, peak
             return _TRIVIAL, 0, peak
         # seen maps an odd value to the valuation of the run that entered it
         # (0 for x), or to -1 for a trivial odd member, so that one lookup
         # tells the three runs apart; order lists the walk's odd values.  Both
         # are built once the orbit goes on past its first odd value u: until
-        # then seen is base and order is None.  Only x = 1 can have u == x,
-        # so its walk starts with both.
+        # then seen is trivial_seen and order is None.  Only x = 1 can have
+        # u == x, so its walk starts with both.
         if x == 1:
-            seen, order = {**base, 1: 0}, [1]
+            seen, order = {**trivial_seen, 1: 0}, [1]
         else:
-            seen, order = base, None
+            seen, order = trivial_seen, None
         cur = x
         s = 0
-        first = 0  # position in order of the first value after x in [lo, top) it passes
+        first = 0  # position in order of the first value after x in [base, top) it passes
         end = 0  # position in order of the first member of the cycle the walk closes
         tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
         lean_gate = gate
@@ -382,10 +388,10 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             if hit is None:
                 # u is neither trivial nor seen, so the orbit goes at least one step past it
                 stop = s + k + 2
-                if lo <= u < top:
+                if base <= u < top:
                     # Read: u's entry, when filled and within the budget after
                     # the stop - 1 steps to u
-                    i = (u - lo) >> 1
+                    i = (u - base) >> 1
                     code = kinds[i]
                     if code and stop - 1 + entry_steps[i] <= max_steps:
                         steps = stop - 1 + entry_steps[i]
@@ -421,7 +427,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 break
             s = stop - 1
             if order is None:
-                seen, order = {**base, x: 0, u: k}, [x, u]
+                seen, order = {**trivial_seen, x: 0, u: k}, [x, u]
             else:
                 seen[u] = k
                 order.append(u)
@@ -435,7 +441,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
         if code > 255:
             return code, steps, peak
         if x < top:
-            i = (x - lo) >> 1
+            i = (x - base) >> 1
             kinds[i] = code
             entry_steps[i] = steps
             entry_peaks[i] = peak
@@ -453,8 +459,8 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                     bits = (q * v + 1).bit_length()
                     if bits > suffix:
                         suffix = bits
-                if j < end and lo <= v < top:
-                    i = (v - lo) >> 1
+                if j < end and base <= v < top:
+                    i = (v - base) >> 1
                     kinds[i] = code
                     entry_steps[i] = steps - s
                     entry_peaks[i] = suffix
@@ -555,22 +561,25 @@ def peak_bound(rule: Rule, limits: OrbitLimits, v: int) -> int:
 
 class _OrbitMemo:
     """One scan's rule and limits, and the results of the odd values of
-    [lo, top), filled by the walks of the scan's chunks.
+    [base, top), filled by the walks of the scan's chunks.
 
-    Entry (v - lo) >> 1 holds the result code, the steps taken and the peak
-    bits of v's orbit; code 0 means no result yet.  The walks of _walker
-    read and write the arrays directly.  The range covers the first
-    _MEMO_MAX_SEEDS seeds of lo..hi, and is empty when hi is lo - 2.  The
-    module docstring says which results are written, which are read, and
-    why each is exact.
+    Entry (v - base) >> 1 holds the result code, the steps taken and the
+    peak bits of v's orbit; code 0 means no result yet.  The walks of
+    _walker read and write the arrays directly.  top covers the first
+    _MEMO_MAX_SEEDS seeds of lo..hi; base is 1 when the odd values below top
+    are at most _MEMO_MAX_SEEDS, else lo.  The table is empty for
+    detect_outcome's memo, whose lo is 1 and hi -1.  The module docstring
+    says which results are written, which are read, and why each is exact.
     """
 
     def __init__(self, lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
-        n = min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
         self.rule = rule
         self.limits = limits
-        self.lo = lo
-        self.top = lo + 2 * n  # the first odd value not held
+        # the first odd value not held, and the first held: the values below
+        # lo, which only end walks, are held when all of [1, top) fits the cap
+        self.top = lo + 2 * min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
+        self.base = 1 if self.top >> 1 <= _MEMO_MAX_SEEDS else lo
+        n = (self.top - self.base) >> 1
         self.kinds = bytearray(n)
         if n:
             # an entry's steps are at most max_steps, its peak at most peak_bound
@@ -668,7 +677,7 @@ def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
             chunk.cycles.setdefault(cycle.smallest_odd, cycle)
     undecided = kinds[a:b].translate(_UNDECIDED_MASK)
     if 1 in undecided:  # compress steps through every seed, selected or not
-        chunk.candidates += compress(range(memo.lo + 2 * a, memo.lo + 2 * b, 2), undecided)
+        chunk.candidates += compress(range(memo.base + 2 * a, memo.base + 2 * b, 2), undecided)
     # views, not copies, of the wider arrays
     chunk.max_excursion_bits = max(chunk.max_excursion_bits, max(memoryview(memo.peaks)[a:b]))
     chunk.max_steps_observed = max(chunk.max_steps_observed, max(memoryview(memo.steps)[a:b]))
@@ -692,7 +701,7 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
     walk = _walker(memo)
     chunk = ChunkResult(index)
     cycles = memo.cycles
-    base = memo.lo
+    base = memo.base
     end = min(hi + 2, memo.top)  # the first seed not held by the table
     if lo < end:
         kinds = memo.kinds

@@ -7,7 +7,11 @@ with cycles._scan_chunk, and merges the chunk results in index order, so
 the report does not depend on the worker count or on checkpoint
 interruptions.  The chunks left to run go through one runner: in this
 process when one is left, else in a pool of min(workers, chunks left, CPU
-count) processes fed lazily, each with one orbit memo for the scan.
+count) processes fed lazily, each with one orbit memo for the scan.  The
+memo holds the scan's first 2^20 seeds and, when every odd value below
+them fits its 2^20 entries, the values below the first seed too, so a scan
+that starts above 1 also ends walks on those (cycles says why that is
+exact).
 
 A checkpoint (format CHECKPOINT_VERSION) is a header line, the scan's
 identity, then one line per completed chunk, each a sort_keys json.dumps.
@@ -15,6 +19,7 @@ A report and a header name the rule by Rule.name, its multiplier alone,
 so only a scan of rule_for's rule for its multiplier is checkpointed.
 A checkpointed scan rewrites the file once, atomically (a .tmp file and
 os.replace), then appends and flushes one line per finished chunk.  On load
+each line is parsed as it is read, so the load never holds the whole file;
 a last line without its newline, a torn append, is dropped; the chunks are
 validated against the header's rule, range, limits and chunk size, and a
 chunk that does not fit raises CheckpointError.
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
@@ -172,46 +177,56 @@ def checkpoint_save(state: ScanState, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _complete_lines(path: str) -> Iterator[str]:
+    """The lines of a checkpoint file that end in a newline, read one at a
+    time; a read that fails raises CheckpointError."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                # a line cut short by a kill is the last one, and it is never merged
+                if line.endswith("\n"):
+                    yield line
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
 def checkpoint_load(path: str) -> ScanState:
     """Load a checkpoint, raising CheckpointError on any structural problem,
     including a file of another format version, a rule name that is not its
     multiplier's and a chunk that does not fit the checkpoint's own range and
-    chunk size.  A last line without its newline is dropped.
+    chunk size.  A last line without its newline is dropped.  Each chunk
+    line is parsed as it is read, so the load holds one line at a time.
     """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            # a line cut short by a kill is the last one, and it is never merged
-            lines = [line for line in fh if line.endswith("\n")]
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not lines:
-        raise CheckpointError(f"checkpoint {path} has no complete header line")
-    try:
-        doc = json.loads(lines[0])
-        if require(doc["schema_version"], "checkpoint schema_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint schema_version {show(doc['schema_version'])} is not "
-                f"{CHECKPOINT_VERSION}"
-            )
-        if doc.get("kind") != "govlab-scan-checkpoint":
-            raise CheckpointError(f"{path} is not a scan checkpoint")
-        rule = rule_for(doc["multiplier"])
-        if doc["rule"] != rule.name:
-            raise CheckpointError(
-                f"checkpoint rule {show(doc['rule'])} is not {rule.name}, its multiplier's"
-            )
-        limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
-        lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
-        state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
-        for line in lines[1:]:
-            chunk = _chunk_from_doc(json.loads(line), rule)
-            _check_chunk(chunk, state)
-            if chunk.index in state.completed:
-                raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
-            state.completed[chunk.index] = chunk
-    # ValueError also covers a line that is not JSON, and an int past the digit cap
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    with closing(_complete_lines(path)) as lines:
+        header = next(lines, None)
+        if header is None:
+            raise CheckpointError(f"checkpoint {path} has no complete header line")
+        try:
+            doc = json.loads(header)
+            if require(doc["schema_version"], "checkpoint schema_version") != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint schema_version {show(doc['schema_version'])} is not "
+                    f"{CHECKPOINT_VERSION}"
+                )
+            if doc.get("kind") != "govlab-scan-checkpoint":
+                raise CheckpointError(f"{path} is not a scan checkpoint")
+            rule = rule_for(doc["multiplier"])
+            if doc["rule"] != rule.name:
+                raise CheckpointError(
+                    f"checkpoint rule {show(doc['rule'])} is not {rule.name}, its multiplier's"
+                )
+            limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
+            lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
+            state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
+            for line in lines:
+                chunk = _chunk_from_doc(json.loads(line), rule)
+                _check_chunk(chunk, state)
+                if chunk.index in state.completed:
+                    raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
+                state.completed[chunk.index] = chunk
+        # ValueError also covers a line that is not JSON, and an int past the digit cap
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     return state
 
 

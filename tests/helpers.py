@@ -57,7 +57,7 @@ def chunk_outcomes(lo, hi, memo):
     walk = cycles._walker(memo)
     kinds, steps, peaks = memo.kinds, memo.steps, memo.peaks
     for seed in range(lo, hi + 1, 2):
-        i = (seed - memo.lo) >> 1
+        i = (seed - memo.base) >> 1
         if seed < memo.top and kinds[i]:
             yield seed, (kinds[i], steps[i], peaks[i])
         else:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from array import array
 from concurrent.futures import Future
@@ -207,7 +208,7 @@ def capture_memos(monkeypatch):
 def memo_entries(memo):
     """{value: oracle form of its entry} for every filled entry of an orbit memo."""
     return {
-        memo.lo + 2 * i: oracle_form(memo.outcome(code, memo.steps[i], memo.peaks[i]))
+        memo.base + 2 * i: oracle_form(memo.outcome(code, memo.steps[i], memo.peaks[i]))
         for i, code in enumerate(memo.kinds)
         if code
     }
@@ -247,7 +248,7 @@ def read_by_walk(walker, memo, seed):
         return None
     i = peak - _MARK
     entry = memo.outcome(memo.kinds[i], memo.steps[i], memo.peaks[i])
-    return memo.lo + 2 * i, steps - memo.steps[i], entry
+    return memo.base + 2 * i, steps - memo.steps[i], entry
 
 
 @pytest.fixture
@@ -259,7 +260,7 @@ def walks(monkeypatch):
 
     def spy(memo):
         walk = walker(memo)
-        if memo.top == memo.lo:  # detect_outcome walks with an empty memo
+        if memo.top == memo.base:  # detect_outcome walks with an empty memo
             return walk
 
         def logged(x):
@@ -486,11 +487,73 @@ class TestScanMemo:
         memos = capture_memos(monkeypatch)
         scan_range(1, 1999, rule, limits, chunk_size=100)
         (memo,) = memos  # one table for the scan's 10 chunks
-        assert (memo.lo, memo.top) == (1, 2001)
+        assert (memo.base, memo.top) == (1, 2001)
         entries = memo_entries(memo)
         assert entries
         for v, entry in entries.items():
             assert entry == oracle_form(detect_outcome(v, rule, limits)), v
+
+    @pytest.mark.parametrize(
+        "rule, limits",
+        [
+            (RULE_3Z, GENEROUS),
+            (RULE_5Z, SMALL),
+            (RULE_7Z, OrbitLimits(max_steps=400, max_value_bits=40)),
+        ],
+        ids=["3z", "5z-small-limits", "7z"],
+    )
+    def test_a_window_above_1_holds_own_results_below_its_first_seed(
+        self, monkeypatch, rule, limits
+    ):
+        # [1, 3001) fits the table, so it also holds the values below the
+        # first seed that the scan's walks pass, each its own result
+        memos = capture_memos(monkeypatch)
+        report = scan_range(1001, 2999, rule, limits, chunk_size=100)
+        (memo,) = memos
+        assert (memo.base, memo.top) == (1, 3001)
+        below = {v: e for v, e in memo_entries(memo).items() if v < 1001}
+        assert below
+        for v, entry in below.items():
+            assert entry == oracle_form(detect_outcome(v, rule, limits)), v
+        assert report_form(report) == oracle_report(1001, 2999, rule, limits)
+
+    def test_walks_end_on_entries_below_the_first_seed(self, monkeypatch, walks):
+        memos = capture_memos(monkeypatch)
+        report = scan_range(4097, 8191, RULE_3Z, GENEROUS, chunk_size=512)
+        assert memos[0].base == 1
+        below = [w for w in walks if w.read and w.read[0] < 4097]
+        # the first walk of the scan writes entries below 4097 that later walks end on
+        assert below and min(w.seed for w in below) > walks[0].seed
+        for w in below:
+            u, _, entry = w.read
+            assert w.kinds[(u - 1) >> 1]  # an earlier walk of the scan wrote it
+            assert oracle_form(entry) == classify_by_orbit(u, RULE_3Z, GENEROUS)
+        assert report_form(report) == oracle_report(4097, 8191, RULE_3Z, GENEROUS)
+
+    @pytest.mark.parametrize(
+        "rule, limits", [(RULE_3Z, GENEROUS), (RULE_5Z, SMALL)], ids=["3z", "5z-small-limits"]
+    )
+    def test_table_reaches_down_to_1_when_it_fits_the_cap(self, monkeypatch, rule, limits):
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 16)
+        memos = capture_memos(monkeypatch)
+        # top 33: [1, 33) holds 16 odd values, the cap, so the table starts at 1
+        scan_range(17, 31, rule, limits, chunk_size=4)
+        # one more seed pair: top 35, 17 odd values below it, so it starts at lo
+        scan_range(17, 33, rule, limits, chunk_size=4)
+        # a scan from 1 builds the table it always built
+        scan_range(1, 99, rule, limits, chunk_size=4)
+        assert [(m.base, m.top, len(m.kinds)) for m in memos] == [
+            (1, 33, 16), (17, 35, 9), (1, 33, 16)
+        ]
+        for lo in range(1, 80, 2):
+            for hi in range(lo, 120, 2):
+                memo = cycles._OrbitMemo(lo, hi, rule, limits)
+                assert memo.base in (1, lo) and memo.top == lo + 2 * min((hi - lo) // 2 + 1, 16)
+                assert len(memo.kinds) == len(memo.steps) == (memo.top - memo.base) // 2 <= 16
+                assert (memo.base == 1) == ((memo.top - 1) // 2 <= 16)
+        for lo, hi in ((17, 31), (17, 33), (21, 199)):
+            report = scan_range(lo, hi, rule, limits, chunk_size=4)
+            assert report_form(report) == oracle_report(lo, hi, rule, limits)
 
     def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch, walks):
         # (chunk index, kind bytes when the chunk started, walks made before it)
@@ -589,7 +652,7 @@ class TestScanMemo:
 
         def spy(memo, *args):
             init(memo, *args)
-            assert memo.top == memo.lo  # holds no value
+            assert memo.top == memo.base  # holds no value
             made.append(weakref.ref(memo))
 
         monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
@@ -660,7 +723,7 @@ class TestScanMemo:
         monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 32)
         memos = capture_memos(monkeypatch)
         report = scan_range(1, 511, RULE_3Z, GENEROUS, chunk_size=16)
-        assert [(m.lo, m.top) for m in memos] == [(1, 65)]
+        assert [(m.base, m.top) for m in memos] == [(1, 65)]
         assert all(w.read[0] < 65 for w in walks if w.read)
         assert any(w.read for w in walks if w.seed >= 65)
         assert report_form(report) == oracle_report(1, 511, RULE_3Z, GENEROUS)
@@ -752,7 +815,7 @@ def check_table_fold(lo, hi, chunk_size, rule, limits):
         # below top the empty entries are the added seeds, and the candidates
         # are the seeds whose kind byte is an undecided code
         held = range(c_lo, min(c_hi + 2, fast.top), 2)
-        a = (c_lo - lo) >> 1
+        a = (c_lo - fast.base) >> 1
         held_kinds = fast.kinds[a : a + len(held)]
         empty = [x for x, kind in zip(held, held_kinds) if not kind]
         assert empty == [x for x in held if stays_empty(x, fast)], (c_lo, c_hi)
@@ -777,6 +840,8 @@ class TestTableFold:
         st.integers(min_value=2, max_value=48),
         st.sampled_from([None, 8, 40]),
     )
+    # a table from 1 under a window of several chunks from 3001
+    @example(RULE_5Z, 3001, 300, 64, 300, 48, None)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_seed_by_seed_fold(
         self, rule, lo, n_seeds, chunk_size, max_steps, max_bits, memo_cap
@@ -787,6 +852,19 @@ class TestTableFold:
         cap = memo_cap or cycles._MEMO_MAX_SEEDS
         with mock.patch.object(cycles, "_MEMO_MAX_SEEDS", cap):
             check_table_fold(lo, lo + 2 * (n_seeds - 1), chunk_size, rule, limits)
+
+    @pytest.mark.parametrize(
+        "rule, limits",
+        [(RULE_3Z, GENEROUS), (RULE_5Z, OrbitLimits(max_steps=120, max_value_bits=40))],
+        ids=["3z", "5z-small-limits"],
+    )
+    def test_window_above_1_over_several_chunks(self, rule, limits):
+        # the table holds 1..1999 too, whose entries end walks but are
+        # folded into no chunk
+        assert cycles._OrbitMemo(2001, 3999, rule, limits).base == 1
+        chunks, _ = check_table_fold(2001, 3999, 250, rule, limits)
+        assert len(chunks) == 4
+        assert sum(sum(c.counts) for c in chunks) == 1000
 
     def test_trivial_odd_members_are_folded_from_the_table(self):
         # 1's own walk writes its entry, so no seed of the chunk is added
@@ -1297,6 +1375,22 @@ for text in (report.to_json(), saved):
         checkpoint_save(state, path)
         loaded = checkpoint_load(path)
         assert loaded == state
+
+    def test_load_holds_one_line_at_a_time(self, tmp_path):
+        # 64 chunk lines of about 2.8 kB: a load that held every line before
+        # it parsed any would peak at the loaded state plus the whole file
+        path = tmp_path / "ckpt.json"
+        limits = OrbitLimits(10**5, 64)
+        scan_range(1, 32767, RULE_5Z, limits, chunk_size=256, checkpoint_path=str(path))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            state = checkpoint_load(str(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.completed) == 64
+        assert peak - retained < size / 2, (peak - retained, size)
 
     def test_completed_checkpoint_loads_directly(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
