@@ -150,18 +150,23 @@ def _emit_records(rows: Iterable[dict], fmt: str, columns: list[str]) -> None:
 def _cmd_orbit(ns: argparse.Namespace) -> int:
     limits = OrbitLimits(max_steps=ns.step_limit, max_value_bits=ns.value_limit_bits)
     trace = orbit(ns.start, ns.rule, limits)
-    rows = []
-    for value, kind in trace.steps:
-        row: dict = {"value": _fmt_value(value, ns.max_print_bits), "kind": kind.value}
-        if value % 2:
-            row["governor_index"] = governor_index(value)
-        rows.append(row)
-    rows[-1]["termination"] = trace.termination.kind.value
-    if trace.termination.cycle_members is not None:
-        rows[-1]["cycle_members"] = [
-            _fmt_value(v, ns.max_print_bits) for v in trace.termination.cycle_members
-        ]
-    _emit_records(rows, ns.format, ["value", "kind", "governor_index", "termination"])
+    last = len(trace.steps) - 1
+
+    def rows():
+        # built as printed: a row's decimal string is larger than its value
+        for i, (value, kind) in enumerate(trace.steps):
+            row: dict = {"value": _fmt_value(value, ns.max_print_bits), "kind": kind.value}
+            if value % 2:
+                row["governor_index"] = governor_index(value)
+            if i == last:
+                row["termination"] = trace.termination.kind.value
+                if trace.termination.cycle_members is not None:
+                    row["cycle_members"] = [
+                        _fmt_value(v, ns.max_print_bits) for v in trace.termination.cycle_members
+                    ]
+            yield row
+
+    _emit_records(rows(), ns.format, ["value", "kind", "governor_index", "termination"])
     return EXIT_OK
 
 

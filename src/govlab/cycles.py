@@ -70,24 +70,28 @@ and a walk reaches u after at least 2 steps.  Every entry a walk reads is
 then written by the first three rules above, so u lies on no cycle, and no
 value from before u can repeat after it.
 
-A walk builds its seen map and its list of odd values only once its orbit
-goes on past its first odd value u.  Until then it looks u up among the
-trivial members alone, which is exact: the only earlier odd value is the
-seed x, and u == x means q*x + 1 = x * 2^k, so x = 1 and q + 1 = 2^k; the
-walk from 1 starts with both built.  So a walk that ends at its first odd
-value, on a trivial member, past the cap or on a filled entry, builds
-neither and writes only its seed's entry.
+A walk keeps one record, its seen map, which after the trivial odd members
+lists the walk's odd values in orbit order, each with the valuation of the
+run that entered it.  The write goes back through it from the walk's last
+odd value, and a cycle's member list is read off it from the cycle's first
+member on, with the run that closes the cycle.  The walk builds it only
+once its orbit goes on past its first odd value u.  Until then it looks u
+up among the trivial members alone, which is exact: the only earlier odd
+value is the seed x, and u == x means q*x + 1 = x * 2^k, so x = 1 and
+q + 1 = 2^k; the walk from 1 starts with it built.  So a walk that ends at
+its first odd value, on a trivial member, past the cap or on a filled
+entry, builds nothing and writes only its seed's entry.
 
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
 At an odd value whose q*v + 1 is wider than the memo's gate, which puts v
 at or past the memo's floor (at least top, past the trivial cycle's members
 and at least 2^K), the walk hands the orbit to a lean walk.  That walk
-keeps no seen map and no order list and reads no memo; it returns a result
-only when the orbit passes the cap, and returns None when a value falls
-below the floor or the step budget runs out, and then the walk goes on from
-where it handed the orbit over.  The budget also ends a lean walk caught in
-a cycle above the floor.  The walk then tries no lean walk until it reaches
+keeps no seen map and reads no memo; it returns a result only when the
+orbit passes the cap, and returns None when a value falls below the floor
+or the step budget runs out, and then the walk goes on from where it
+handed the orbit over.  The budget also ends a lean walk caught in a cycle
+above the floor.  The walk then tries no lean walk until it reaches
 an odd value in [base, top), which re-arms it: its next climb past the
 gate hands over again.  detect_outcome's memo has an empty range, so its
 walks go lean at most once.  An orbit that falls below a scan's first seed
@@ -164,9 +168,9 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
-from itertools import compress, islice
+from itertools import compress
 
-from .dynamics import OrbitLimits, Rule, TerminationKind, odd_orbit, orbit_values
+from .dynamics import OrbitLimits, Rule, TerminationKind, orbit_values
 from .numerics import governor_index, int_to_decimal, require
 
 # the outcome counts of a chunk, each at its class's result code minus 1
@@ -272,11 +276,6 @@ class Outcome:
     peak_bits: int = 0
 
 
-def _expand_cycle(odds: list[int], rule: Rule) -> list[int]:
-    """Full member list of a cycle given its odd members in orbit order."""
-    return list(orbit_values(islice(odd_orbit(odds[0], rule), len(odds) + 1)))[:-1]
-
-
 def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
     """Classify the orbit of odd seed x without materializing it.
 
@@ -349,18 +348,16 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             return _TRIVIAL, 0, peak
         # seen maps an odd value to the valuation of the run that entered it
         # (0 for x), or to -1 for a trivial odd member, so that one lookup
-        # tells the three runs apart; order lists the walk's odd values.  Both
-        # are built once the orbit goes on past its first odd value u: until
-        # then seen is trivial_seen and order is None.  Only x = 1 can have
-        # u == x, so its walk starts with both.
-        if x == 1:
-            seen, order = {**trivial_seen, 1: 0}, [1]
-        else:
-            seen, order = trivial_seen, None
+        # tells the three runs apart.  It is the walk's only record: after the
+        # trivial members it lists the walk's odd values in orbit order.  It
+        # is built once the orbit goes on past its first odd value u: until
+        # then it is trivial_seen.  Only x = 1 can have u == x, so its walk
+        # starts with it built.
+        seen = {**trivial_seen, 1: 0} if x == 1 else trivial_seen
         cur = x
         s = 0
-        first = 0  # position in order of the first value after x in [base, top) it passes
-        end = 0  # position in order of the first member of the cycle the walk closes
+        first = 0  # the first value after x in [base, top) that the walk goes on past
+        entry = 0  # the first member of the cycle the walk closes
         tail = 0  # peak of the memo entry the walk ends on, or of its crossing of the cap
         lean_gate = gate
         while True:
@@ -400,7 +397,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                             peak = tail
                         break
                     if not first:
-                        first = len(order) if order else 1
+                        first = u
                     lean_gate = gate  # the next climb past the gate may go lean again
             elif hit < 0:
                 # first trivial member along t, t>>1 .. t>>k; u itself guarantees one
@@ -418,26 +415,28 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                 if hit < 0:
                     code = _TRIVIAL
                 else:
-                    # odd values before u lead into the cycle; u and those after it are members
-                    end = order.index(u)
-                    rule = memo.rule
-                    code = memo.cycle_code(canonical_cycle(_expand_cycle(order[end:], rule), rule))
-                    if not end:  # x is a member, so no value of the walk is written
+                    # odd values before u lead into the cycle; u and those
+                    # after it are members, whose pairs in seen expand to
+                    # the cycle's values from u on, closed by the run of k
+                    # halvings back to u
+                    entry = u
+                    pairs = [*seen.items()]
+                    members = orbit_values([(u, 0), *pairs[pairs.index((u, hit)) + 1 :], (u, k)])
+                    code = memo.cycle_code(canonical_cycle([*members][:-1], memo.rule))
+                    if u == x:  # x is a member, so no value of the walk is written
                         return code, steps, peak
                 break
             s = stop - 1
-            if order is None:
-                seen, order = {**trivial_seen, x: 0, u: k}, [x, u]
+            if seen is trivial_seen:
+                seen = {**trivial_seen, x: 0, u: k}
             else:
                 seen[u] = k
-                order.append(u)
             cur = u
-        # Write: order holds the walk's odd values, the last of them at step
-        # s; a cycle's members are those from position end on.  The seed is
-        # written from the result; the values from position first back from
-        # the end of the walk get steps minus their step index and their
-        # suffix peak, which starts from tail.  Only codes that fit the kind
-        # byte are written.
+        # Write: seen ends with the walk's last odd value, at step s; a
+        # cycle's members are entry and the values after it.  The seed is
+        # written from the result; the values from the last one back to first
+        # get steps minus their step index and their suffix peak, which starts
+        # from tail.  Only codes that fit the kind byte are written.
         if code > 255:
             return code, steps, peak
         if x < top:
@@ -446,25 +445,26 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             entry_steps[i] = steps
             entry_peaks[i] = peak
         if first:
-            # end is 0 when no value of order is a cycle member: a walk whose
-            # seed is a member has returned
-            end = end or len(order)
             suffix = tail
             # a value-limited orbit's crossing is wider than every value before
             # it, so it is every suffix's peak
             bounded = code != _VALUE_LIMIT
-            for j in range(len(order) - 1, first - 1, -1):
-                v = order[j]
+            for v, k in reversed(seen.items()):
                 if bounded:
                     bits = (q * v + 1).bit_length()
                     if bits > suffix:
                         suffix = bits
-                if j < end and base <= v < top:
+                if entry:  # v is a cycle member, entry the last of them
+                    if v == entry:
+                        entry = 0
+                elif base <= v < top:
                     i = (v - base) >> 1
                     kinds[i] = code
                     entry_steps[i] = steps - s
                     entry_peaks[i] = suffix
-                s -= 1 + seen[v]
+                if v == first:
+                    break
+                s -= 1 + k
         return code, steps, peak
 
     return walk

@@ -130,22 +130,13 @@ def decompose(x: int) -> GovernorForm:
     """Split odd x into its high bit positions and trailing-ones length.
 
     The bits of x + 1 are exactly {m} plus the high exponents of x, so the
-    decomposition falls out of one increment and a bit scan.
+    decomposition falls out of one increment: its lowest set bit is 2^m, the
+    rest are the high exponents.
     """
     require(x, "decompose x", odd=True)
-    h = x + 1
-    m = v2(h)
-    highs = []
-    h >>= m
-    pos = m
-    while h:
-        if h & 1:
-            highs.append(pos)
-        h >>= 1
-        pos += 1
-    # lowest set bit of x+1 is 2^m itself, not a high exponent
-    assert highs == [] or highs[0] == m
-    return GovernorForm(high_exponents=tuple(highs[1:]), governor_index=m)
+    # the set positions of x + 1, read from its binary digits lowest first
+    m, *highs = [i for i, b in enumerate(bin(x + 1)[:1:-1]) if b == "1"]
+    return GovernorForm(high_exponents=tuple(highs), governor_index=m)
 
 
 def reconstruct(form: GovernorForm) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -221,6 +222,39 @@ class TestOrbitVerb:
         last = json.loads(out.splitlines()[-1])
         assert last["termination"] == "entered_cycle"
         assert "13" in last["cycle_members"]
+
+    def test_rows_are_printed_as_they_come(self):
+        # every row held at once peaked at 2.35 times what the orbit alone
+        # holds; printed one at a time they add a few rows' worth
+        limits = OrbitLimits(max_steps=10_000, max_value_bits=100_000)
+        args = ["orbit", "--rule", "5", "--start", "7", "--value-limit-bits", "100000",
+                "--step-limit", "10000"]
+        peaks = []
+        for run in (lambda: cli.main(args), lambda: orbit(7, RULE_5Z, limits)):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        cli_peak, orbit_peak = peaks
+        assert cli_peak <= 1.5 * orbit_peak
+
+    @pytest.mark.parametrize("args, fmt, digest", [
+        (["--rule", "5", "--start", "7", "--value-limit-bits", "100000", "--step-limit", "2000"],
+         "records", "e51baafd679ef2cff9db39c7f72fce5cd428234aeaceae8db7a3387fa66f4bf0"),
+        (["--rule", "5", "--start", "7", "--value-limit-bits", "100000", "--step-limit", "2000"],
+         "csv", "ddbc4128443bc01961f558497738189d8d2feb216a38540e160734d1d7b87310"),
+        (["--rule", "5", "--start", "13"],
+         "records", "3e911f5fc83e2c20047d22d8030868cb87230d81d9996fc424dc5c6155f877f8"),
+        (["--rule", "5", "--start", "13"],
+         "csv", "53c41b0c39deda00b1d04b92e9f680243dc2ed33b23f3288703d9542ec4afb08"),
+    ], ids=["value-limit-records", "value-limit-csv", "cycle-records", "cycle-csv"])
+    def test_golden_digest(self, capsys, args, fmt, digest):
+        code, out, err = run_cli(capsys, "orbit", *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_values_past_4300_digits_print_exactly(self, huge_int_strings):
         # 5 * (2^19998 + 1) + 1 has 20001 bits (6021 digits), so the orbit

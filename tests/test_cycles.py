@@ -318,8 +318,12 @@ class TestSeedMemo:
             (RULE_3Z, 100001, 100999, GENEROUS),
             (RULE_5Z, 1, 1999, SCAN_LIMITS),
             (RULE_5Z, 1, 1999, OrbitLimits(max_steps=120, max_value_bits=40)),
+            # 1 lies on a cycle of its own, which the walk from 1 closes at
+            # its seed
+            (RULE_13, 1, 1999, OrbitLimits(max_steps=10**5, max_value_bits=128)),
+            (RULE_7Z, 1, 999, OrbitLimits(max_steps=200, max_value_bits=48)),
         ],
-        ids=["3z-at-1", "3z-far-from-1", "5z-at-1", "5z-small-limits"],
+        ids=["3z-at-1", "3z-far-from-1", "5z-at-1", "5z-small-limits", "13-at-1", "7z-at-1"],
     )
     def test_every_entry_is_the_values_own_result(self, walks, rule, lo, hi, limits):
         # check_chunk compares each entry with detect_outcome
