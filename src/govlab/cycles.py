@@ -19,12 +19,13 @@ A scan keeps an orbit memo in each process that runs its chunks, which also
 carries the scan's rule and limits: a kind byte holding the result code,
 steps and peak for each odd value of [base, top), in arrays indexed by
 (v - base) >> 1.  top covers the scan's first 2^20 seeds from its first
-seed lo.  base is 1 when [1, top) holds at most 2^20 odd values, so a scan
+seed lo.  base is 1 when [1, top) holds at most 2^20 odd values and the
+odd values below lo are no more than the seeds the table holds, so a scan
 that starts above 1 also keeps the values below its first seed; else base
-is lo.  The table holds at most 2^20 entries (about 7 MB).  Code 0 marks
-an entry not yet filled.  Only codes below 256 fit the byte and are
-written, which holds 252 cycles; a cycle with a larger code is walked each
-time.  The memo is filled from every finished walk of every chunk the
+is lo.  The table holds at most 2^20 entries (about 7 MB), and at most
+twice the seeds it holds.  Code 0 marks an entry not yet filled.  Only
+codes below 256 fit the byte and are written, which holds 252 cycles; a
+cycle with a larger code is walked each time.  The memo is filled from every finished walk of every chunk the
 process runs for the scan, not only from the seeds, and a seed whose entry
 is already filled takes it without a walk.  The values below base and
 from top on are held by no memo, but walks through them still end on the
@@ -135,20 +136,40 @@ walks take.
 so a lean walk there would be thrown away: its gate is the cap, re-arming
 sets the cap again, and the loop runs no extra test per transition.
 
+Descent fill.  By the paper's ancestor mapping, a seed x whose q*x + 1 has
+valuation k with 2^k > q (x = 1 mod 4 for 3Z+1 and x = 3 mod 8 for 5Z+1,
+the trivial governors) steps to u = (q*x + 1) >> k < x.  _scan_chunk splits
+its range into blocks [x0, x1) whose such successors all lie below x0 (x1
+is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1), and before a block's walks it
+fills these seeds from their successors' entries, one class of k at a time:
+the seeds b + j*2^(k+1), b = (2^k - 1) / q mod 2^(k+1), step to c + j*2q,
+so one extended slice of each array writes (code(u), k + 1 + steps(u),
+max(bits(q*x + 1), peak(u))).  That is the entry the seed's walk writes
+after one odd step, only written earlier.  A walk of the block that reaches
+such a seed ends there with the result it would have had by going on to u,
+and writes what it would have written, less that seed's entry.  So after
+each chunk the table is the one the walks alone leave.  A class is left to
+the walks when a successor's entry is empty, when a successor is at most
+the trivial cycle's largest member (a trivial member ends the walk by its
+own rule: 3Z+1 seed 5 takes 3 steps) or below base, or when
+steps(u) + k + 1 passes the budget; so is a block whose last q*x + 1
+passes the cap, and a block or class of fewer than _FILL_MIN_SEEDS seeds,
+which costs more to slice than to walk.
+
 Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
-empty at their turn, in ascending order, so the memo fills exactly as a
-seed-by-seed fold would fill it.  A seed whose entry is still empty after
-its own walk goes through ChunkResult.add: a cycle member, or a seed whose
-cycle code passes the kind byte.  No later walk writes such an entry:
-members are never written, nor is a code past the byte.  Every other seed
-below top then holds its own result, and the chunk folds them from its
-slice of the table: each class's count from kinds.count of its codes, the
-divergence candidates from one translate of the slice that selects the two
-undecided codes, and the maxima from max over the steps and peaks slices.
-No added seed is a candidate, so the candidates come out in order.  The
-seeds from top on are walked and added one by one.  The fold reads only
-the chunk's own seeds, so the entries below the scan's first seed are
-never folded: they only end walks.
+empty at their turn, block by block after each block's descent fill, in
+ascending order, so the memo fills exactly as a seed-by-seed fold would
+fill it.  A seed whose entry is still empty after its own walk goes through
+ChunkResult.add: a cycle member, or a seed whose cycle code passes the kind
+byte.  No later walk writes such an entry: members are never written, nor
+is a code past the byte.  Every other seed below top then holds its own
+result, and the chunk folds them from its slice of the table: each class's
+count from kinds.count of its codes, the divergence candidates from one
+translate of the slice that selects the two undecided codes, and the maxima
+from max over the steps and peaks slices.  No added seed is a candidate, so
+the candidates come out in order.  The seeds from top on are walked and
+added one by one.  The fold reads only the chunk's own seeds, so the
+entries below the scan's first seed are never folded: they only end walks.
 
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
@@ -167,8 +188,9 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain, compress, count, repeat
+from operator import add
 from typing import Callable
-from itertools import compress
 
 from .dynamics import OrbitLimits, Rule, TerminationKind, orbit_values
 from .numerics import governor_index, int_to_decimal, require
@@ -567,9 +589,10 @@ class _OrbitMemo:
     peak bits of v's orbit; code 0 means no result yet.  The walks of
     _walker read and write the arrays directly.  top covers the first
     _MEMO_MAX_SEEDS seeds of lo..hi; base is 1 when the odd values below top
-    are at most _MEMO_MAX_SEEDS, else lo.  The table is empty for
-    detect_outcome's memo, whose lo is 1 and hi -1.  The module docstring
-    says which results are written, which are read, and why each is exact.
+    are at most _MEMO_MAX_SEEDS and those below lo at most the seeds held,
+    else lo.  The table is empty for detect_outcome's memo, whose lo is 1
+    and hi -1.  The module docstring says which results are written, which
+    are read, and why each is exact.
     """
 
     def __init__(self, lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
@@ -577,8 +600,11 @@ class _OrbitMemo:
         self.limits = limits
         # the first odd value not held, and the first held: the values below
         # lo, which only end walks, are held when all of [1, top) fits the cap
+        # and they are no more than the seeds held, so a few seeds far from 1
+        # do not pay for a table down to 1
         self.top = lo + 2 * min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
-        self.base = 1 if self.top >> 1 <= _MEMO_MAX_SEEDS else lo
+        fits = self.top >> 1 <= _MEMO_MAX_SEEDS and lo - 1 <= self.top - lo
+        self.base = 1 if fits else lo
         n = (self.top - self.base) >> 1
         self.kinds = bytearray(n)
         if n:
@@ -692,11 +718,64 @@ def _init_worker(lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
     _worker_memo = _OrbitMemo(lo, hi, rule, limits)
 
 
+# the fewest seeds of a block, and of one of its residue classes, that the
+# descent fill takes from the table: below that its slicing costs more than
+# the walks it saves
+_FILL_MIN_SEEDS = 8
+
+
+def _descent_fill(memo: _OrbitMemo, x0: int, end: int) -> int:
+    """Fill the entries of the seeds of the block from x0 whose first odd
+    step lands below x0 from their successors' entries, one residue class
+    of v2(q*x + 1) at a time; returns the block's end, at most end.  The
+    module docstring says which classes are left to the walks and why each
+    entry written is the seed's own result."""
+    q = memo.rule.multiplier
+    kmin = q.bit_length()  # the least k with 2^k > q, so that u < x
+    # past the largest odd x with (q*x + 1) >> kmin below x0
+    x1 = min(end, ((((x0 << kmin) - 2) // q - 1) | 1) + 2)
+    if (x1 - x0) >> (kmin + 1) < _FILL_MIN_SEEDS:
+        # the first class holds 1 in 2^kmin of the block's odd seeds; blocks
+        # grow with x0, so walk up to 2*x0 and try again there
+        return min(end, 2 * x0 + 1)
+    if (q * (x1 - 2) + 1).bit_length() > memo.limits.max_value_bits:
+        return x1
+    base = memo.base
+    least = max(base, max(memo.rule.trivial_cycle) + 1)  # the least successor read
+    room = memo.limits.max_steps
+    kinds, steps, peaks = memo.kinds, memo.steps, memo.peaks
+    # q*x + 1 has bits bits below mid and bits + 1 from mid on: the block
+    # spans a factor of less than 2^kmin / q < 2
+    bits = (q * x0 + 1).bit_length()
+    mid = (((1 << bits) + q - 2) // q) | 1
+    for k in count(kmin):
+        m = 2 << k
+        first = x0 + ((((1 << k) - 1) * pow(q, -1, m) - x0) % m)
+        n = (x1 - 1 - first) // m + 1 if first < x1 else 0
+        if n < _FILL_MIN_SEEDS:
+            return x1
+        u = (q * first + 1) >> k  # the class's least successor
+        if u < least:
+            continue
+        i, j = (first - base) >> 1, (u - base) >> 1
+        xs, us = slice(i, i + n * (m >> 1), m >> 1), slice(j, j + n * q, q)
+        codes, walked = kinds[us], steps[us]
+        if 0 in codes or max(walked) + k + 1 > room:
+            continue
+        low = max(0, min(n, (mid - first + m - 1) // m))  # the class's seeds below mid
+        kinds[xs] = codes
+        steps[xs] = array(steps.typecode, map(add, walked, repeat(k + 1)))
+        # a comprehension: map(max, ...) costs three times as much a seed
+        tails = zip(peaks[us], chain(repeat(bits, low), repeat(bits + 1)))
+        peaks[xs] = array(peaks.typecode, [p if p > b else b for p, b in tails])
+
+
 def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) -> ChunkResult:
     """Fold the chunk lo..hi of the scan that memo belongs to, reading and
     filling it; without one, the memo of the pool worker this runs in.  The
-    module docstring says which seeds are walked, which are folded from the
-    table and which go through ChunkResult.add."""
+    module docstring says which seeds are filled from their successors'
+    entries, which are walked, which are folded from the table and which go
+    through ChunkResult.add."""
     memo = memo or _worker_memo
     walk = _walker(memo)
     chunk = ChunkResult(index)
@@ -705,15 +784,19 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
     end = min(hi + 2, memo.top)  # the first seed not held by the table
     if lo < end:
         kinds = memo.kinds
-        a, b = (lo - base) >> 1, (end - base) >> 1
-        i = kinds.find(0, a, b)
-        while i >= 0:
-            seed = base + 2 * i
-            result = walk(seed)
-            if not kinds[i]:  # a cycle member, or a cycle code past the kind byte
-                chunk.add(seed, *result, cycles)
-            i = kinds.find(0, i + 1, b)
-        _fold_table(chunk, memo, a, b)
+        x0 = lo
+        while x0 < end:
+            x1 = _descent_fill(memo, x0, end)
+            b = (x1 - base) >> 1
+            i = kinds.find(0, (x0 - base) >> 1, b)
+            while i >= 0:
+                seed = base + 2 * i
+                result = walk(seed)
+                if not kinds[i]:  # a cycle member, or a cycle code past the kind byte
+                    chunk.add(seed, *result, cycles)
+                i = kinds.find(0, i + 1, b)
+            x0 = x1
+        _fold_table(chunk, memo, (lo - base) >> 1, (end - base) >> 1)
     for seed in range(max(lo, end), hi + 1, 2):
         chunk.add(seed, *walk(seed), cycles)
     return chunk

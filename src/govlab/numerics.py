@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import lt
 
 
 def v2(x: int) -> int:
@@ -122,7 +123,12 @@ class GovernorForm:
 
     def __post_init__(self) -> None:
         prev = require(self.governor_index, "GovernorForm governor_index")
-        for e in self.high_exponents:
+        highs = self.high_exponents
+        # the common case in one pass: ints (no bool), strictly ascending
+        # from above the index; the loop below runs only to raise
+        if {*map(type, highs)} <= {int} and all(map(lt, (prev, *highs), highs)):
+            return
+        for e in highs:
             prev = require(e, "GovernorForm high exponent", prev + 1)
 
 

@@ -554,10 +554,25 @@ class TestScanMemo:
                 memo = cycles._OrbitMemo(lo, hi, rule, limits)
                 assert memo.base in (1, lo) and memo.top == lo + 2 * min((hi - lo) // 2 + 1, 16)
                 assert len(memo.kinds) == len(memo.steps) == (memo.top - memo.base) // 2 <= 16
-                assert (memo.base == 1) == ((memo.top - 1) // 2 <= 16)
+                # the odd values below lo are no more than the seeds held
+                below, held = (lo - 1) // 2, (memo.top - lo) // 2
+                assert (memo.base == 1) == ((memo.top - 1) // 2 <= 16 and below <= held)
         for lo, hi in ((17, 31), (17, 33), (21, 199)):
             report = scan_range(lo, hi, rule, limits, chunk_size=4)
             assert report_form(report) == oracle_report(lo, hi, rule, limits)
+
+    def test_a_few_seeds_far_from_1_hold_only_themselves(self):
+        # [1, 2^21 + 1) fits the cap, but 2^20 - 1 odd values lie below the
+        # one seed: the table starts at the seed and holds one entry
+        limits = OrbitLimits(10**6, 256)
+        one = cycles._OrbitMemo(2**21 - 1, 2**21 - 1, RULE_3Z, limits)
+        assert (one.base, one.top, len(one.kinds)) == (2**21 - 1, 2**21 + 1, 1)
+        # as many seeds as odd values below them: down to 1 again
+        lo = 2**20 + 1
+        wide = cycles._OrbitMemo(lo, 2**21 - 1, RULE_3Z, limits)
+        assert (wide.base, len(wide.kinds)) == (1, 2**20)
+        report = scan_range(2**21 - 1, 2**21 - 1, RULE_3Z, limits)
+        assert report_form(report) == oracle_report(2**21 - 1, 2**21 - 1, RULE_3Z, limits)
 
     def test_chunk_ends_a_walk_on_an_earlier_chunks_entry(self, monkeypatch, walks):
         # (chunk index, kind bytes when the chunk started, walks made before it)
@@ -836,7 +851,7 @@ class TestTableFold:
     seed's result."""
 
     @given(
-        st.sampled_from([RULE_3Z, RULE_5Z]),
+        st.sampled_from([RULE_3Z, RULE_5Z, RULE_7Z]),
         st.integers(min_value=0, max_value=3000).map(lambda n: 2 * n + 1),
         st.integers(min_value=1, max_value=300),
         st.integers(min_value=1, max_value=80),
@@ -844,8 +859,12 @@ class TestTableFold:
         st.integers(min_value=2, max_value=48),
         st.sampled_from([None, 8, 40]),
     )
-    # a table from 1 under a window of several chunks from 3001
+    # a table that starts at the first seed, under a window of several
+    # chunks from 3001
     @example(RULE_5Z, 3001, 300, 64, 300, 48, None)
+    # a table from 1 under a window of several chunks from 501: the descent
+    # fill takes later chunks' seeds from the entries of earlier ones
+    @example(RULE_3Z, 501, 300, 64, 300, 48, None)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_seed_by_seed_fold(
         self, rule, lo, n_seeds, chunk_size, max_steps, max_bits, memo_cap
@@ -919,6 +938,142 @@ class TestTableFold:
             only("converged_trivial", 60), only("converged_trivial", 40)
         ]
         assert added == list(range(17, 200, 2))
+
+
+def fill_block(x0, hi, rule, limits, lo=1):
+    """The memo of the scan of lo..hi after _scan_chunk of its seeds below
+    x0 and the descent fill of the block from x0, the block's end, and the
+    seeds whose entries the fill wrote, each checked to hold its own result."""
+    memo = cycles._OrbitMemo(lo, hi, rule, limits)
+    if x0 > lo:
+        _scan_chunk(0, lo, x0 - 2, memo)
+    before = [*zip(memo.kinds, memo.steps, memo.peaks)]
+    x1 = cycles._descent_fill(memo, x0, hi + 2)
+    after = [*zip(memo.kinds, memo.steps, memo.peaks)]
+    changed = [memo.base + 2 * i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    filled = [memo.base + 2 * i for i, (a, b) in enumerate(zip(before, after)) if a[0] != b[0]]
+    assert changed == filled  # no steps or peak is written without its code
+    entries = memo_entries(memo)
+    for x in filled:
+        assert entries[x] == oracle_form(detect_outcome(x, rule, limits)), x
+    return memo, x1, filled
+
+
+def descent_class(first, n, k):
+    """The n seeds from first with v2(q*x + 1) = k: first + j*2^(k+1)."""
+    return set(range(first, first + n * (2 << k), 2 << k))
+
+
+class TestDescentFill:
+    """The descent fill of _scan_chunk, which takes each seed whose first odd
+    step lands below its block from its successor's entry, against the
+    seed-by-seed fold and detect_outcome."""
+
+    def test_most_descent_seeds_of_a_census_are_not_walked(self, monkeypatch):
+        # a seed x = 1 mod 4 steps to (3x + 1) / 2^k < x, k >= 2; of the
+        # 16384 such seeds below 2^16 only those below 255 and those of
+        # classes of fewer than 8 seeds in their block are walked: 147
+        walked = []
+        walker = cycles._walker
+
+        def spy(memo):
+            walk = walker(memo)
+            return lambda x: walked.append(x) or walk(x)
+
+        monkeypatch.setattr(cycles, "_walker", spy)
+        report = scan_range(1, 65535, RULE_3Z, OrbitLimits(10**6, 256))
+        assert report.counts["converged_trivial"] == 32768
+        descents = [x for x in walked if x % 4 == 1]
+        assert len(descents) < 16384 // 100
+        # without the fill 8721 of the 17447 walks are of descent seeds; the
+        # seeds that climb are walked as before
+        assert len(walked) - len(descents) == 17447 - 8721
+
+    @pytest.mark.parametrize(
+        "rule, seed, steps",
+        [
+            # 5 -> 16 -> 8 -> 4 ends at the trivial member 4 after 3 steps,
+            # not 1 + 4 + steps(1)
+            (RULE_3Z, 5, 3),
+            (RULE_3Z, 21, 5),
+            (RULE_3Z, 85, 7),
+            (RULE_3Z, 341, 9),
+            # 19 -> 96 -> ... -> 6, a member of 5Z+1's trivial cycle
+            (RULE_5Z, 19, 5),
+        ],
+    )
+    def test_successor_on_the_trivial_cycle(self, monkeypatch, rule, seed, steps):
+        # with classes of a single seed filled too, a block from the seed
+        # leaves it to its walk
+        monkeypatch.setattr(cycles, "_FILL_MIN_SEEDS", 1)
+        assert detect_outcome(seed, rule, SCAN_LIMITS).steps_taken == steps
+        for x0 in range(max(3, seed - 8), seed + 2, 2):
+            _, _, filled = fill_block(x0, 999, rule, SCAN_LIMITS)
+            assert seed not in filled
+        check_table_fold(1, 999, 64, rule, SCAN_LIMITS)
+
+    def test_successor_at_or_below_the_trivial_cycle_is_not_read(self, monkeypatch):
+        # 5Z+1 with the 13-cycle as its trivial cycle: with classes of 4 seeds
+        # filled, 531 + 64j (k = 5) step to 83 + 10j, so 531 to the trivial
+        # member 83, passing 166 after 5 steps, not 1 + 5 + steps(83)
+        monkeypatch.setattr(cycles, "_FILL_MIN_SEEDS", 4)
+        limits = OrbitLimits(10**4, 64)
+        assert detect_outcome(531, RULE_13, limits).steps_taken == 5
+        memo, x1, filled = fill_block(521, 2001, RULE_13, limits)
+        assert x1 == 835
+        assert all(memo.kinds[(83 + 10 * j - 1) >> 1] for j in range(5))
+        assert not descent_class(531, 5, 5) & set(filled)
+        check_table_fold(1, 2001, 1001, RULE_13, limits)
+
+    def test_budget_edge(self):
+        # the successors of 813 + 16j (k = 3, j < 17) are at most 127 - 4
+        # steps from the trivial cycle, those of 257 + 8j (k = 2, j < 11) at
+        # most 128 - 3: at max_steps 127 the first class is filled and the
+        # second walked; at 128 both are filled
+        for max_steps, walked_class in ((127, True), (128, False)):
+            limits = OrbitLimits(max_steps, 256)
+            memo, x1, filled = fill_block(809, 4095, RULE_3Z, limits)
+            assert x1 == 1079
+            at_edge = descent_class(813, 17, 3)
+            assert at_edge & set(filled) and all(memo.kinds[(x - 1) >> 1] for x in at_edge)
+            assert max(memo.steps[(x - 1) >> 1] for x in at_edge) == 127
+            _, x1, filled = fill_block(255, 4095, RULE_3Z, limits)
+            assert x1 == 341
+            past = descent_class(257, 11, 2)
+            assert bool(past & set(filled)) is not walked_class
+            check_table_fold(1, 4095, 2048, RULE_3Z, limits)
+
+    def test_cap_edge(self):
+        # the block [2559, 3413): q*x + 1 has 13 bits below 2731 and 14 from
+        # there on, so at a 13-bit cap its last seed passes the cap at its
+        # first step and the block is walked; at 14 bits it is filled, on
+        # both sides of 2731
+        for cap in (13, 14):
+            limits = OrbitLimits(10**6, cap)
+            _, x1, filled = fill_block(2559, 4095, RULE_3Z, limits)
+            assert x1 == 3413
+            if cap == 13:
+                assert filled == []
+            else:
+                assert min(filled) < 2731 < max(filled)
+            check_table_fold(1, 4095, 2048, RULE_3Z, limits)
+
+    def test_window_above_1_with_empty_successors(self):
+        # the table of 2001..3999 reaches down to 1, but no walk has filled
+        # an entry below 2001 when the first block's fill runs
+        memo, x1, filled = fill_block(2001, 3999, RULE_3Z, GENEROUS, lo=2001)
+        assert memo.base == 1 and x1 == 2669
+        assert filled == []
+        check_table_fold(2001, 3999, 1000, RULE_3Z, GENEROUS)
+
+    def test_successor_below_a_table_that_starts_at_lo(self):
+        # 3001..4999 holds fewer seeds than the odd values below it, so its
+        # table starts at 3001: of the block [4001, 5001), only class k = 2
+        # steps to values of the table
+        memo, x1, filled = fill_block(4001, 4999, RULE_3Z, GENEROUS, lo=3001)
+        assert memo.base == 3001 and x1 == 5001
+        assert filled and all((3 * x + 1) % 8 == 4 for x in filled)
+        check_table_fold(3001, 4999, 1000, RULE_3Z, GENEROUS)
 
 
 class TestCountsByCode:

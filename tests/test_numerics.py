@@ -127,6 +127,26 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             GovernorForm((1,), 2)  # high exponent below the index
 
+    @pytest.mark.parametrize(
+        "highs, index, message",
+        [
+            ((3, True), 2, "must be an integer >= 4, got True"),
+            ((3, 4.0), 2, "must be an integer >= 4, got 4.0"),
+            ((3, 3), 2, "must be an integer >= 4, got 3"),  # repeated
+            ((3, 5, 4), 2, "must be an integer >= 6, got 4"),  # descending
+            ((2, 5), 2, "must be an integer >= 3, got 2"),  # equal to the index
+            ((1,), 2, "must be an integer >= 3, got 1"),  # below the index
+            ((5, "6"), 2, "must be an integer >= 6, got '6'"),
+        ],
+        ids=["bool", "float", "repeated", "descending", "at-index", "below-index", "str"],
+    )
+    def test_rejected_exponent_is_named_with_its_bound(self, highs, index, message):
+        # the one-pass check of the common case falls back to the loop that
+        # names the first exponent out of order
+        with pytest.raises(ValueError) as exc:
+            GovernorForm(highs, index)
+        assert str(exc.value) == f"GovernorForm high exponent {message}"
+
 
 class TestTrailingOnes:
     def test_even_value(self):
