@@ -136,25 +136,44 @@ walks take.
 so a lean walk there would be thrown away: its gate is the cap, re-arming
 sets the cap again, and the loop runs no extra test per transition.
 
-Descent fill.  By the paper's ancestor mapping, a seed x whose q*x + 1 has
-valuation k with 2^k > q (x = 1 mod 4 for 3Z+1 and x = 3 mod 8 for 5Z+1,
-the trivial governors) steps to u = (q*x + 1) >> k < x.  _scan_chunk splits
-its range into blocks [x0, x1) whose such successors all lie below x0 (x1
-is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1), and before a block's walks it
-fills these seeds from their successors' entries, one class of k at a time:
-the seeds b + j*2^(k+1), b = (2^k - 1) / q mod 2^(k+1), step to c + j*2q,
-so one extended slice of each array writes (code(u), k + 1 + steps(u),
-max(bits(q*x + 1), peak(u))).  That is the entry the seed's walk writes
-after one odd step, only written earlier.  A walk of the block that reaches
-such a seed ends there with the result it would have had by going on to u,
-and writes what it would have written, less that seed's entry.  So after
-each chunk the table is the one the walks alone leave.  A class is left to
-the walks when a successor's entry is empty, when a successor is at most
-the trivial cycle's largest member (a trivial member ends the walk by its
-own rule: 3Z+1 seed 5 takes 3 steps) or below base, or when
-steps(u) + k + 1 passes the budget; so is a block whose last q*x + 1
-passes the cap, and a block or class of fewer than _FILL_MIN_SEEDS seeds,
-which costs more to slice than to walk.
+Descent fill.  By the paper's successor mapping a seed climbs while its
+governor index lies above the trivial governors, and falls once its index
+reaches them.  The seeds that fall below themselves within three odd steps
+form the classes of the descent words (_descent_words; Terras 1976, Everett
+1977): every x = b mod 2^(K+1) takes odd steps of valuations k_1..k_d,
+d <= 3, through climbing values u_1..u_(d-1) above x to u_d below x.  The
+words of one step are the trivial governors' seeds (x = 1 mod 4 for 3Z+1,
+x = 3 mod 8 for 5Z+1); 3Z+1's of two steps are x = 3 mod 16.  _scan_chunk
+splits its range into blocks [x0, x1) whose one-step successors all lie
+below x0 (x1 is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1), and before a
+block's walks it fills, one class at a time in order of K, the class's
+seeds whose u_d lies below x0 from u_d's entry.  u_i grows by
+q^i * 2^(K+1-K_i) from one seed of a class to the next, so one extended
+slice of each array writes a level: for x and for each u_i below top,
+(code(u_d), steps(u_d) plus the k_l + 1 after u_i, the larger of peak(u_d)
+and the widths of q*u_l + 1 from u_i on).
+
+That is exactly what x's walk writes, only earlier.  The walk goes on past
+u_1..u_(d-1), which are neither trivial nor repeated (each lies above x,
+and x above u_d), and ends on the first of them whose entry is filled, or
+on u_d, within the budget; it writes x and the values it goes on past that
+lie in [base, top), each with the entry above, and a value it ends on
+already holds that entry, its own result.  A walk of the block that
+reaches a value the fill wrote ends there with the result it would have
+had by going on, and writes what it would have written, less the values
+from there on, which the fill wrote: going on, the walk would have followed
+the same climbing values down to u_d.  So after each chunk the table is
+the one the walks alone leave.  Two limits keep this so: the writes of a
+level stop at top, as the walk writes no value from top on, and a class is
+left to the walks when any q*u_i + 1 of its last seed is wider than the
+gate, where the walk would go lean and, returning at the cap, write
+nothing past u_i (for 3Z+1 the gate is the cap, where the walk ends).  A
+class is also left to the walks when u_d's entry is empty, when u_d is at
+most the trivial cycle's largest member (a trivial member ends the walk by
+its own rule: 3Z+1 seed 5 takes 3 steps) or below base, or when x's steps
+pass the budget; so is a block whose last q*x + 1 passes the cap, and a
+class of fewer than _FILL_MIN_SEEDS seeds, which costs more to slice than
+to walk.  The fill ends at the first K whose classes all hold fewer.
 
 Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
 empty at their turn, block by block after each block's descent fill, in
@@ -188,7 +207,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add
 from typing import Callable
 
@@ -722,14 +741,66 @@ def _init_worker(lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
 # descent fill takes from the table: below that its slicing costs more than
 # the walks it saves
 _FILL_MIN_SEEDS = 8
+# the most odd steps of a descent word
+_WORD_MAX_ODD_STEPS = 3
+# a block spans fewer integers than twice the table's seeds, so a class
+# modulo more than this holds at most one seed of any block
+_WORD_MAX_MODULUS = 2 * _MEMO_MAX_SEEDS
+
+
+@cache
+def _descent_words(q: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int, int, int], ...]], ...]:
+    """The descent words of q, as (K, b, levels), sorted by K.
+
+    A word is a valuation sequence k_1..k_d, d at most _WORD_MAX_ODD_STEPS,
+    whose prefixes climb (q^i > 2^K_i for i < d, K_i = k_1 + ... + k_i) and
+    whose whole descends (q^d < 2^K, K = K_d); 2^(K+1) is at most
+    _WORD_MAX_MODULUS.  The odd x whose first d odd steps have exactly these
+    valuations are x = b mod 2^(K+1) (Terras 1976, Everett 1977): b is
+    built backwards in the 2-adics, from u_d = 1 mod 2 through
+    u_(i-1) = (2^k_i * u_i - 1) / q.  The i-th odd value after such an x is
+    u_i = (q^i*x + c_i) >> K_i, with c_0 = 0 and c_i = q*c_(i-1) + 2^K_(i-1),
+    so it grows by q^i * 2^(K+1-K_i) from one seed of the class to the next.
+    levels holds, for i = 0..d, (q^i, c_i, K_i, q^i * 2^(K-K_i), the steps
+    from u_i to u_d): the last two are u_i's stride in table entries and
+    the sum of k_l + 1 for l > i.
+    """
+    words = []
+
+    def extend(word: tuple[int, ...], K: int, qd: int) -> None:
+        for k in count(1):
+            if 2 << (K + k) > _WORD_MAX_MODULUS:
+                return
+            if q * qd < 1 << (K + k):
+                words.append(word + (k,))
+            elif len(word) + 1 < _WORD_MAX_ODD_STEPS:
+                extend(word + (k,), K + k, q * qd)  # q^i is odd, so it never equals 2^K_i
+
+    extend((), 0, 1)
+    table = []
+    for word in words:
+        K = sum(word)
+        b, e = 1, 1
+        for k in reversed(word):
+            e += k
+            b = (((b << k) - 1) * pow(q, -1, 1 << e)) % (1 << e)
+        levels, qi, ci, Ki = [], 1, 0, 0
+        for i in range(len(word) + 1):
+            levels.append((qi, ci, Ki, qi << (K - Ki), sum(word[i:]) + len(word) - i))
+            if i < len(word):
+                qi, ci, Ki = q * qi, q * ci + (1 << Ki), Ki + word[i]
+        table.append((K, b, tuple(levels)))
+    table.sort(key=lambda w: w[0])
+    return tuple(table)
 
 
 def _descent_fill(memo: _OrbitMemo, x0: int, end: int) -> int:
-    """Fill the entries of the seeds of the block from x0 whose first odd
-    step lands below x0 from their successors' entries, one residue class
-    of v2(q*x + 1) at a time; returns the block's end, at most end.  The
+    """Fill the entries of the seeds of the block from x0 that fall below
+    x0 within _WORD_MAX_ODD_STEPS odd steps, and those of their climbing
+    values below top, from the entries where they land, one class of
+    _descent_words at a time; returns the block's end, at most end.  The
     module docstring says which classes are left to the walks and why each
-    entry written is the seed's own result."""
+    entry written is its value's own result."""
     q = memo.rule.multiplier
     kmin = q.bit_length()  # the least k with 2^k > q, so that u < x
     # past the largest odd x with (q*x + 1) >> kmin below x0
@@ -740,41 +811,64 @@ def _descent_fill(memo: _OrbitMemo, x0: int, end: int) -> int:
         return min(end, 2 * x0 + 1)
     if (q * (x1 - 2) + 1).bit_length() > memo.limits.max_value_bits:
         return x1
-    base = memo.base
-    least = max(base, max(memo.rule.trivial_cycle) + 1)  # the least successor read
+    base, top, gate = memo.base, memo.top, memo.gate
+    least = max(base, max(memo.rule.trivial_cycle) + 1)  # the least landing value read
     room = memo.limits.max_steps
     kinds, steps, peaks = memo.kinds, memo.steps, memo.peaks
-    # q*x + 1 has bits bits below mid and bits + 1 from mid on: the block
-    # spans a factor of less than 2^kmin / q < 2
-    bits = (q * x0 + 1).bit_length()
-    mid = (((1 << bits) + q - 2) // q) | 1
-    for k in count(kmin):
-        m = 2 << k
-        first = x0 + ((((1 << k) - 1) * pow(q, -1, m) - x0) % m)
-        n = (x1 - 1 - first) // m + 1 if first < x1 else 0
-        if n < _FILL_MIN_SEEDS:
+    for K, b, levels in _descent_words(q):
+        m = 2 << K
+        if (x1 - x0 + m - 1) // m < _FILL_MIN_SEEDS:  # no class of K or more is large enough
             return x1
-        u = (q * first + 1) >> k  # the class's least successor
-        if u < least:
+        # the class's seeds in the block whose last value u_d lies below x0:
+        # u_d grows by 2*q^d from one seed to the next, one table entry by q^d
+        first = x0 + (b - x0) % m
+        qd, cd, kd, _, _ = levels[-1]
+        u = (qd * first + cd) >> kd
+        n = min((x1 - 1 - first) // m, (x0 - 1 - u) // (2 * qd)) + 1
+        j = (u - base) >> 1
+        if n < _FILL_MIN_SEEDS or u < least or not kinds[j]:
             continue
-        i, j = (first - base) >> 1, (u - base) >> 1
-        xs, us = slice(i, i + n * (m >> 1), m >> 1), slice(j, j + n * q, q)
+        # no value the walk goes on past may start a lean walk or pass the cap
+        last = first + (n - 1) * m
+        if any((q * ((qi * last + ci) >> ki) + 1).bit_length() > gate for qi, ci, ki, *_ in levels[:-1]):
+            continue
+        us = slice(j, j + n * qd, qd)
         codes, walked = kinds[us], steps[us]
-        if 0 in codes or max(walked) + k + 1 > room:
+        if 0 in codes or max(walked) + levels[0][4] > room:
             continue
-        low = max(0, min(n, (mid - first + m - 1) // m))  # the class's seeds below mid
-        kinds[xs] = codes
-        steps[xs] = array(steps.typecode, map(add, walked, repeat(k + 1)))
-        # a comprehension: map(max, ...) costs three times as much a seed
-        tails = zip(peaks[us], chain(repeat(bits, low), repeat(bits + 1)))
-        peaks[xs] = array(peaks.typecode, [p if p > b else b for p, b in tails])
+        tails = peaks[us]
+        # each level's q*u_i + 1 has bits bits for the class's first narrow
+        # seeds and bits + 1 after them (the block spans a factor of less
+        # than 2^kmin / q < 2), so the widest of levels i..d-1 is wide for
+        # the first split seeds and wide + 1 after them
+        wide, split = 0, n
+        for qi, ci, ki, stride, more in reversed(levels[:-1]):
+            v = (qi * first + ci) >> ki  # the class's least u_i
+            bits = (q * v + 1).bit_length()
+            narrow = min(n, (((1 << bits) - 2) // q - v) // (2 * stride) + 1)
+            if bits > wide:
+                wide, split = bits, narrow
+            elif bits == wide and narrow < split:
+                split = narrow
+            # the level's values below top; every seed is below top
+            held = min(n, (top - 1 - v) // (2 * stride) + 1) if ki else n
+            if held <= 0:
+                continue
+            i = (v - base) >> 1
+            xs = slice(i, i + held * stride, stride)
+            kinds[xs] = codes if held == n else codes[:held]
+            steps[xs] = array(steps.typecode, map(add, islice(walked, held), repeat(more)))
+            # a comprehension: map(max, ...) costs three times as much a seed
+            pairs = zip(islice(tails, held), chain(repeat(wide, split), repeat(wide + 1)))
+            peaks[xs] = array(peaks.typecode, [p if p > w else w for p, w in pairs])
+    return x1
 
 
 def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) -> ChunkResult:
     """Fold the chunk lo..hi of the scan that memo belongs to, reading and
     filling it; without one, the memo of the pool worker this runs in.  The
-    module docstring says which seeds are filled from their successors'
-    entries, which are walked, which are folded from the table and which go
+    module docstring says which seeds are filled from the entries where
+    they land, which are walked, which are folded from the table and which go
     through ChunkResult.add."""
     memo = memo or _worker_memo
     walk = _walker(memo)

@@ -87,7 +87,10 @@ class Rule:
 
     @property
     def descent_delta(self) -> int:
-        """Exact per-transition index drop above the trivial range: v2(q - 1)."""
+        """The even steps of every odd-to-odd transition above the trivial
+        range, v2(q - 1).  The governor index drops by as much when q - 1 is
+        a power of two (3Z+1, 5Z+1); laws.verify_descent states the index
+        law for every q."""
         return v2(self.multiplier - 1)
 
     # built once per rule: the scan kernel reads both for every seed

@@ -2,8 +2,12 @@
 tables and promotions.
 
 Tracking the governor index (trailing-ones length) of each odd value exposes
-the exact descent law: above the trivial range the index drops by v2(q - 1)
-per odd-to-odd transition, with exactly v2(q - 1) even steps in between.
+the descent law.  Write an odd x of index m as 2^m*y - 1 with y odd, and
+q - 1 = 2^d*r with r odd.  For m > d, q*x + 1 = 2^d*(q*2^(m-d)*y - r), so
+the transition takes exactly d even steps, and the next odd value
+q*2^(m-d)*y - r has index v2(q*2^(m-d)*y - (r - 1)): m - d when r = 1
+(3Z+1, 5Z+1), else min(m - d, v2(r - 1)) when those two differ, and at
+least m - d when they are equal.
 The closed-form families state the first rows of an orbit as exponent
 formulas, checked here by replaying their step words; a promotion is a
 transition whose index rises instead.
@@ -16,12 +20,16 @@ from dataclasses import dataclass, field
 from itertools import islice, pairwise
 
 from .dynamics import Rule, next_odd, odd_orbit
-from .numerics import governor_index, int_to_decimal, require
+from .numerics import governor_index, int_to_decimal, require, v2
 
 
 @dataclass(frozen=True)
 class DescentCheck:
-    """Result of auditing one odd-to-odd transition against the descent law."""
+    """Result of auditing one odd-to-odd transition against the descent law.
+
+    index_exact is False when the law only bounds the next index from
+    below, by expected_index; passed then asks observed_index to reach it.
+    """
 
     start: int
     start_index: int
@@ -30,13 +38,17 @@ class DescentCheck:
     expected_even_steps: int
     observed_even_steps: int
     passed: bool
+    index_exact: bool = True
 
 
 def verify_descent(x: int, rule: Rule) -> DescentCheck:
-    """Check the exact descent law at odd x with index above the trivial range.
+    """Check the descent law at odd x with index m above the trivial range
+    and above d = v2(q - 1).
 
-    For 3Z+1 the next odd value must have index m - 1 after exactly one even
-    step; for 5Z+1, index m - 2 after exactly two even steps.
+    The next odd value must come after exactly d even steps.  With q - 1 =
+    2^d*r, r odd, its index must be m - d when r = 1 (3Z+1: m - 1 after one
+    even step; 5Z+1: m - 2 after two), else min(m - d, v2(r - 1)) when those
+    differ, and at least m - d when they are equal.
     """
     m = governor_index(x)
     if m <= max(rule.trivial_indices):
@@ -44,18 +56,30 @@ def verify_descent(x: int, rule: Rule) -> DescentCheck:
             f"descent law applies only above the trivial range: index {m} of "
             f"{int_to_decimal(x)} is within {sorted(rule.trivial_indices)}"
         )
-    delta = rule.descent_delta
+    d = rule.descent_delta
+    if m <= d:
+        raise ValueError(
+            f"descent law applies only above v2(q - 1) = {d}: index {m} of {int_to_decimal(x)}"
+        )
+    r = (rule.multiplier - 1) >> d
+    expected, exact = m - d, True
+    if r > 1:
+        e = v2(r - 1)
+        if e == expected:
+            exact = False
+        else:
+            expected = min(expected, e)
     nxt, k = next_odd(x, rule)
     observed = governor_index(nxt)
-    expected = m - delta
     return DescentCheck(
         start=x,
         start_index=m,
         expected_index=expected,
         observed_index=observed,
-        expected_even_steps=delta,
+        expected_even_steps=d,
         observed_even_steps=k,
-        passed=(observed == expected and k == delta),
+        passed=(observed == expected if exact else observed >= expected) and k == d,
+        index_exact=exact,
     )
 
 

@@ -965,14 +965,17 @@ def descent_class(first, n, k):
 
 
 class TestDescentFill:
-    """The descent fill of _scan_chunk, which takes each seed whose first odd
-    step lands below its block from its successor's entry, against the
-    seed-by-seed fold and detect_outcome."""
+    """The descent fill of _scan_chunk, which takes each seed that falls
+    below its block within three odd steps, with its climbing values, from
+    the entry where it lands, against the seed-by-seed fold and
+    detect_outcome."""
 
     def test_most_descent_seeds_of_a_census_are_not_walked(self, monkeypatch):
         # a seed x = 1 mod 4 steps to (3x + 1) / 2^k < x, k >= 2; of the
         # 16384 such seeds below 2^16 only those below 255 and those of
-        # classes of fewer than 8 seeds in their block are walked: 147
+        # classes of fewer than 8 seeds in their block are walked: 147.
+        # The seeds that fall below their block after two or three odd
+        # steps (x = 3 mod 16, x = 11, 23 mod 32) are taken too
         walked = []
         walker = cycles._walker
 
@@ -985,9 +988,11 @@ class TestDescentFill:
         assert report.counts["converged_trivial"] == 32768
         descents = [x for x in walked if x % 4 == 1]
         assert len(descents) < 16384 // 100
-        # without the fill 8721 of the 17447 walks are of descent seeds; the
-        # seeds that climb are walked as before
-        assert len(walked) - len(descents) == 17447 - 8721
+        # without the fill 8721 of the 17447 walks are of descent seeds, and
+        # 8726 walks are of seeds that climb; 5132 of those are still walked,
+        # 121 of them of the 4096 seeds x = 3 mod 16
+        assert len(walked) - len(descents) == 5132
+        assert len([x for x in walked if x % 16 == 3]) == 121
 
     @pytest.mark.parametrize(
         "rule, seed, steps",
@@ -1072,8 +1077,133 @@ class TestDescentFill:
         # steps to values of the table
         memo, x1, filled = fill_block(4001, 4999, RULE_3Z, GENEROUS, lo=3001)
         assert memo.base == 3001 and x1 == 5001
-        assert filled and all((3 * x + 1) % 8 == 4 for x in filled)
+        one_step = [x for x in filled if x % 4 == 1]
+        assert one_step and all((3 * x + 1) % 8 == 4 for x in one_step)
         check_table_fold(3001, 4999, 1000, RULE_3Z, GENEROUS)
+
+    def test_climbing_value_past_the_top(self, monkeypatch):
+        # the table of 1..1023 ends at 513: the block [359, 479) takes the
+        # seeds 371 + 32j, which climb to (3x + 1) / 2 >= 557 and fall to
+        # (9x + 5) / 16 < 359, and writes no entry for the climbing values
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 256)
+        monkeypatch.setattr(cycles, "_FILL_MIN_SEEDS", 2)
+        memo, x1, filled = fill_block(359, 1023, RULE_3Z, GENEROUS)
+        assert memo.top == 513 and x1 == 479
+        climbers = descent_class(371, 4, 4)
+        assert climbers & set(filled) and all(memo.kinds[(x - 1) >> 1] for x in climbers)
+        assert min((3 * x + 1) // 2 for x in climbers) >= memo.top
+        check_table_fold(1, 1023, 100, RULE_3Z, GENEROUS)
+
+    def test_climbing_value_past_the_gate(self, monkeypatch):
+        # 3089 climbs to 7723, whose 5x + 1 is wider than the gate, then
+        # falls through 4827 to 3017.  The walk of 3089 goes lean at 7723
+        # and passes the cap, so it writes no entry for 4827: the class is
+        # left to the walks.  With the class filled, the table after the chunk
+        # of 3061..3399 holds 4827 and the fold's does not
+        monkeypatch.setattr(cycles, "_FILL_MIN_SEEDS", 1)
+        limits = OrbitLimits(10**4, 25)
+        memo, x1, filled = fill_block(3061, 5569, RULE_5Z, limits)
+        assert (5 * 7723 + 1).bit_length() > memo.gate
+        assert [v for v, _ in islice(odd_orbit(3089, RULE_5Z), 4)] == [3089, 7723, 4827, 3017]
+        assert x1 > 3089 and 3089 not in filled
+        check_table_fold(1, 5569, 170, RULE_5Z, limits)
+
+    def test_budget_edge_of_a_climbing_class(self):
+        # the seeds 819 + 32j (j < 9) climb to (3x + 1) / 2 and fall to
+        # (9x + 5) / 16 < 809; the longest of them, 915, takes 127 steps:
+        # at max_steps 126 the class is walked, at 127 filled with its
+        # climbing values, which take two steps fewer
+        climbers = descent_class(819, 9, 4)
+        for max_steps in (126, 127):
+            limits = OrbitLimits(max_steps, 256)
+            memo, x1, filled = fill_block(809, 4095, RULE_3Z, limits)
+            assert x1 == 1079
+            if max_steps == 126:
+                assert not climbers & set(filled)
+            else:
+                assert climbers & set(filled) and all(memo.kinds[(x - 1) >> 1] for x in climbers)
+                assert max(memo.steps[(x - 1) >> 1] for x in climbers) == 127
+                for x in climbers:
+                    u = (3 * x + 1) // 2
+                    assert memo.steps[(u - 1) >> 1] == memo.steps[(x - 1) >> 1] - 2
+            check_table_fold(1, 4095, 2048, RULE_3Z, limits)
+
+
+def valuation_word(x, rule, d):
+    """The valuations of the first d odd steps from odd x, and the odd
+    values they reach."""
+    word, values = [], [x]
+    for _ in range(d):
+        t = rule.multiplier * values[-1] + 1
+        k = (t & -t).bit_length() - 1
+        word.append(k)
+        values.append(t >> k)
+    return tuple(word), values
+
+
+def word_of(levels):
+    """The valuations k_1..k_d of a _descent_words entry, from its K_i."""
+    return tuple(b[2] - a[2] for a, b in zip(levels, levels[1:]))
+
+
+class TestDescentWords:
+    """_descent_words: the classes of the seeds that fall below themselves
+    within three odd steps."""
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z, RULE_7Z], ids=["3z", "5z", "7z"])
+    def test_words(self, rule):
+        q = rule.multiplier
+        words = cycles._descent_words(q)
+        assert [K for K, _, _ in words] == sorted(K for K, _, _ in words)
+        for K, b, levels in words:
+            word = word_of(levels)
+            d = len(word)
+            assert 1 <= d <= cycles._WORD_MAX_ODD_STEPS and sum(word) == K
+            assert all(q**i > 1 << sum(word[:i]) for i in range(1, d)) and q**d < 1 << K
+            assert 0 < b < 2 << K <= cycles._WORD_MAX_MODULUS and b % 2
+        # 3Z+1: the one-step classes k >= 2, then (1, k >= 3), (1, 1, k >= 3)
+        # and (1, 2, k >= 2), to K = 20
+        if q == 3:
+            assert [word_of(lv) for _, _, lv in words[:4]] == [(2,), (3,), (1, 3), (4,)]
+            assert len(words) == 19 + 17 + 16 + 16
+
+    @given(
+        st.sampled_from([RULE_3Z, RULE_5Z, RULE_7Z]),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=2**64),
+    )
+    def test_each_seed_of_a_class_follows_its_word(self, rule, pick, j):
+        q = rule.multiplier
+        words = cycles._descent_words(q)
+        K, b, levels = words[pick % len(words)]
+        word = word_of(levels)
+        c = levels[-1][1]
+        # past c, q^d*x + c < 2^K * x
+        x = b + (2 << K) * (j + c // (2 << K) + 1)
+        seen, values = valuation_word(x, rule, len(word))
+        assert seen == word
+        assert all(v > x for v in values[1:-1]) and values[-1] < x
+        for i, ((qi, ci, ki, stride, more), v) in enumerate(zip(levels, values)):
+            assert v == (qi * x + ci) >> ki
+            # the next seed of the class is 2^(K+1) on, and v moves by 2*stride
+            assert (qi * (x + (2 << K)) + ci) >> ki == v + 2 * stride
+            assert more == sum(k + 1 for k in word[i:])
+
+    @pytest.mark.parametrize("rule", [RULE_3Z, RULE_5Z, RULE_7Z], ids=["3z", "5z", "7z"])
+    def test_classes_partition_the_early_descents(self, rule):
+        # every odd residue mod 2^12 whose orbit falls below it within three
+        # odd steps, at valuations that residue fixes, lies in exactly one
+        # class of a word with 2^(K+1) <= 2^12; every other residue in none
+        q, bits = rule.multiplier, 12
+        words = [(K, b) for K, b, _ in cycles._descent_words(q) if 2 << K <= 1 << bits]
+        for r in range(1, 1 << bits, 2):
+            # a seed of the residue far above every c_i, so that its values
+            # compare with it as q^i with 2^K_i do
+            word, values = valuation_word(r + (1 << (bits + 80)), rule, 3)
+            ends = [i for i in range(1, 4) if values[i] < values[0]]
+            descends = bool(ends) and sum(word[: ends[0]]) + 1 <= bits
+            hits = [1 for K, b in words if r % (2 << K) == b]
+            assert len(hits) == descends, r
 
 
 class TestCountsByCode:

@@ -37,6 +37,14 @@ rules = st.sampled_from([RULE_3Z, RULE_5Z])
 GENEROUS = OrbitLimits(max_steps=10**6, max_value_bits=4096)
 
 
+def mersenne_rule(j: int) -> Rule:
+    """(2^j - 1)Z+1, whose trivial cycle is 1, 2^j, 2^(j-1), ..., 2."""
+    return Rule((1 << j) - 1, (1, *(1 << i for i in range(j, 0, -1))))
+
+
+RULE_7Z = mersenne_rule(3)
+
+
 class TestRule:
     def test_constants(self):
         assert RULE_3Z.trivial_cycle == (1, 4, 2)
@@ -218,6 +226,30 @@ class TestDescent:
     def test_exact_descent_5z(self, x):
         if governor_index(x) >= 3:
             assert verify_descent(x, RULE_5Z).passed
+
+    @pytest.mark.parametrize("x", [7, 15, 31, 63, 1023])
+    def test_7z_index_falls_to_v2_of_r_minus_1(self, x):
+        # 7 - 1 = 2 * 3: one even step, then index min(m - 1, v2(3 - 1)) = 1,
+        # not m - 1
+        chk = verify_descent(x, RULE_7Z)
+        assert (chk.expected_index, chk.observed_index, chk.index_exact) == (1, 1, True)
+        assert chk.observed_even_steps == 1 and chk.passed
+
+    def test_7z_tie_is_a_lower_bound(self):
+        # at index 2, m - 1 = 1 = v2(3 - 1): 11 -> 78 -> 39 has index 3
+        chk = verify_descent(11, RULE_7Z)
+        assert (chk.expected_index, chk.observed_index, chk.index_exact) == (1, 3, False)
+        assert chk.passed
+
+    @given(st.sampled_from([2, 3, 4, 5, 8]), odd_values)
+    def test_law_matches_next_odd_for_mersenne_multipliers(self, j, x):
+        # q = 2^j - 1 has d = 1 and r = 2^(j-1) - 1, so v2(r - 1) = 1 for
+        # j > 2: the next index is 1, or at least 1 at index 2
+        rule = mersenne_rule(j)
+        if governor_index(x) >= 2:
+            chk = verify_descent(x, rule)
+            assert chk.passed
+            assert chk.expected_even_steps == 1 == v2(rule.multiplier * x + 1)
 
     @given(st.integers(min_value=3, max_value=256))
     def test_two_even_steps_after_trivial_form_3z(self, p):
