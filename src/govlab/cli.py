@@ -194,21 +194,22 @@ def _cmd_ancestors(ns: argparse.Namespace) -> int:
         _emit_records(rows, ns.format, ["doublings", "ancestor", "governor_index"])
         return EXIT_OK
     root = ancestor_tree(ns.start, ns.rule, ns.depth, ns.max_doublings)
-    rows = []
 
-    def walk(node, depth: int, parent: int | None) -> None:
-        rows.append(
-            {"depth": depth,
-             "value": _fmt_value(node.value, ns.max_print_bits),
-             "governor_index": node.governor_index,
-             "trivial_governor": node.trivial_governor,
-             "parent": "" if parent is None else _fmt_value(parent, ns.max_print_bits)}
-        )
-        for child in node.children:
-            walk(child, depth + 1, node.value)
+    def rows():
+        # preorder from a stack, children pushed last first: a tree may be
+        # deeper than Python's recursion limit
+        stack = [(root, 0, "")]
+        while stack:
+            node, depth, parent = stack.pop()
+            value = _fmt_value(node.value, ns.max_print_bits)
+            yield {"depth": depth,
+                   "value": value,
+                   "governor_index": node.governor_index,
+                   "trivial_governor": node.trivial_governor,
+                   "parent": parent}
+            stack.extend((child, depth + 1, value) for child in reversed(node.children))
 
-    walk(root, 0, None)
-    _emit_records(rows, ns.format,
+    _emit_records(rows(), ns.format,
                   ["depth", "value", "governor_index", "trivial_governor", "parent"])
     return EXIT_OK
 

@@ -75,13 +75,9 @@ A walk keeps one record, its seen map, which after the trivial odd members
 lists the walk's odd values in orbit order, each with the valuation of the
 run that entered it.  The write goes back through it from the walk's last
 odd value, and a cycle's member list is read off it from the cycle's first
-member on, with the run that closes the cycle.  The walk builds it only
-once its orbit goes on past its first odd value u.  Until then it looks u
-up among the trivial members alone, which is exact: the only earlier odd
-value is the seed x, and u == x means q*x + 1 = x * 2^k, so x = 1 and
-q + 1 = 2^k; the walk from 1 starts with it built.  So a walk that ends at
-its first odd value, on a trivial member, past the cap or on a filled
-entry, builds nothing and writes only its seed's entry.
+member on, with the run that closes the cycle.  The walk builds it at its
+seed, as the trivial members followed by x, so every odd value the walk
+reaches is looked up in the one map.
 
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
@@ -374,7 +370,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     q = memo.rule.multiplier
     trivial = memo.rule.trivial_members
     trivial_odds = memo.rule.trivial_odd_members
-    trivial_seen = dict.fromkeys(trivial_odds, -1)  # the seen map of a walk at its first odd value
+    trivial_seen = dict.fromkeys(trivial_odds, -1)  # the head of every walk's seen map
     max_steps = memo.limits.max_steps
     cap = memo.limits.max_value_bits
     gate = memo.gate  # cap, or below it where a value past it may start a lean walk
@@ -390,11 +386,8 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
         # seen maps an odd value to the valuation of the run that entered it
         # (0 for x), or to -1 for a trivial odd member, so that one lookup
         # tells the three runs apart.  It is the walk's only record: after the
-        # trivial members it lists the walk's odd values in orbit order.  It
-        # is built once the orbit goes on past its first odd value u: until
-        # then it is trivial_seen.  Only x = 1 can have u == x, so its walk
-        # starts with it built.
-        seen = {**trivial_seen, 1: 0} if x == 1 else trivial_seen
+        # trivial members it lists the walk's odd values in orbit order.
+        seen = {**trivial_seen, x: 0}
         cur = x
         s = 0
         first = 0  # the first value after x in [base, top) that the walk goes on past
@@ -468,10 +461,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
                         return code, steps, peak
                 break
             s = stop - 1
-            if seen is trivial_seen:
-                seen = {**trivial_seen, x: 0, u: k}
-            else:
-                seen[u] = k
+            seen[u] = k
             cur = u
         # Write: seen ends with the walk's last odd value, at step s; a
         # cycle's members are entry and the values after it.  The seed is

@@ -10,7 +10,7 @@ mu <= max(v2(q - 1), 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dynamics import Rule
 from .numerics import governor_index, require, v2
@@ -62,32 +62,40 @@ class AncestorNode:
 
 
 def ancestor_tree(x: int, rule: Rule, depth: int, max_doublings: int) -> AncestorNode:
-    """Recursively enumerate odd ancestors to the given depth.
+    """Enumerate odd ancestors to the given depth.
 
     Values are unique within a level (each odd value has a single odd
     descendant one odd step away, so two parents cannot share a child), but
     a value may legitimately recur at different depths; no cross-level
-    pruning is applied.
+    pruning is applied.  The tree is built with an explicit stack, not
+    recursion, so any depth fits; == and repr of a deep tree still recurse.
     """
     require(depth, "ancestor_tree depth")
 
-    def build(value: int, level: int) -> AncestorNode:
-        if level < depth:
-            children = tuple(
-                build(entry.ancestor, level + 1)
-                for entry in odd_ancestors(value, rule, max_doublings)
-            )
-        else:
-            children = ()
+    def frame(value: int, level: int) -> tuple[int, Iterator[AncestorEntry], list[AncestorNode]]:
+        entries = odd_ancestors(value, rule, max_doublings) if level < depth else []
+        return value, iter(entries), []
+
+    # one frame per level from the root: the value, its ancestors not yet
+    # visited, and the nodes of those already built
+    stack = [frame(x, 0)]
+    while True:
+        value, entries, children = stack[-1]
+        entry = next(entries, None)
+        if entry is not None:
+            stack.append(frame(entry.ancestor, len(stack)))
+            continue
+        stack.pop()
         m = governor_index(value)
-        return AncestorNode(
+        node = AncestorNode(
             value=value,
             governor_index=m,
             trivial_governor=m in rule.trivial_indices,
-            children=children,
+            children=tuple(children),
         )
-
-    return build(x, 0)
+        if not stack:
+            return node
+        stack[-1][2].append(node)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 These deliberately avoid the fast paths under test: classification is read
 off the full step-by-step orbit, cycle replay applies the raw step
-functions one value at a time, and the reference chunk fold adds its seeds
-one by one.  The checkpoint reader and writer let a test edit a checkpoint
-file as one document.
+functions one value at a time, cycles are enumerated from the cycle equation
+alone, and the reference chunk fold adds its seeds one by one.  The
+checkpoint reader and writer let a test edit a checkpoint file as one
+document.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 from govlab import cycles
@@ -46,6 +48,48 @@ def replay_cycle_closed(members, rule: Rule) -> bool:
         if nxt != members[(i + 1) % n]:
             return False
     return True
+
+
+def cycles_by_equation(q: int, max_odd: int) -> dict[int, tuple[int, ...]]:
+    """Every cycle of x -> (q*x + 1) / 2^v2(q*x + 1) on odd x >= 1 with at
+    most max_odd odd members, as its smallest member -> its odd members in
+    orbit order from there, found without walking any orbit.
+
+    A cycle through odd x_0..x_(c-1), entered by runs of k_1..k_c halvings,
+    with K_i = k_1 + ... + k_i and K = K_c, satisfies
+    x_0 * (2^K - q^c) = sum over i < c of q^(c-1-i) * 2^(K_i)
+    (Bohm & Sontacchi 1978; Steiner 1977), and 2^K, the product of the
+    q + 1/x_i, lies in (q^c, (q+1)^c].  So each word k_1..k_c whose sum is in
+    that range gives at most one x_0; it is kept when it is an odd integer
+    whose replay follows the word through c distinct odd values.
+    """
+    found = {}
+    for c in range(1, max_odd + 1):
+        K = (q**c).bit_length()  # the least K with 2^K > q^c
+        while 1 << K <= (q + 1) ** c:
+            d = (1 << K) - q**c
+            # K_1..K_(c-1) are any c - 1 distinct cuts of 1..K-1
+            for cuts in combinations(range(1, K), c - 1):
+                prefixes = (0, *cuts)
+                total = 0
+                for k_i in prefixes:
+                    total = total * q + (1 << k_i)
+                x, r = divmod(total, d)
+                if r or not x & 1:
+                    continue
+                members = [x]
+                for k_i, k_next in zip(prefixes, (*cuts, K)):
+                    t = q * members[-1] + 1
+                    k = k_next - k_i
+                    if t & ((1 << k) - 1) or not (t >> k) & 1:
+                        break
+                    members.append(t >> k)
+                else:
+                    if members[-1] == x and len(set(members)) == c:
+                        first = members.index(min(members))
+                        found[min(members)] = tuple(members[first:-1] + members[:first])
+            K += 1
+    return found
 
 
 def chunk_outcomes(lo, hi, memo):

@@ -370,6 +370,32 @@ class TestAncestorsVerb:
         level1 = {r["value"] for r in rows if r["depth"] == 1}
         assert level1 == {"1", "5", "21", "85"}
 
+    def test_tree_deeper_than_the_recursion_limit(self, capsys):
+        # 1 is its own ancestor at two doublings, so the tree is a chain of 1s
+        code, out, err = run_cli(
+            capsys, "ancestors", "--start", "1", "--max-doublings", "2", "--depth", "3000",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 3001
+        assert json.loads(rows[-1]) == {
+            "depth": 3000, "value": "1", "governor_index": 1,
+            "trivial_governor": True, "parent": "1",
+        }
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("records", "ecd80bdbf1a4f64419ef59ed3981b56c36307ac3c879534eff3b9fc66bed6044"),
+        ("csv", "578be895969c6c4272c17896208044c0b0adcdaf7ae5540e98b03313bf8de385"),
+    ])
+    def test_tree_bytes(self, capsys, fmt, digest):
+        # rows in preorder, each node's ancestors in ascending doublings
+        code, out, _ = run_cli(
+            capsys, "ancestors", "--start", "1", "--max-doublings", "8",
+            "--depth", "4", "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestConditionsVerb:
     def test_matches_library(self, capsys):

@@ -50,6 +50,7 @@ from helpers import (
     checkpoint_text,
     chunk_outcomes,
     classify_by_orbit,
+    cycles_by_equation,
     fold_chunk,
     read_checkpoint_doc,
     replay_cycle_closed,
@@ -1555,6 +1556,54 @@ class TestScan:
         report = scan_range(1, 63, RULE_7Z, OrbitLimits(400, 40))
         assert report.rule is RULE_7Z
         assert json.loads(report.to_json())["rule"] == "7Z+1"
+
+
+# rule, the most odd members enumerated, the scanned range and its limits
+EQUATION_CASES = {
+    "3z": (RULE_3Z, 8, 1, 4095, OrbitLimits(10**4, 64)),
+    "5z": (RULE_5Z, 6, 1, 2047, OrbitLimits(10**4, 64)),
+    "7z": (RULE_7Z, 6, 1, 999, OrbitLimits(200, 48)),
+}
+
+
+class TestCycleEquationOracle:
+    """Scan reports against cycles_by_equation, which walks no orbit."""
+
+    def test_enumerated_cycles(self):
+        assert cycles_by_equation(3, 8) == {1: (1,)}
+        assert cycles_by_equation(5, 6) == {1: (1, 3), 13: (13, 33, 83), 17: (17, 43, 27)}
+        assert cycles_by_equation(7, 6) == {1: (1,)}
+
+    @staticmethod
+    def check(report, case):
+        rule, max_odd, lo, hi, _ = case
+        enumerated = cycles_by_equation(rule.multiplier, max_odd)
+        listed = {c.smallest_odd: tuple(v for v in c.all_members if v % 2) for c in report.cycles}
+        # every listed cycle is enumerated, with the same odd members in orbit order
+        assert listed == {m: enumerated.get(m) for m in listed}
+        # every enumerated cycle whose smallest member is a seed is listed
+        assert {m for m in enumerated if lo <= m <= hi} <= listed.keys()
+
+    @pytest.mark.parametrize("name", EQUATION_CASES)
+    def test_serial_and_pool(self, name):
+        rule, _, lo, hi, limits = case = EQUATION_CASES[name]
+        serial = scan_range(lo, hi, rule, limits)
+        self.check(serial, case)
+        # (hi - lo) // 8 + 1 seeds is a quarter of the range: four chunks
+        pooled = scan_range(lo, hi, rule, limits, workers=2, chunk_size=(hi - lo) // 8 + 1)
+        self.check(pooled, case)
+
+    @pytest.mark.parametrize("name", ["3z", "5z"])  # a checkpoint holds only these rules
+    def test_resumed(self, name, tmp_path):
+        rule, _, lo, hi, limits = case = EQUATION_CASES[name]
+        path = tmp_path / "ckpt.jsonl"
+        chunk_size = (hi - lo) // 8 + 1
+        scan_range(lo, hi, rule, limits, chunk_size=chunk_size, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
+        doc["chunks"] = doc["chunks"][1::2]  # two of the four chunks
+        write_checkpoint_doc(path, doc)
+        resumed = scan_range(lo, hi, rule, limits, chunk_size=chunk_size, checkpoint_path=str(path))
+        self.check(resumed, case)
 
 
 VALIDATION_SCAN = (1, 1023, RULE_5Z, SCAN_LIMITS)  # four chunks of 128 seeds

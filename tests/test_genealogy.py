@@ -91,6 +91,17 @@ class TestAncestorTree:
         tree = ancestor_tree(21, RULE_3Z, 3, 16)
         assert tree.children == ()
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # walked with a loop: == and repr of so deep a tree recurse
+        node = ancestor_tree(1, RULE_3Z, 3000, 2)
+        length = 1
+        while node.children:
+            assert len(node.children) == 1
+            assert (node.value, node.governor_index, node.trivial_governor) == (1, 1, True)
+            node = node.children[0]
+            length += 1
+        assert (length, node.value) == (3001, 1)
+
     @given(odd_values, rules, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)
     def test_annotations(self, x, rule, depth):
