@@ -6,6 +6,9 @@ JSON report document.  All values print as decimal strings; --max-print-bits
 replaces oversized bodies with an explicit elision marker.
 
 Exit codes: 0 success, 1 claim failure detected, 2 usage error, 3 I/O error.
+A reader that closes stdout early, as `govlab orbit ... | head -1` does,
+ends any verb quietly: nothing on stderr and exit 0.  Every other OSError
+exits 3.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from typing import Iterable
 
@@ -129,6 +133,20 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it before a verb wrote all its output."""
+
+
+@contextmanager
+def _stdout():
+    """sys.stdout, for writes that report a closed reader as _StdoutClosed;
+    the body must do no other I/O."""
+    try:
+        yield sys.stdout
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _fmt_value(v: int, max_print_bits: int | None) -> str:
     if max_print_bits is not None and v.bit_length() > max_print_bits:
         return f"<elided {v.bit_length()}-bit value>"
@@ -138,13 +156,14 @@ def _fmt_value(v: int, max_print_bits: int | None) -> str:
 def _emit_records(rows: Iterable[dict], fmt: str, columns: list[str]) -> None:
     """Print each row as it comes, after the csv header; a generator of rows
     is never held whole."""
-    if fmt == "records":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(row.get(c, "")) for c in columns))
+    with _stdout() as out:
+        if fmt == "records":
+            for row in rows:
+                out.write(json.dumps(row, sort_keys=True) + "\n")
+        else:
+            out.write(",".join(columns) + "\n")
+            for row in rows:
+                out.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
 
 
 def _cmd_orbit(ns: argparse.Namespace) -> int:
@@ -234,7 +253,8 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         chunk_size=ns.chunk_size,
         checkpoint_path=ns.checkpoint,
     )
-    sys.stdout.write(report.to_json())
+    with _stdout() as out:
+        out.write(report.to_json())
     return EXIT_OK
 
 
@@ -242,11 +262,11 @@ def _cmd_claims(ns: argparse.Namespace) -> int:
     from . import claims as claims_mod
 
     if ns.list:
-        for claim_id, title, statement in claims_mod.list_claims():
-            print(json.dumps(
-                {"claim_id": claim_id, "title": title, "statement": statement},
-                sort_keys=True,
-            ))
+        rows = (
+            {"claim_id": claim_id, "title": title, "statement": statement}
+            for claim_id, title, statement in claims_mod.list_claims()
+        )
+        _emit_records(rows, "records", [])
         return EXIT_OK
     overrides: dict[str, dict] = {}
     if ns.params:
@@ -262,7 +282,8 @@ def _cmd_claims(ns: argparse.Namespace) -> int:
         if "workers" in claims_mod.claim_defaults(claim_id):
             params.setdefault("workers", ns.workers)
     report = claims_mod.run_claims(ids, per_claim)
-    sys.stdout.write(report.to_json())
+    with _stdout() as out:
+        out.write(report.to_json())
     return EXIT_CLAIM_FAILURE if report.any_failed else EXIT_OK
 
 
@@ -278,7 +299,17 @@ _HANDLERS = {
 
 def execute(ns: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[ns.verb](ns)
+        code = _HANDLERS[ns.verb](ns)
+        with _stdout() as out:  # a closed stdout shows here, not at the interpreter's exit
+            out.flush()
+        return code
+    except _StdoutClosed:
+        # the reader has what it wanted; stdout goes to os.devnull, so that
+        # the interpreter's last flush of what is left raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (CheckpointError, OSError) as exc:
         print(f"govlab: {exc}", file=sys.stderr)
         return EXIT_IO

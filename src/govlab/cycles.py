@@ -190,11 +190,19 @@ Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
 checkpoints and report bytes do not depend on the worker count, the chunk
-size or resumes.  A resumed scan starts with an empty memo, which its walks
-fill over the whole table, the completed chunks' values and those below
-the first seed included.  A memo lives only as long as its scan (the
-in-process runner's local, or the pool worker processes), because its
-entries hold only for one rule and one set of limits.
+size or resumes.  On a checkpointed scan each chunk keeps its seeds'
+entries below top (_OrbitMemo.table), with its cycle codes renumbered by
+the chunk's own sorted cycles, for its checkpoint line; a resumed scan's
+memo restores the loaded ones (_OrbitMemo.restore) before its first chunk
+runs, and its walks fill the rest.  A restored entry is its value's own
+result too, because the checkpoint's header fixes the rule and the limits,
+and its codes name cycles by record, not by any process's numbering.  That
+takes trust in the file: a table that agrees with its line's counts,
+candidates and maxima but holds a false entry changes the results of other
+chunks whose walks end on it, as a false line already changes the report.
+A memo lives only as long as its scan (the in-process runner's local, or
+the pool worker processes), because its entries hold only for one rule and
+one set of limits.
 """
 
 from __future__ import annotations
@@ -575,19 +583,42 @@ def _lean_walk(x: int, s: int, memo: _OrbitMemo) -> tuple[int, int, int] | None:
             return None
 
 
-def _zeros(typecode: str, n: int, bound: int) -> array:
-    """n zeros in an array of typecode if it holds 0..bound, else of 'q'
-    (storing a value the typecode cannot hold raises OverflowError)."""
-    if bound >> (8 * array(typecode).itemsize):
-        typecode = "q"
-    return array(typecode, [0]) * n
-
-
 def peak_bound(rule: Rule, limits: OrbitLimits, v: int) -> int:
     """The most bits an orbit peak can have on a scan whose seeds are at most
     v: the bit length of some q*u + 1 with u under the cap or at most v has at
     most bits(q) + bits(u) bits."""
     return max(limits.max_value_bits, v.bit_length()) + rule.multiplier.bit_length()
+
+
+def entry_typecodes(rule: Rule, limits: OrbitLimits, v: int) -> tuple[str, str]:
+    """The array typecodes of the steps and peaks of table entries of values
+    at most v: 'I' and 'H' when they hold max_steps and peak_bound, else 'q'
+    (storing a value the typecode cannot hold raises OverflowError)."""
+    return tuple(
+        "q" if bound >> (8 * array(typecode).itemsize) else typecode
+        for typecode, bound in (("I", limits.max_steps), ("H", peak_bound(rule, limits, v)))
+    )
+
+
+def _memo_top(lo: int, hi: int) -> int:
+    """The first odd value past the orbit table of a scan of lo..hi: the
+    table holds the scan's first _MEMO_MAX_SEEDS seeds."""
+    return lo + 2 * min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
+
+
+def _code_map(codes: dict[int, int]) -> bytes:
+    """A translate table for kind bytes: the codes below _CYCLE are kept,
+    each cycle code in codes becomes its value when both fit the byte, and
+    every other becomes 0, no result."""
+    table = bytearray(range(_CYCLE)) + bytes(256 - _CYCLE)
+    for old, new in codes.items():
+        if old < 256 and new < 256:
+            table[old] = new
+    return bytes(table)
+
+
+def _as_typecode(values: array, typecode: str) -> array:
+    return values if values.typecode == typecode else array(typecode, values)
 
 
 class _OrbitMemo:
@@ -604,25 +635,32 @@ class _OrbitMemo:
     are read, and why each is exact.
     """
 
-    def __init__(self, lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
+    def __init__(
+        self, lo: int, hi: int, rule: Rule, limits: OrbitLimits, tables: list[tuple] | None = None
+    ) -> None:
         self.rule = rule
         self.limits = limits
         # the first odd value not held, and the first held: the values below
         # lo, which only end walks, are held when all of [1, top) fits the cap
         # and they are no more than the seeds held, so a few seeds far from 1
         # do not pay for a table down to 1
-        self.top = lo + 2 * min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
+        self.top = _memo_top(lo, hi)
         fits = self.top >> 1 <= _MEMO_MAX_SEEDS and lo - 1 <= self.top - lo
         self.base = 1 if fits else lo
         n = (self.top - self.base) >> 1
         self.kinds = bytearray(n)
         if n:
             # an entry's steps are at most max_steps, its peak at most peak_bound
-            self.steps = _zeros("I", n, limits.max_steps)
-            self.peaks = _zeros("H", n, peak_bound(rule, limits, self.top))
+            steps, peaks = entry_typecodes(rule, limits, self.top)
+            self.steps, self.peaks = array(steps, [0]) * n, array(peaks, [0]) * n
         else:  # detect_outcome's memo: nothing is read or written
             self.steps = self.peaks = ()
         self.cycles: list[CycleRecord] = []
+        # a checkpointed scan's memo: its chunks keep their tables, and it
+        # restores the loaded ones, each dropped once restored
+        self.keep_tables = tables is not None
+        while tables:
+            self.restore(*tables.pop())
         # a lean walk runs on values from floor up: past the memo's range and
         # the trivial cycle, and from 2^K, where the jump margins hold.  Only
         # orbits of rules with q > 4 grow on average; for those, a walk whose
@@ -630,6 +668,37 @@ class _OrbitMemo:
         q, cap = rule.multiplier, limits.max_value_bits
         self.floor = max(self.top, max(rule.trivial_cycle) + 1, 1 << _JUMP)
         self.gate = cap if q < 5 else min(cap, (q * self.floor).bit_length())
+
+    def table(self, first: int, end: int, cycles: dict[int, CycleRecord]) -> tuple:
+        """The entries of the odd values first..end - 2 of [base, top), as
+        (codes, steps, peaks): kind bytes whose cycle codes are _CYCLE plus
+        the cycle's position in sorted(cycles), and arrays of
+        entry_typecodes(rule, limits, end - 2).  cycles must hold every
+        cycle the entries' codes name."""
+        a, b = (first - self.base) >> 1, (end - self.base) >> 1
+        codes = bytes(self.kinds[a:b])
+        if self.cycles:
+            line = {odd: _CYCLE + i for i, odd in enumerate(sorted(cycles))}
+            codes = codes.translate(_code_map({
+                _CYCLE + i: line.get(rec.smallest_odd, 0) for i, rec in enumerate(self.cycles)
+            }))
+        steps, peaks = entry_typecodes(self.rule, self.limits, end - 2)
+        return codes, _as_typecode(self.steps[a:b], steps), _as_typecode(self.peaks[a:b], peaks)
+
+    def restore(self, first: int, cycles: list[CycleRecord], table: tuple) -> None:
+        """Write a table of entries from first, as table returns it for the
+        chunk whose cycles, in sorted order, are cycles; the entries must lie
+        in [base, top)."""
+        codes, steps, peaks = table
+        if cycles:
+            codes = codes.translate(_code_map({
+                _CYCLE + i: self.cycle_code(rec) for i, rec in enumerate(cycles)
+            }))
+        a = (first - self.base) >> 1
+        xs = slice(a, a + len(codes))
+        self.kinds[xs] = codes
+        self.steps[xs] = _as_typecode(steps, self.steps.typecode)
+        self.peaks[xs] = _as_typecode(peaks, self.peaks.typecode)
 
     def cycle_code(self, record: CycleRecord) -> int:
         if record not in self.cycles:
@@ -666,6 +735,9 @@ class ChunkResult:
     candidates: list[int] = field(default_factory=list)  # undecided seeds, ascending
     max_excursion_bits: int = 0
     max_steps_observed: int = 0
+    # the (codes, steps, peaks) of the seeds below the orbit table's top, as
+    # _OrbitMemo.table returns them, kept only for a checkpoint
+    table: tuple | None = None
 
     def add(self, seed: int, code: int, steps: int, peak: int, cycles: list[CycleRecord]) -> None:
         """Fold in the (code, steps, peak) result of one seed, after every
@@ -722,9 +794,11 @@ def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
 _worker_memo: _OrbitMemo | None = None
 
 
-def _init_worker(lo: int, hi: int, rule: Rule, limits: OrbitLimits) -> None:
+def _init_worker(
+    lo: int, hi: int, rule: Rule, limits: OrbitLimits, tables: list[tuple] | None = None
+) -> None:
     global _worker_memo
-    _worker_memo = _OrbitMemo(lo, hi, rule, limits)
+    _worker_memo = _OrbitMemo(lo, hi, rule, limits, tables)
 
 
 # the fewest seeds of a block, and of one of its residue classes, that the
@@ -859,7 +933,8 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
     filling it; without one, the memo of the pool worker this runs in.  The
     module docstring says which seeds are filled from the entries where
     they land, which are walked, which are folded from the table and which go
-    through ChunkResult.add."""
+    through ChunkResult.add.  On a checkpointed scan's memo, a chunk with
+    seeds below the memo's top keeps their entries as its table."""
     memo = memo or _worker_memo
     walk = _walker(memo)
     chunk = ChunkResult(index)
@@ -883,4 +958,6 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
         _fold_table(chunk, memo, (lo - base) >> 1, (end - base) >> 1)
     for seed in range(max(lo, end), hi + 1, 2):
         chunk.add(seed, *walk(seed), cycles)
+    if memo.keep_tables and lo < end:  # numbered by all of the chunk's cycles
+        chunk.table = memo.table(lo, end, chunk.cycles)
     return chunk

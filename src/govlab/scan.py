@@ -23,20 +23,39 @@ each line is parsed as it is read, so the load never holds the whole file;
 a last line without its newline, a torn append, is dropped; the chunks are
 validated against the header's rule, range, limits and chunk size, and a
 chunk that does not fit raises CheckpointError.
+
+The line of a chunk with seeds below the orbit table's top also carries
+their table entries under "table": "codes", "steps" and "peaks", each the
+base64 of a little-endian array, of widths that entry_typecodes gives for
+the header's rule and limits and the table's last seed (1, 4 and 2 bytes,
+or 8 for a wider bound), with the cycle codes numbered by the line's own
+sorted "cycles".  The load checks a table against its line's counts,
+candidates and maxima, and a resume restores every loaded table into the
+orbit memo of each process that runs its chunks before the first chunk
+runs (cycles says why a restored entry is its value's own result, and what
+trust that takes).  Only a checkpointed scan copies the entries out, and
+each chunk drops its copy once its line is written.  A line without a
+table, from a file written before tables or of a chunk from the top on,
+restores nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
+from bisect import bisect_left
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .cycles import (
-    COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker, _OrbitMemo, _scan_chunk,
-    canonical_cycle, peak_bound, trivial_cycle_record,
+    _CYCLE, _UNDECIDED_MASK, COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker,
+    _memo_top, _OrbitMemo, _scan_chunk, canonical_cycle, entry_typecodes, peak_bound,
+    trivial_cycle_record,
 )
 from .dynamics import RULES, OrbitLimits, Rule, rule_for
 from .numerics import decimal_to_int, int_to_decimal, require, show
@@ -130,9 +149,34 @@ class ScanState:
         }
 
 
+def _base64(values: array | bytes) -> str:
+    """An array's items, or bytes, as the base64 of their little-endian bytes."""
+    if isinstance(values, array) and sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return b2a_base64(values, newline=False).decode("ascii")
+
+
+def _from_base64(text: str, typecode: str, n: int) -> array | bytes:
+    """The n items of typecode, or n bytes for typecode "B", that _base64
+    wrote as text; raises ValueError for any other text."""
+    raw = a2b_base64(text)
+    if b2a_base64(raw, newline=False) != text.encode("ascii"):  # a2b skips stray characters
+        raise ValueError("a table field is not canonical base64")
+    values = array(typecode)
+    if len(raw) != n * values.itemsize:
+        raise ValueError(f"a table field of {len(raw)} bytes holds no {n} entries")
+    if typecode == "B":
+        return raw
+    values.frombytes(raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
 def _chunk_doc(chunk: ChunkResult) -> dict:
     """A chunk result as a checkpoint line."""
-    return {
+    doc = {
         "index": chunk.index,
         "counts": dict(zip(COUNT_KEYS, chunk.counts)),
         "cycles": [chunk.cycles[k].to_doc() for k in sorted(chunk.cycles)],
@@ -140,6 +184,9 @@ def _chunk_doc(chunk: ChunkResult) -> dict:
         "max_excursion_bits": chunk.max_excursion_bits,
         "max_steps_observed": chunk.max_steps_observed,
     }
+    if chunk.table is not None:
+        doc["table"] = dict(zip(("codes", "steps", "peaks"), map(_base64, chunk.table)))
+    return doc
 
 
 def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
@@ -219,8 +266,11 @@ def checkpoint_load(path: str) -> ScanState:
             lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
             state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
             for line in lines:
-                chunk = _chunk_from_doc(json.loads(line), rule)
+                chunk_doc = json.loads(line)
+                chunk = _chunk_from_doc(chunk_doc, rule)
                 _check_chunk(chunk, state)
+                if "table" in chunk_doc:
+                    chunk.table = _table_from_doc(chunk_doc["table"], chunk, state)
                 if chunk.index in state.completed:
                     raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
                 state.completed[chunk.index] = chunk
@@ -278,6 +328,45 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
         )
 
 
+def _table_from_doc(doc: dict, chunk: ChunkResult, state: ScanState) -> tuple:
+    """The (codes, steps, peaks) of a chunk line's "table", which must hold
+    one entry per seed of the chunk below the orbit table's top, with codes
+    inside the line's cycles, and agree with the chunk's counts, candidates
+    and maxima, which _check_chunk has checked; raises ValueError if not."""
+    chunk_name = f"chunk {int_to_decimal(chunk.index)}"
+    c_lo, c_hi = state.chunk_bounds(chunk.index)
+    n = (min(c_hi + 2, _memo_top(state.lo, state.hi)) - c_lo) // 2
+    if n <= 0:
+        raise ValueError(f"{chunk_name} lies past the orbit table's top, so it holds no table")
+    steps_type, peaks_type = entry_typecodes(state.rule, state.limits, c_lo + 2 * (n - 1))
+    try:
+        codes = _from_base64(doc["codes"], "B", n)
+        steps = _from_base64(doc["steps"], steps_type, n)
+        peaks = _from_base64(doc["peaks"], peaks_type, n)
+    except ValueError as exc:
+        raise ValueError(f"{chunk_name}: {exc}") from None
+    if codes.translate(None, bytes(range(min(_CYCLE + len(chunk.cycles), 256)))):
+        raise ValueError(f"{chunk_name} table holds a code past its {len(chunk.cycles)} cycles")
+    # code 0 is a seed that went through ChunkResult.add: a cycle member, or
+    # a cycle whose code passed the kind byte
+    known = [codes.count(code) for code in range(1, _CYCLE)]
+    whole = n == (c_hi - c_lo) // 2 + 1  # else the seeds from the top on hold no entry
+    for found, count in zip([*known, n - sum(known)], chunk.counts):
+        if found > count or (whole and found != count):
+            raise ValueError(f"{chunk_name} table's counts disagree with its own")
+    undecided = codes.translate(_UNDECIDED_MASK)
+    found = list(compress(range(c_lo, c_lo + 2 * n, 2), undecided)) if 1 in undecided else []
+    cands = chunk.candidates
+    if found != cands[: bisect_left(cands, c_lo + 2 * n)]:
+        raise ValueError(f"{chunk_name} table's candidates disagree with its own")
+    # the table's maxima are the chunk's when it holds every seed's result
+    for values, most in ((steps, chunk.max_steps_observed), (peaks, chunk.max_excursion_bits)):
+        top = max(values)
+        if top > most or (whole and top != most and 0 not in codes):
+            raise ValueError(f"{chunk_name} table's maxima disagree with its own")
+    return codes, steps, peaks
+
+
 def _merge(state: ScanState) -> ScanReport:
     total = ChunkResult(index=0)
     for i in range(state.n_chunks):
@@ -302,16 +391,17 @@ def _merge(state: ScanState) -> ScanReport:
     )
 
 
-def _run_chunks(
-    tasks: Iterable[tuple], workers: int, scan: tuple[int, int, Rule, OrbitLimits]
-) -> Iterator[ChunkResult]:
+def _run_chunks(tasks: Iterable[tuple], workers: int, scan: tuple) -> Iterator[ChunkResult]:
     """Run _scan_chunk on each (index, lo, hi) in tasks; yield results as they finish.
 
-    scan is the (lo, hi, rule, limits) of the scan the chunks belong to; each
-    process that runs chunks builds one orbit memo for it, which every chunk
-    it runs reads and fills.  Workers are capped at the CPU count.  One
-    worker runs the chunks in this process.  More run them in a pool of that
-    size, which reads tasks lazily and holds at most 2 * workers chunks.
+    scan is the (lo, hi, rule, limits) of the scan the chunks belong to, and
+    for a checkpointed scan the list of the loaded tables, each (first seed,
+    sorted cycles, table) of a completed chunk; each process that runs
+    chunks builds one orbit memo for it, with those tables restored, which
+    every chunk it runs reads and fills, and on which each chunk keeps its
+    own table.  Workers are capped at the CPU count.  One worker runs the
+    chunks in this process.  More run them in a pool of that size, which
+    reads tasks lazily and holds at most 2 * workers chunks.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
@@ -356,7 +446,9 @@ def scan_range(
     orbit memo for the scan, and merged in index order; the report bytes do
     not depend on the worker count.  With checkpoint_path set, a matching
     existing checkpoint is resumed, the file is rewritten once in index
-    order, and each chunk that finishes is appended to it as one line.
+    order, and each chunk that finishes is appended to it as one line, with
+    its seeds' table entries; the loaded entries are restored into the
+    orbit memo before the first chunk left runs.
     """
     require(workers, "scan_range workers")
     state = ScanState(rule, lo, hi, limits, chunk_size, {})
@@ -375,6 +467,14 @@ def scan_range(
         # drops a torn last line, and writes the header of a fresh scan
         checkpoint_save(state, checkpoint_path)
 
+    # the loaded tables, which the orbit memo restores before the first
+    # chunk runs; a chunk keeps its own only until its line is written
+    tables = []
+    for i, chunk in state.completed.items():
+        if chunk.table is not None:
+            sorted_cycles = [chunk.cycles[k] for k in sorted(chunk.cycles)]
+            tables.append((state.chunk_bounds(i)[0], sorted_cycles, chunk.table))
+            chunk.table = None
     tasks = (
         (i, *state.chunk_bounds(i)) for i in range(state.n_chunks) if i not in state.completed
     )
@@ -382,9 +482,11 @@ def scan_range(
     with nullcontext() if checkpoint_path is None else open(
         checkpoint_path, "a", encoding="utf-8"
     ) as log:
-        for chunk in _run_chunks(tasks, workers, (lo, hi, rule, limits)):
+        scan = (lo, hi, rule, limits, None if log is None else tables)
+        for chunk in _run_chunks(tasks, workers, scan):
             state.completed[chunk.index] = chunk
             if log is not None:
                 log.write(_line(_chunk_doc(chunk)))
                 log.flush()
+                chunk.table = None
     return _merge(state)

@@ -582,3 +582,57 @@ class TestClaimsVerb:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+def cli_env():
+    """The environment of a fresh interpreter with govlab's sources on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def first_line_then_close(*args):
+    """Run the CLI in a fresh interpreter whose stdout reader takes one line
+    and closes the pipe, as `| head -1` does; returns (exit_code, that line,
+    stderr)."""
+    proc = subprocess.Popen([sys.executable, "-m", "govlab.cli", *args], env=cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        line = proc.stdout.readline().decode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    return proc.returncode, line, err
+
+
+class TestClosedStdout:
+    # each prints more than a pipe and stdout's buffer hold, so the writer
+    # is still writing when the reader closes
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["orbit", "--rule", "5", "--start", "7", "--step-limit", "5000",
+             "--value-limit-bits", "100000"],
+            ["ancestors", "--start", "7", "--depth", "3", "--max-doublings", "40"],
+        ],
+        ids=["orbit", "ancestors"],
+    )
+    def test_a_reader_that_stops_early_ends_the_verb_quietly(self, args):
+        code, line, err = first_line_then_close(*args)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(line)["value"] == "7"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_any_other_write_error_exits_3(self):
+        # a full device is an I/O error, not a reader that stopped
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "govlab.cli", "orbit", "--start", "27"],
+                                  env=cli_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        assert proc.returncode == cli.EXIT_IO
+        assert proc.stderr.startswith("govlab: [Errno 28]")

@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import copy
 import dataclasses
@@ -6,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -1877,7 +1879,9 @@ class TestCheckpointWriter:
         for i in range(n_chunks):
             c_lo = lo + 2 * i * chunk_size
             c_hi = lo + 2 * (min((i + 1) * chunk_size, n_seeds) - 1)
-            chunks[i] = _scan_chunk(i, c_lo, c_hi, cycles._OrbitMemo(c_lo, c_hi, rule, limits))
+            # a checkpointed scan's chunks keep their seeds' entries as their tables
+            memo = cycles._OrbitMemo(c_lo, c_hi, rule, limits, [])
+            chunks[i] = _scan_chunk(i, c_lo, c_hi, memo)
         path = tmp_path / "ckpt.json"
         path.unlink(missing_ok=True)
         done = data.draw(st.permutations(range(n_chunks)))[: data.draw(st.integers(0, n_chunks))]
@@ -1915,9 +1919,9 @@ class TestCheckpointWriter:
         "rule, hi, limits, digest",
         [
             (RULE_3Z, 8191, OrbitLimits(10**6, 256),
-             "fe7cc73a5ea90bd93b75e053272662c833532d4c065807fa48e65264b1fc2f8c"),
+             "fdf967ae4636bd9c80ab8a13a81411dd415154a88580100a6d55663cad829963"),
             (RULE_5Z, 4095, OrbitLimits(10**5, 128),
-             "b6a6b8cbe008367ca9ed078cba470fe929598284373e66c4e3008580f26bf315"),
+             "d64a15d810b026516c013a6835aee9d0f140d14c965c5f9eb98bbd64ba6ee1a4"),
         ],
         ids=["3z-c1-limits", "5z-c3-limits"],
     )
@@ -2157,6 +2161,230 @@ class TestCheckpointValidation:
         resumed = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=path)
         uninterrupted = scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=128)
         assert resumed.to_json() == uninterrupted.to_json()
+
+
+def _table_arrays(chunk_doc):
+    """The codes, steps and peaks of a chunk line's table, as a
+    bytearray and arrays of 32-bit steps and 16-bit peaks, read as the
+    little-endian bytes the file holds on any host."""
+    table = chunk_doc["table"]
+    codes = bytearray(base64.b64decode(table["codes"]))
+    arrays = []
+    for key, fmt in (("steps", "I"), ("peaks", "H")):
+        raw = base64.b64decode(table[key])
+        n = len(raw) // struct.calcsize("<" + fmt)
+        arrays.append(array(fmt, struct.unpack(f"<{n}{fmt}", raw)))
+    return codes, *arrays
+
+
+def _set_table(chunk_doc, codes, steps, peaks):
+    chunk_doc["table"] = {
+        "codes": base64.b64encode(bytes(codes)).decode(),
+        "steps": base64.b64encode(struct.pack(f"<{len(steps)}I", *steps)).decode(),
+        "peaks": base64.b64encode(struct.pack(f"<{len(peaks)}H", *peaks)).decode(),
+    }
+
+
+def _edit_table(index, edit):
+    """A corruption of VALIDATION_SCAN's chunk index: edit(codes, steps,
+    peaks) changes the arrays of its table in place."""
+
+    def corrupt(doc):
+        chunk = doc["chunks"][index]
+        codes, steps, peaks = _table_arrays(chunk)
+        edit(codes, steps, peaks)
+        _set_table(chunk, codes, steps, peaks)
+
+    return corrupt
+
+
+def _swap_codes(codes, a, b):
+    """Swap the codes of the first seeds holding a and b."""
+    i, j = codes.index(a), codes.index(b)
+    codes[i], codes[j] = b, a
+
+
+def _lower_the_largest(values):
+    most = max(values)
+    for i, v in enumerate(values):
+        if v == most:
+            values[i] = most - 1
+
+
+def _snapshot_memos(monkeypatch):
+    """(base, top, {value: oracle form of its entry}) of each orbit memo
+    built from now on, as the memo holds it when built: restored entries
+    only."""
+    made = []
+    init = cycles._OrbitMemo.__init__
+
+    def spy(memo, *args):
+        init(memo, *args)
+        made.append((memo.base, memo.top, memo_entries(memo)))
+
+    monkeypatch.setattr(cycles._OrbitMemo, "__init__", spy)
+    return made
+
+
+def _keep_chunk_lines(path, keep, strip=False):
+    """Cut the checkpoint at path to its header and its first keep chunk
+    lines; with strip, without their tables, as files before tables."""
+    doc = read_checkpoint_doc(path)
+    doc["chunks"] = doc["chunks"][:keep]
+    if strip:
+        for chunk in doc["chunks"]:
+            chunk.pop("table", None)
+    write_checkpoint_doc(path, doc)
+
+
+class TestCheckpointTables:
+    """A checkpointed chunk's line carries its seeds' orbit-table entries,
+    which a resume restores into its orbit memo before any chunk runs."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _edit_table(0, lambda codes, steps, peaks: codes.pop()),
+            _edit_table(0, lambda codes, steps, peaks: codes.append(2)),
+            _edit_table(1, lambda codes, steps, peaks: steps.pop()),
+            _edit_table(1, lambda codes, steps, peaks: peaks.append(peaks[0])),
+            # chunk 0 lists two cycles, codes 4 and 5
+            _edit_table(0, lambda codes, steps, peaks: codes.__setitem__(codes.index(4), 6)),
+            _edit_table(1, lambda codes, steps, peaks: steps.__setitem__(0, 10**5 + 1)),
+            # peak_bound is cap + bits(5) = 131
+            _edit_table(1, lambda codes, steps, peaks: peaks.__setitem__(0, 132)),
+            # a converged seed counted as entering a cycle
+            _edit_table(0, lambda codes, steps, peaks: codes.__setitem__(codes.index(2), 4)),
+            # an undecided seed and a converged one trade places
+            _edit_table(1, lambda codes, steps, peaks: _swap_codes(codes, 2, 3)),
+            _edit_table(1, lambda codes, steps, peaks: _lower_the_largest(steps)),
+            _edit_table(1, lambda codes, steps, peaks: _lower_the_largest(peaks)),
+            lambda doc: doc["chunks"][1]["table"].update(codes="not base64!"),
+            lambda doc: doc["chunks"][1]["table"].pop("peaks"),
+        ],
+        ids=[
+            "codes-cut-short", "codes-too-long", "steps-cut-short", "peaks-too-long",
+            "code-past-the-cycles", "steps-past-max-steps", "peak-past-peak-bound",
+            "counts-disagree", "candidates-disagree", "max-steps-disagree",
+            "max-peak-disagrees", "not-base64", "no-peaks",
+        ],
+    )
+    def test_inconsistent_table_rejected(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
+        corrupt(doc)
+        write_checkpoint_doc(path, doc)
+        _rejected_everywhere(path, capsys)
+
+    def test_table_past_the_top_rejected(self, tmp_path, capsys, monkeypatch):
+        # with the table at 256 seeds, chunks 2 and 3 lie past its top
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 256)
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
+        assert ["table" in chunk for chunk in doc["chunks"]] == [True, True, False, False]
+        doc["chunks"][2]["table"] = doc["chunks"][1]["table"]
+        write_checkpoint_doc(path, doc)
+        _rejected_everywhere(path, capsys, "past the orbit table's top")
+
+    def test_lines_hold_little_endian_entries_of_each_seed(self, tmp_path, monkeypatch):
+        # the first seed from 3841 to enter a cycle enters 17's, so the memo
+        # numbers that cycle first, and the line numbers 13's first
+        path = tmp_path / "ckpt.json"
+        memos = capture_memos(monkeypatch)
+        scan_range(3841, 4351, RULE_5Z, SCAN_LIMITS, chunk_size=128, checkpoint_path=str(path))
+        assert [c.smallest_odd for c in memos[0].cycles] == [17, 13]
+        chunk = read_checkpoint_doc(path)["chunks"][0]  # no cycle member
+        codes, steps, peaks = _table_arrays(chunk)
+        for i, seed in enumerate(range(3841, 4096, 2)):
+            out = detect_outcome(seed, RULE_5Z, SCAN_LIMITS)
+            code = {"converged_trivial": 2, "cycle": 4, "undecided": 3}[out.tag.value]
+            if out.tag is OutcomeTag.CYCLE:  # numbered by the line's sorted cycles
+                smallest = [int(c["smallest_odd"]) for c in chunk["cycles"]]
+                code += smallest.index(out.cycle.smallest_odd)
+            assert (codes[i], steps[i], peaks[i]) == (code, out.steps_taken, out.peak_bits)
+
+    def test_file_without_tables_resumes_to_the_same_report(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        _keep_chunk_lines(path, 2, strip=True)
+        resumed = scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        assert resumed.to_json() == scan_range(*VALIDATION_SCAN).to_json()
+        # the loaded lines stay without tables, and the new ones have theirs
+        assert ["table" in c for c in read_checkpoint_doc(path)["chunks"]] == [0, 0, 1, 1]
+
+    def test_prefix_checkpoint_restores_into_a_table_from_1(self, tmp_path, monkeypatch):
+        # as the resume benchmark makes its file: a shorter scan's, with hi
+        # raised.  Its last chunk, 6017..6143, meets only 17's cycle, which
+        # its line numbers first, and the chunk before it only 13's
+        path = str(tmp_path / "ckpt.json")
+        scan_range(1, 6143, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        checkpoint_save(dataclasses.replace(checkpoint_load(path), hi=12287), path)
+        expected = scan_range(1, 12287, RULE_5Z, SCAN_LIMITS).to_json()
+        memos = _snapshot_memos(monkeypatch)
+        resumed = scan_range(1, 12287, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        assert resumed.to_json() == expected
+        ((base, top, restored),) = memos
+        assert (base, top) == (1, 12289)
+        members = {v for c in AUX_5Z for v in c.odd_members}
+        assert set(restored) == set(range(1, 6144, 2)) - members
+        for seed, entry in restored.items():
+            assert entry == oracle_form(detect_outcome(seed, RULE_5Z, SCAN_LIMITS))
+
+    def test_far_window_restores_its_table_clipped_to_the_top(self, tmp_path, monkeypatch):
+        # a table of 64 seeds from lo = 4097, far from 1, so base = lo; its
+        # top 4225 cuts chunk 1 (4193..4287) after 16 seeds
+        monkeypatch.setattr(cycles, "_MEMO_MAX_SEEDS", 64)
+        lo, hi, path = 4097, 4607, tmp_path / "ckpt.json"
+        scan_range(lo, hi, RULE_3Z, GENEROUS, chunk_size=48, checkpoint_path=str(path))
+        doc = read_checkpoint_doc(path)
+        assert [len(_table_arrays(c)[0]) if "table" in c else 0 for c in doc["chunks"]] == [
+            48, 16, 0, 0, 0, 0]
+        _keep_chunk_lines(path, 3)
+        expected = scan_range(lo, hi, RULE_3Z, GENEROUS).to_json()
+        memos = _snapshot_memos(monkeypatch)
+        resumed = scan_range(lo, hi, RULE_3Z, GENEROUS, chunk_size=48, checkpoint_path=str(path))
+        assert resumed.to_json() == expected
+        ((base, top, restored),) = memos
+        assert (base, top) == (lo, 4225)
+        assert set(restored) == set(range(lo, top, 2))
+        for seed, entry in restored.items():
+            assert entry == oracle_form(detect_outcome(seed, RULE_3Z, GENEROUS))
+
+    def test_5z_file_has_the_same_bytes_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        # each pool worker numbers the cycles it meets in its own order, 17's
+        # first in the worker that starts at 3841 and 13's in the other; a
+        # line numbers them by its own sorted cycles
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers start a pool on any host
+        files = []
+        for workers in (1, 2):
+            path = str(tmp_path / f"ckpt-{workers}.json")
+            scan_range(3841, 5887, RULE_5Z, SCAN_LIMITS, workers, chunk_size=128,
+                       checkpoint_path=path)
+            checkpoint_save(checkpoint_load(path), path)  # in index order
+            files.append(Path(path).read_bytes())
+        assert files[0] == files[1]
+
+    def test_resume_walks_only_what_the_tables_leave(self, tmp_path, walks):
+        path = tmp_path / "ckpt.json"
+        scan = (1, 4095, RULE_3Z, GENEROUS)  # 16 chunks of 128 seeds
+        scan_range(*scan, chunk_size=128, checkpoint_path=str(path))
+        whole = path.read_text(encoding="utf-8")
+        counts = []
+        for strip in (False, True):
+            path.write_text(whole, encoding="utf-8")
+            _keep_chunk_lines(path, 8, strip)
+            walks.clear()
+            resumed = scan_range(*scan, chunk_size=128, checkpoint_path=str(path))
+            assert resumed.to_json() == scan_range(*scan).to_json()
+            counts.append(len(walks))
+            if not strip:
+                # the entries below 2049 that the first walk finds filled are
+                # the restored ones, and walks end on them
+                restored = walks[0].kinds
+                assert any(w.read and w.read[0] < 2049 and restored[w.read[0] >> 1] for w in walks)
+        assert counts[0] < counts[1]
 
 
 class TestChunkRunner:
