@@ -140,10 +140,14 @@ form the classes of the descent words (_descent_words; Terras 1976, Everett
 d <= 3, through climbing values u_1..u_(d-1) above x to u_d below x.  The
 words of one step are the trivial governors' seeds (x = 1 mod 4 for 3Z+1,
 x = 3 mod 8 for 5Z+1); 3Z+1's of two steps are x = 3 mod 16.  _scan_chunk
-splits its range into blocks [x0, x1) whose one-step successors all lie
-below x0 (x1 is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1), and before a
-block's walks it fills, one class at a time in order of K, the class's
-seeds whose u_d lies below x0 from u_d's entry.  u_i grows by
+splits the table's seeds into blocks [x0, x1) whose one-step successors all
+lie below x0 (x1 is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1, and at most
+top), and before a block's walks it fills, one class at a time in order of
+K, the class's seeds whose u_d lies below x0 from u_d's entry.  The memo
+keeps one fill frontier, filled, the end of the last block filled: a chunk
+fills the next block only from a seed at or past it, and a block runs past
+the chunk's end when it is longer, so the blocks of a serial scan start at
+the same seeds whatever its chunk size.  u_i grows by
 q^i * 2^(K+1-K_i) from one seed of a class to the next, so one extended
 slice of each array writes a level: for x and for each u_i below top,
 (code(u_d), steps(u_d) plus the k_l + 1 after u_i, the larger of peak(u_d)
@@ -158,8 +162,12 @@ already holds that entry, its own result.  A walk of the block that
 reaches a value the fill wrote ends there with the result it would have
 had by going on, and writes what it would have written, less the values
 from there on, which the fill wrote: going on, the walk would have followed
-the same climbing values down to u_d.  So after each chunk the table is
-the one the walks alone leave.  Two limits keep this so: the writes of a
+the same climbing values down to u_d.  So after each chunk its entries
+below the chunk's end are the ones the walks alone leave, and the fill's
+entries past it are their values' own results, written early: a later
+chunk's walk that reaches one ends there as above, and that chunk folds
+its seeds' from the table.  A serial scan thus walks the same seeds, in the
+same order, at every chunk size.  Two limits keep this so: the writes of a
 level stop at top, as the walk writes no value from top on, and a class is
 left to the walks when any q*u_i + 1 of its last seed is wider than the
 gate, where the walk would go lean and, returning at the cap, write
@@ -173,24 +181,32 @@ to walk.  The fill ends at the first K whose classes all hold fewer.
 
 Fold.  _scan_chunk walks only the chunk's seeds below top whose entry is
 empty at their turn, block by block after each block's descent fill, in
-ascending order, so the memo fills exactly as a seed-by-seed fold would
-fill it.  A seed whose entry is still empty after its own walk goes through
-ChunkResult.add: a cycle member, or a seed whose cycle code passes the kind
-byte.  No later walk writes such an entry: members are never written, nor
-is a code past the byte.  Every other seed below top then holds its own
-result, and the chunk folds them from its slice of the table: each class's
-count from kinds.count of its codes, the divergence candidates from one
-translate of the slice that selects the two undecided codes, and the maxima
-from max over the steps and peaks slices.  No added seed is a candidate, so
-the candidates come out in order.  The seeds from top on are walked and
-added one by one.  The fold reads only the chunk's own seeds, so the
-entries below the scan's first seed are never folded: they only end walks.
+ascending order, so below the chunk's end the memo fills exactly as a
+seed-by-seed fold would fill it, and past it holds besides only entries
+that fold writes at their values' turns.  A seed whose entry is still empty
+after its own walk goes through ChunkResult.add: a cycle member, or a seed
+whose cycle code passes the kind byte.  No later walk writes such an entry:
+members are never written, nor is a code past the byte.  Every other seed
+below top then holds its own result, and the chunk folds them from its
+slice of the table: each class's count from kinds.count of its codes, the
+divergence candidates from one translate of the slice that selects the two
+undecided codes, and the maxima from max over the steps and peaks slices.
+No added seed is a candidate, so the candidates come out in order.  The
+seeds from top on are walked and added one by one.  The fold reads only the
+chunk's own seeds, so the entries below the scan's first seed are never
+folded: they only end walks.
 
 Every filled entry is its value's own result under the scan's rule and
 limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
 checkpoints and report bytes do not depend on the worker count, the chunk
-size or resumes.  On a checkpointed scan each chunk keeps its seeds'
+size or resumes.  A pool worker's memo has a frontier of its own: the first
+chunk it runs fills a block from its own first seed, over entries below it
+that other processes' walks may have left empty, which leaves more classes
+to its walks, and the fill's entries past the chunk, of seeds that other
+workers fold, are exact entries that only end this worker's walks; a later
+chunk it runs whose first seed lies below its frontier fills nothing until
+its walks reach it.  On a checkpointed scan each chunk keeps its seeds'
 entries below top (_OrbitMemo.table), with its cycle codes renumbered by
 the chunk's own sorted cycles, for its checkpoint line; a resumed scan's
 memo restores the loaded ones (_OrbitMemo.restore) before its first chunk
@@ -656,6 +672,8 @@ class _OrbitMemo:
         else:  # detect_outcome's memo: nothing is read or written
             self.steps = self.peaks = ()
         self.cycles: list[CycleRecord] = []
+        # the end of the last block the descent fill covered
+        self.filled = 0
         # a checkpointed scan's memo: its chunks keep their tables, and it
         # restores the loaded ones, each dropped once restored
         self.keep_tables = tables is not None
@@ -858,24 +876,24 @@ def _descent_words(q: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int, i
     return tuple(table)
 
 
-def _descent_fill(memo: _OrbitMemo, x0: int, end: int) -> int:
+def _descent_fill(memo: _OrbitMemo, x0: int) -> int:
     """Fill the entries of the seeds of the block from x0 that fall below
     x0 within _WORD_MAX_ODD_STEPS odd steps, and those of their climbing
     values below top, from the entries where they land, one class of
-    _descent_words at a time; returns the block's end, at most end.  The
+    _descent_words at a time; returns the block's end, at most top.  The
     module docstring says which classes are left to the walks and why each
     entry written is its value's own result."""
-    q = memo.rule.multiplier
+    q, top = memo.rule.multiplier, memo.top
     kmin = q.bit_length()  # the least k with 2^k > q, so that u < x
     # past the largest odd x with (q*x + 1) >> kmin below x0
-    x1 = min(end, ((((x0 << kmin) - 2) // q - 1) | 1) + 2)
+    x1 = min(top, ((((x0 << kmin) - 2) // q - 1) | 1) + 2)
     if (x1 - x0) >> (kmin + 1) < _FILL_MIN_SEEDS:
         # the first class holds 1 in 2^kmin of the block's odd seeds; blocks
         # grow with x0, so walk up to 2*x0 and try again there
-        return min(end, 2 * x0 + 1)
+        return min(top, 2 * x0 + 1)
     if (q * (x1 - 2) + 1).bit_length() > memo.limits.max_value_bits:
         return x1
-    base, top, gate = memo.base, memo.top, memo.gate
+    base, gate = memo.base, memo.gate
     least = max(base, max(memo.rule.trivial_cycle) + 1)  # the least landing value read
     room = memo.limits.max_steps
     kinds, steps, peaks = memo.kinds, memo.steps, memo.peaks
@@ -945,7 +963,9 @@ def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) ->
         kinds = memo.kinds
         x0 = lo
         while x0 < end:
-            x1 = _descent_fill(memo, x0, end)
+            if x0 >= memo.filled:  # past the blocks filled so far: fill the next
+                memo.filled = _descent_fill(memo, x0)
+            x1 = min(memo.filled, end)
             b = (x1 - base) >> 1
             i = kinds.find(0, (x0 - base) >> 1, b)
             while i >= 0:

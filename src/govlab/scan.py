@@ -17,12 +17,16 @@ A checkpoint (format CHECKPOINT_VERSION) is a header line, the scan's
 identity, then one line per completed chunk, each a sort_keys json.dumps.
 A report and a header name the rule by Rule.name, its multiplier alone,
 so only a scan of rule_for's rule for its multiplier is checkpointed.
-A checkpointed scan rewrites the file once, atomically (a .tmp file and
-os.replace), then appends and flushes one line per finished chunk.  On load
-each line is parsed as it is read, so the load never holds the whole file;
-a last line without its newline, a torn append, is dropped; the chunks are
-validated against the header's rule, range, limits and chunk size, and a
-chunk that does not fit raises CheckpointError.
+A fresh checkpointed scan writes the header atomically (a .tmp file and
+os.replace); a resumed one keeps the file as it is, so the lines of a file a
+pool wrote stay in the order its chunks finished.  Either then appends and
+flushes one line per finished chunk, so each chunk is encoded once and a
+resume encodes only the chunks it runs.  On load each line is parsed as it
+is read, so the load never holds the whole file; a last line without its
+newline, a torn append, is dropped, and a resume truncates it off the file
+in place; the chunks are validated against the header's rule, range,
+limits and chunk size, and a chunk that does not fit raises
+CheckpointError.
 
 The line of a chunk with seeds below the orbit table's top also carries
 their table entries under "table": "codes", "steps" and "peaks", each the
@@ -64,6 +68,7 @@ SCHEMA_VERSION = 1  # of the scan report
 CHECKPOINT_VERSION = 2  # of the checkpoint file
 
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
+_TAIL_BLOCK = 1 << 16  # bytes read at a time back from a checkpoint's end
 
 
 def _identity_doc(scan: ScanReport | ScanState) -> dict:
@@ -235,6 +240,24 @@ def _complete_lines(path: str) -> Iterator[str]:
                     yield line
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Truncate a checkpoint file in place after its last newline, so that a
+    last line without one, a torn append, is gone; the file is read back
+    from its end one block at a time, never whole."""
+    with open(path, "rb+") as fh:
+        end = at = fh.seek(0, os.SEEK_END)
+        while at:
+            start = max(0, at - _TAIL_BLOCK)
+            fh.seek(start)
+            newline = fh.read(at - start).rfind(b"\n")
+            if newline >= 0:
+                at = start + newline + 1
+                break
+            at = start
+        if at < end:
+            fh.truncate(at)
 
 
 def checkpoint_load(path: str) -> ScanState:
@@ -445,8 +468,8 @@ def scan_range(
     processes when more than one chunk is left to run, each process with one
     orbit memo for the scan, and merged in index order; the report bytes do
     not depend on the worker count.  With checkpoint_path set, a matching
-    existing checkpoint is resumed, the file is rewritten once in index
-    order, and each chunk that finishes is appended to it as one line, with
+    existing checkpoint is resumed and kept as it is, less a torn last
+    line, and each chunk that finishes is appended to it as one line, with
     its seeds' table entries; the loaded entries are restored into the
     orbit memo before the first chunk left runs.
     """
@@ -464,8 +487,9 @@ def scan_range(
                     f"(rule/range/limits/chunk_size mismatch)"
                 )
             state = loaded
-        # drops a torn last line, and writes the header of a fresh scan
-        checkpoint_save(state, checkpoint_path)
+            _drop_torn_tail(checkpoint_path)
+        else:
+            checkpoint_save(state, checkpoint_path)  # the header of a fresh scan
 
     # the loaded tables, which the orbit memo restores before the first
     # chunk runs; a chunk keeps its own only until its line is written

@@ -811,19 +811,26 @@ def stays_empty(seed, memo):
 def check_table_fold(lo, hi, chunk_size, rule, limits):
     """Fold every chunk of the scan of lo..hi with _scan_chunk and with the
     seed-by-seed reference fold, each over its own memo, and check that
-    the chunks and the memos agree after each chunk, and that below the
-    memo's top only the seeds that stay_empty are added and the candidates
-    come from the table; returns the chunks and the seeds that _scan_chunk
-    folded with ChunkResult.add, in order."""
+    the chunks agree after each chunk, and the memos on every entry below
+    the chunk's end; that each entry the descent fill wrote ahead of its
+    chunk is the one the reference leaves, and that the memos agree once
+    the last chunk is folded; and that below the memo's top only the seeds
+    that stay_empty are added and the candidates come from the table;
+    returns the chunks and the seeds that _scan_chunk folded with
+    ChunkResult.add, in order."""
     state = ScanState(rule, lo, hi, limits, chunk_size, {})
     fast = cycles._OrbitMemo(lo, hi, rule, limits)
     ref = cycles._OrbitMemo(lo, hi, rule, limits)
     chunks, added = [], []
+    ahead = {}  # index: the first entry seen past the end of a chunk
     add = ChunkResult.add
 
     def spy(chunk, seed, *result):
         added.append(seed)
         return add(chunk, seed, *result)
+
+    def entries(memo, a, b):
+        return list(zip(memo.kinds[a:b], memo.steps[a:b], memo.peaks[a:b]))
 
     for i in range(state.n_chunks):
         c_lo, c_hi = state.chunk_bounds(i)
@@ -831,9 +838,13 @@ def check_table_fold(lo, hi, chunk_size, rule, limits):
         with mock.patch.object(ChunkResult, "add", spy):
             chunk = _scan_chunk(i, c_lo, c_hi, fast)
         assert chunk == fold_chunk(i, c_lo, c_hi, ref), (c_lo, c_hi)
-        # the walks fill the memo in the reference fold's order
-        assert (fast.kinds, fast.steps, fast.peaks) == (ref.kinds, ref.steps, ref.peaks)
-        assert fast.cycles == ref.cycles
+        # below the chunk's end the walks and the fill leave the reference
+        # fold's table; past it the fill may have written entries early
+        end = (min(c_hi + 2, fast.top) - fast.base) >> 1
+        assert entries(fast, 0, end) == entries(ref, 0, end), (c_lo, c_hi)
+        for j, entry in enumerate(entries(fast, end, len(fast.kinds)), end):
+            if entry[0]:
+                ahead.setdefault(j, entry)
         # below top the empty entries are the added seeds, and the candidates
         # are the seeds whose kind byte is an undecided code
         held = range(c_lo, min(c_hi + 2, fast.top), 2)
@@ -845,6 +856,11 @@ def check_table_fold(lo, hi, chunk_size, rule, limits):
         table_candidates = list(compress(held, held_kinds.translate(UNDECIDED)))
         assert [x for x in chunk.candidates if x < fast.top] == table_candidates
         chunks.append(chunk)
+    # each entry written ahead is its value's own result, as the reference
+    # fold writes it at the value's turn
+    assert {j: entries(ref, j, j + 1)[0] for j in ahead} == ahead
+    assert (fast.kinds, fast.steps, fast.peaks) == (ref.kinds, ref.steps, ref.peaks)
+    assert fast.cycles == ref.cycles
     return chunks, added
 
 
@@ -944,14 +960,16 @@ class TestTableFold:
 
 
 def fill_block(x0, hi, rule, limits, lo=1):
-    """The memo of the scan of lo..hi after _scan_chunk of its seeds below
-    x0 and the descent fill of the block from x0, the block's end, and the
-    seeds whose entries the fill wrote, each checked to hold its own result."""
+    """The memo of the scan of lo..hi after the reference fold of its seeds
+    below x0 and the descent fill of the block from x0, the block's end, and
+    the seeds whose entries the fill wrote, each checked to hold its own
+    result.  The seeds below x0 go through the reference fold, which, unlike
+    _scan_chunk, fills no block past x0."""
     memo = cycles._OrbitMemo(lo, hi, rule, limits)
     if x0 > lo:
-        _scan_chunk(0, lo, x0 - 2, memo)
+        fold_chunk(0, lo, x0 - 2, memo)
     before = [*zip(memo.kinds, memo.steps, memo.peaks)]
-    x1 = cycles._descent_fill(memo, x0, hi + 2)
+    x1 = cycles._descent_fill(memo, x0)
     after = [*zip(memo.kinds, memo.steps, memo.peaks)]
     changed = [memo.base + 2 * i for i, (a, b) in enumerate(zip(before, after)) if a != b]
     filled = [memo.base + 2 * i for i, (a, b) in enumerate(zip(before, after)) if a[0] != b[0]]
@@ -996,6 +1014,43 @@ class TestDescentFill:
         # 121 of them of the 4096 seeds x = 3 mod 16
         assert len(walked) - len(descents) == 5132
         assert len([x for x in walked if x % 16 == 3]) == 121
+
+    @pytest.mark.parametrize(
+        "lo, hi, rule, limits, base",
+        [
+            (1, 16383, RULE_3Z, OrbitLimits(10**6, 256), 1),
+            # 1147 seeds pass the cap
+            (1, 65535, RULE_3Z, OrbitLimits(10**6, 21), 1),
+            # the blocks from 10923 on end at a seed whose q*x + 1 passes the cap
+            (1, 16383, RULE_3Z, OrbitLimits(10**6, 15), 1),
+            (1, 8191, RULE_5Z, OrbitLimits(10**5, 128), 1),
+            (4097, 12287, RULE_3Z, GENEROUS, 1),
+            (20001, 29999, RULE_3Z, GENEROUS, 20001),
+        ],
+        ids=["3z-c1-limits", "3z-cap-21", "3z-cap-15", "5z-c3-limits", "3z-table-from-1",
+             "3z-table-from-lo"],
+    )
+    def test_a_serial_scan_walks_the_same_seeds_at_every_chunk_size(
+        self, monkeypatch, lo, hi, rule, limits, base
+    ):
+        # the fill frontier starts each block where the one-chunk scan does,
+        # however the chunks cut the blocks
+        walked = []
+        walker = cycles._walker
+
+        def spy(memo):
+            walk = walker(memo)
+            return lambda x: walked.append(x) or walk(x)
+
+        monkeypatch.setattr(cycles, "_walker", spy)
+        assert cycles._OrbitMemo(lo, hi, rule, limits).base == base
+        one_chunk = scan_range(lo, hi, rule, limits)
+        expected, walked[:] = walked[:], []
+        assert expected
+        for chunk_size in (1, 37, 512):
+            assert scan_range(lo, hi, rule, limits, chunk_size=chunk_size) == one_chunk
+            assert walked == expected, chunk_size
+            walked.clear()
 
     @pytest.mark.parametrize(
         "rule, seed, steps",
@@ -1945,6 +2000,48 @@ class TestCheckpointWriter:
         # at most once per loaded chunk plus once per new one, not once per save
         assert len(encoded) == len(set(encoded)) <= 16
         assert checkpoint_load(path) == state
+
+    def test_resume_encodes_only_the_chunks_it_runs(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ckpt.json")
+        scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        state = checkpoint_load(path)  # 16 chunks; keep every other one
+        kept = {i: state.completed[i] for i in range(0, 16, 2)}
+        checkpoint_save(dataclasses.replace(state, completed=kept), path)
+        encoded, saved = [], []
+        chunk_doc, save = scan._chunk_doc, scan.checkpoint_save
+        monkeypatch.setattr(scan, "_chunk_doc", lambda c: encoded.append(c.index) or chunk_doc(c))
+        monkeypatch.setattr(scan, "checkpoint_save", lambda *a: saved.append(a) or save(*a))
+        scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        # the loaded lines are kept as they are; only a fresh scan saves its header
+        assert encoded == list(range(1, 16, 2)) and saved == []
+        assert checkpoint_load(path) == state
+        Path(path).unlink()
+        encoded.clear()
+        scan_range(1, 2047, RULE_5Z, SCAN_LIMITS, chunk_size=64, checkpoint_path=path)
+        assert encoded == list(range(16)) and len(saved) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lines_out_of_index_order_keep_their_order(self, tmp_path, monkeypatch, workers):
+        # a pool appends lines in the order its chunks finish: a resume keeps
+        # them where they are, truncates a torn last line in place, and
+        # appends the chunks it runs after them
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(scan, "_TAIL_BLOCK", 16)  # the torn line spans several blocks
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=64, checkpoint_path=str(path))
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 8
+        kept = header + "".join(lines[i] for i in (5, 0, 6, 3))
+        path.write_text(kept + lines[1][:-40], encoding="utf-8")
+        report = scan_range(
+            *VALIDATION_SCAN, workers, chunk_size=64, checkpoint_path=str(path)
+        )
+        assert report == scan_range(*VALIDATION_SCAN)
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith(kept)
+        assert sorted(text[len(kept):].splitlines(keepends=True)) == sorted(
+            lines[i] for i in (1, 2, 4, 7)
+        )
 
 
 def _append_chunk_40(doc):
