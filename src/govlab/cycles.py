@@ -1,43 +1,58 @@
 """Orbit outcome classification, cycle canonicalization, and the kernel of
 the range scan.
 
-detect_outcome walks the accelerated odd-to-odd map but reproduces the
-step-for-step termination behaviour of dynamics.orbit exactly, including
-terminations that fall inside an even run.  The range scan itself (chunk
-layout, runner, report and checkpoints) is govlab.scan; this module gives it
-the fold of one chunk, _scan_chunk, which pool workers run.
+The range scan itself (chunk layout, runner, report and checkpoints) is
+govlab.scan; this module gives it the fold of one chunk, _scan_chunk,
+which pool workers run.  The sections below state once why each part of
+the kernel keeps every result exact; function docstrings name the section
+they rely on.
 
-The scan kernel (walks, the orbit memo and the chunk fold) passes an
-orbit's result as one (code, steps, peak) triple.  The code is 1 for a
+Results.  The scan kernel (walks, the orbit memo and the chunk fold) passes
+an orbit's result as one (code, steps, peak) triple.  The code is 1 for a
 step-limited result, 2 converged, 3 value-limited, and 4 + i for cycle i of
 the memo's list of cycles met so far; 0 is no result.  Only detect_outcome
 turns a result into the public Outcome, through _OrbitMemo.outcome.  The
 chunk fold counts each class at its code minus 1, every cycle at 3:
 COUNT_KEYS names the counts in code order.
 
-A scan keeps an orbit memo in each process that runs its chunks, which also
-carries the scan's rule and limits: a kind byte holding the result code,
-steps and peak for each odd value of [base, top), in arrays indexed by
-(v - base) >> 1.  top covers the scan's first 2^20 seeds from its first
-seed lo.  base is 1 when [1, top) holds at most 2^20 odd values and the
-odd values below lo are no more than the seeds the table holds, so a scan
-that starts above 1 also keeps the values below its first seed; else base
-is lo.  The table holds at most 2^20 entries (about 7 MB), and at most
-twice the seeds it holds.  Code 0 marks an entry not yet filled.  Only
-codes below 256 fit the byte and are written, which holds 252 cycles; a
-cycle with a larger code is walked each time.  The memo is filled from every finished walk of every chunk the
-process runs for the scan, not only from the seeds, and a seed whose entry
-is already filled takes it without a walk.  The values below base and
-from top on are held by no memo, but walks through them still end on the
-entries of [base, top) that their orbits reach.
+Orbit memo.  A scan keeps one _OrbitMemo in each process that runs its
+chunks, with the scan's rule and limits and, for each odd value v of
+[base, top), a kind byte holding v's result code, v's steps and v's peak, in
+arrays indexed by (v - base) >> 1; code 0 marks an entry not yet filled.
+top covers the scan's first 2^20 seeds from its first seed lo (_memo_top).
+base is 1 when [1, top) holds at most 2^20 odd values and those below lo
+are no more than the seeds held, so a scan above 1 also keeps the values
+below its first seed, where many of its orbits end, while a few seeds far
+from 1 pay for no table down to 1; else base is lo.  The table thus holds
+at most 2^20 entries, and at most twice the seeds it holds: 7 bytes an
+entry, 17 with the wide steps and peaks of entry_typecodes.  Only codes
+below 256 fit the byte and are written, which holds 252 cycles; a seed of a
+later cycle is walked each time.  Every finished walk of every chunk the
+process runs fills the memo, not only from its seed, and a seed whose entry
+is filled takes it without a walk.  No memo holds the values below base or
+from top on, but walks through them still end on the entries they reach.
+A memo lives only as long as its scan (the in-process runner's local, or
+the pool worker processes), because its entries hold only for one rule and
+one set of limits.  detect_outcome's memo holds no value.
 
-The walk.  _walker binds a memo's rule, limits and arrays once and
-returns the walk, which reads and writes the table inside its own loop, by
-index, with no call per lookup or per write.  _scan_chunk builds one walker
-per chunk and detect_outcome one per call, over a memo that holds no value,
-so no two calls share a cycle list.  The walker refers to its memo; the
-memo never refers to a walker, so no reference cycle keeps a table alive
-past its scan or call.
+The walk.  A walk checks each value in dynamics.orbit's order: trivial
+membership, step budget, value production (bit cap, repetition).  It
+resolves each even run arithmetically, as only three things can end an
+orbit inside one: the run passes a trivial-cycle member, which forces the
+landing odd to be a trivial odd member (every even trivial member is an odd
+member times a power of two); the orbit closes a cycle, which forces the
+landing odd to be a previously seen odd (the first repeated value is the
+cycle's entry point, u << min(entry valuations)); or the step budget runs
+out.  So each run works out the step at which it would end the orbit, and
+one comparison with the budget decides whether the step limit comes first.
+
+_walker binds a memo's rule, limits and arrays once and returns the walk,
+which reads and writes the table inside its own loop, by index; it is
+built once per chunk, or per detect_outcome call, so no two calls share a
+cycle list.  A walk's one record is its seen map: the trivial odd members,
+then the walk's odd values from x on in orbit order, each with the
+valuation of the run that entered it.  The write goes back through it, and
+a cycle's member list is read off it from the cycle's first member on.
 
 Write.  A walk writes odd values v on it that lie in [base, top): steps is
 the walk's total minus v's step index, and peak is the largest bit length
@@ -71,29 +86,23 @@ and a walk reaches u after at least 2 steps.  Every entry a walk reads is
 then written by the first three rules above, so u lies on no cycle, and no
 value from before u can repeat after it.
 
-A walk keeps one record, its seen map, which after the trivial odd members
-lists the walk's odd values in orbit order, each with the valuation of the
-run that entered it.  The write goes back through it from the walk's last
-odd value, and a cycle's member list is read off it from the cycle's first
-member on, with the run that closes the cycle.  The walk builds it at its
-seed, as the trivial members followed by x, so every odd value the walk
-reaches is looked up in the one map.
-
 Lean walk.  Orbits of 5Z+1 grow on average (log2 5 > 2, Lagarias 1985),
 and most seeds of a 5Z+1 census end at the value cap far above the memo.
-At an odd value whose q*v + 1 is wider than the memo's gate, which puts v
-at or past the memo's floor (at least top, past the trivial cycle's members
-and at least 2^K), the walk hands the orbit to a lean walk.  That walk
-keeps no seen map and reads no memo; it returns a result only when the
-orbit passes the cap, and returns None when a value falls below the floor
-or the step budget runs out, and then the walk goes on from where it
-handed the orbit over.  The budget also ends a lean walk caught in a cycle
-above the floor.  The walk then tries no lean walk until it reaches
-an odd value in [base, top), which re-arms it: its next climb past the
-gate hands over again.  detect_outcome's memo has an empty range, so its
-walks go lean at most once.  An orbit that falls below a scan's first seed
-re-arms the walk only when the scan's table starts at 1.  A result a lean
-walk returns is the exact one, wherever the hand-over is:
+A lean walk runs on values from the memo's floor up: at least top, past
+the trivial cycle's members and at least 2^K.  For q > 4 the memo's gate is
+the bit length of q times the floor, or the cap if less, so an odd v whose
+q*v + 1 is wider than the gate lies at or past the floor; there the walk
+hands the orbit to a lean walk.  For 3Z+1, whose orbits shrink on average,
+the gate is the cap, so a walk never goes lean and pays no test for it.  A
+lean walk keeps no seen map and reads no memo.  It returns a result only
+when the orbit passes the cap, and None when a value falls below the floor
+or the step budget runs out (which also ends one caught in a cycle above
+the floor); the walk then goes on from the hand-over, and tries no lean
+walk until it reaches an odd value in [base, top), which re-arms it.  So
+detect_outcome's memo, of empty range, goes lean at most once, and an
+orbit that falls below a scan's first seed re-arms the walk only when the
+table starts at 1.  A result a lean walk returns is the exact one,
+wherever the hand-over is:
 
 * an orbit that passes the cap has not repeated a value before: from a
   repeat on it stays among values it has already produced, all within the
@@ -109,46 +118,50 @@ walk returns is the exact one, wherever the hand-over is:
 * a jump moves K = 8 Terras steps at once, T(v) = (q*v + 1) / 2 for odd v
   and v / 2 for even v (Terras 1976): for v = a*2^K + b, T^K(v) = q^c*a +
   T^K(b), which is K + c plain steps, with c the odd values among b, T(b),
-  ..., T^(K-1)(b).  The table holds, for each residue b, a margin that
-  bounds how much wider than v any value inside the jump can be, so a jump
-  is taken only when v's bit length plus the margin is within the cap
-  (below 2^(cap - M), M the table's widest margin, it is for every v, and
-  one comparison shows it): no jump passes over a crossing, and the step
-  at which the orbit passes the cap is found by plain steps.  A jump may
-  pass a trivial member or a value of the memo's range; by the first
-  point, that can end no orbit that passes the cap, and the lean walk
-  returns nothing for any other orbit.
+  ..., T^(K-1)(b), the same for every a.  Each value inside the jump is
+  alpha*a + beta, and its ratio to v, monotone in a, lies between
+  alpha / 2^K and (alpha + beta) / (2^K + b) for a >= 1; the least m with
+  both at most 2^m, over the jump's values, is b's margin in _jump_table,
+  which bounds how much wider than v any of them is.  A jump is taken only
+  when v's bit length plus the margin is within the cap (below
+  2^(cap - M), M the widest margin, it is for every v, and one comparison
+  shows it): no jump passes over a crossing, and the step at which the
+  orbit passes the cap is found by plain steps.  A jump may pass a trivial
+  member or a value of the memo's range; by the first point, that can end
+  no orbit that passes the cap, and the lean walk returns nothing for any
+  other orbit.
 
-None of this depends on the step at which the orbit was handed over, only
-on the orbit from there on, so a re-armed lean walk is exact too.  It may
-repeat steps that an earlier lean walk of the same walk already took: that
-walk compares with the floor only between jumps, so an orbit that dips
-into [base, top) inside a jump and climbs again goes on lean past the dip,
-and once that walk falls back, the exact walk re-arms at the dip.  Below
-2^17 at the C3 limits those repeats are 20668 of the 12.6M steps that lean
-walks take.
-
-3Z+1 orbits shrink on average and every seed of a 3Z+1 census converges,
-so a lean walk there would be thrown away: its gate is the cap, re-arming
-sets the cap again, and the loop runs no extra test per transition.
+None of this depends on the step at which the orbit was handed over, so a
+re-armed lean walk is exact too.  As a lean walk compares with the floor
+only between jumps, an orbit that dips into [base, top) inside a jump goes
+on lean past the dip; once that walk falls back, the exact walk re-arms at
+the dip and may repeat some of its steps.
 
 Descent fill.  By the paper's successor mapping a seed climbs while its
 governor index lies above the trivial governors, and falls once its index
 reaches them.  The seeds that fall below themselves within three odd steps
-form the classes of the descent words (_descent_words; Terras 1976, Everett
-1977): every x = b mod 2^(K+1) takes odd steps of valuations k_1..k_d,
-d <= 3, through climbing values u_1..u_(d-1) above x to u_d below x.  The
-words of one step are the trivial governors' seeds (x = 1 mod 4 for 3Z+1,
-x = 3 mod 8 for 5Z+1); 3Z+1's of two steps are x = 3 mod 16.  _scan_chunk
-splits the table's seeds into blocks [x0, x1) whose one-step successors all
-lie below x0 (x1 is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1, and at most
-top), and before a block's walks it fills, one class at a time in order of
-K, the class's seeds whose u_d lies below x0 from u_d's entry.  The memo
-keeps one fill frontier, filled, the end of the last block filled: a chunk
-fills the next block only from a seed at or past it, and a block runs past
-the chunk's end when it is longer, so the blocks of a serial scan start at
-the same seeds whatever its chunk size.  u_i grows by
-q^i * 2^(K+1-K_i) from one seed of a class to the next, so one extended
+form the classes of the descent words (Terras 1976, Everett 1977).  A
+descent word is a valuation sequence k_1..k_d, d <= 3, with K_i = k_1 +
+... + k_i and K = K_d, whose prefixes climb (q^i > 2^K_i for i < d) and
+whose whole descends (q^d < 2^K).  An odd x that takes these valuations has
+i-th odd value u_i = (q^i*x + c_i) >> K_i, with c_0 = 0 and c_i =
+q*c_(i-1) + 2^K_(i-1): climbing values u_1..u_(d-1) above x, and u_d below
+it.  Built backwards in the 2-adics, from u_d = 1 mod 2 through u_(i-1) =
+(2^k_i*u_i - 1) / q, those x are one class mod 2^(K+1), on which q^d*x +
+c_d = 2^K*u_d = 2^K mod 2^(K+1); as q is odd, that congruence has one
+solution, so the class is b = (2^K - c_d) * q^-d mod 2^(K+1).  u_i grows by
+q^i * 2^(K+1-K_i) from one seed of the class to the next.  The words of one
+step are the trivial governors' seeds (x = 1 mod 4 for 3Z+1, x = 3 mod 8
+for 5Z+1); 3Z+1's of two steps are x = 3 mod 16.
+
+_scan_chunk splits the table's seeds into blocks [x0, x1) whose one-step
+successors all lie below x0 (x1 is about 4/3 x0 for 3Z+1, 8/5 x0 for 5Z+1,
+and at most top), and before a block's walks it fills, one class at a time
+in order of K, the class's seeds whose u_d lies below x0 from u_d's entry.
+The memo keeps one fill frontier, filled, the end of the last block
+filled: a chunk fills the next block only from a seed at or past it, and a
+block runs past the chunk's end when it is longer, so the blocks of a
+serial scan start at the same seeds whatever its chunk size.  One extended
 slice of each array writes a level: for x and for each u_i below top,
 (code(u_d), steps(u_d) plus the k_l + 1 after u_i, the larger of peak(u_d)
 and the widths of q*u_l + 1 from u_i on).
@@ -196,29 +209,25 @@ seeds from top on are walked and added one by one.  The fold reads only the
 chunk's own seeds, so the entries below the scan's first seed are never
 folded: they only end walks.
 
-Every filled entry is its value's own result under the scan's rule and
-limits, whichever walk wrote it, so the order in which chunks fill the
+Order.  Every filled entry is its value's own result under the scan's rule
+and limits, whichever walk wrote it, so the order in which chunks fill the
 memo, and which process fills it, cannot change an outcome: chunk results,
 checkpoints and report bytes do not depend on the worker count, the chunk
-size or resumes.  A pool worker's memo has a frontier of its own: the first
-chunk it runs fills a block from its own first seed, over entries below it
-that other processes' walks may have left empty, which leaves more classes
-to its walks, and the fill's entries past the chunk, of seeds that other
-workers fold, are exact entries that only end this worker's walks; a later
-chunk it runs whose first seed lies below its frontier fills nothing until
-its walks reach it.  On a checkpointed scan each chunk keeps its seeds'
+size or resumes.  A pool worker's memo has a frontier of its own: its
+first chunk fills a block from its own first seed, over entries that other
+processes may have left empty, which leaves more classes to its walks; the
+fill's entries past the chunk only end this worker's walks; and a later
+chunk whose first seed lies below its frontier fills nothing until its
+walks reach it.
+
+Restored tables.  On a checkpointed scan each chunk keeps its seeds'
 entries below top (_OrbitMemo.table), with its cycle codes renumbered by
 the chunk's own sorted cycles, for its checkpoint line; a resumed scan's
 memo restores the loaded ones (_OrbitMemo.restore) before its first chunk
 runs, and its walks fill the rest.  A restored entry is its value's own
 result too, because the checkpoint's header fixes the rule and the limits,
 and its codes name cycles by record, not by any process's numbering.  That
-takes trust in the file: a table that agrees with its line's counts,
-candidates and maxima but holds a false entry changes the results of other
-chunks whose walks end on it, as a false line already changes the report.
-A memo lives only as long as its scan (the in-process runner's local, or
-the pool worker processes), because its entries hold only for one rule and
-one set of limits.
+holds for a true file: govlab.scan says what its load checks cannot see.
 """
 
 from __future__ import annotations
@@ -272,21 +281,14 @@ class CycleRecord:
         }
 
 
-def _is_cyclic_rotation(seq: tuple[int, ...], ref: tuple[int, ...]) -> bool:
-    if len(seq) != len(ref):
-        return False
-    doubled = ref + ref
-    n = len(ref)
-    return any(doubled[i : i + n] == seq for i in range(n))
-
-
 def classify_cycle(record: "CycleRecord", rule: Rule) -> Classification:
     """Trivial iff the member sequence is a rotation of the rule's trivial cycle."""
     return _classify_members(record.all_members, rule)
 
 
 def _classify_members(members: tuple[int, ...], rule: Rule) -> Classification:
-    if _is_cyclic_rotation(members, rule.trivial_cycle):
+    ref, n = rule.trivial_cycle * 2, len(rule.trivial_cycle)
+    if len(members) == n and any(ref[i : i + n] == members for i in range(n)):
         return Classification.TRIVIAL
     return Classification.AUXILIARY
 
@@ -338,24 +340,9 @@ class Outcome:
 
 
 def detect_outcome(x: int, rule: Rule, limits: OrbitLimits) -> Outcome:
-    """Classify the orbit of odd seed x without materializing it.
-
-    Mirrors dynamics.orbit exactly: at each value the checks run in the
-    order trivial-membership, step budget, value production (bit cap,
-    repetition).  Within an even run only three things can happen, each
-    resolved arithmetically instead of value-by-value:
-
-    * the run passes a trivial-cycle member, which forces the landing odd
-      to be a trivial odd member (every even trivial member is odd-member
-      times a power of two);
-    * the orbit closes a cycle, which forces the landing odd to be a
-      previously seen odd (the first repeated value is the cycle's entry
-      point, `u << min(entry valuations)`);
-    * the step budget runs out.
-
-    Each run works out the step at which it would end the orbit, and one
-    comparison with the budget decides whether the step limit comes first.
-    """
+    """Classify the orbit of odd seed x without materializing it, with the
+    termination, steps_taken and peak_bits of dynamics.orbit (the module
+    docstring, "The walk", says why they are the same)."""
     require(x, "detect_outcome seed", odd=True)
     memo = _OrbitMemo(1, -1, rule, limits)  # holds no value
     return memo.outcome(*_walker(memo)(x))
@@ -375,22 +362,16 @@ _TAG_REASON = (
     (OutcomeTag.CYCLE, None),
 )
 # the most entries an orbit memo holds, seeds and the values below its
-# first seed together: about 7 MB with 32-bit steps and 16-bit peaks (17 MB
-# with 64-bit ones), so the table stays bounded for any range
+# first seed together
 _MEMO_MAX_SEEDS = 1 << 20
 
 
 def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     """detect_outcome's loop under the memo's rule and limits, as a function
-    from an odd seed to its (code, steps, peak).  A walk ends at a filled
-    entry of the memo, tries a lean walk past the memo's gate, again after
-    each return to the memo's range, and writes the results it determines.
-
-    The rule, the limits and the table are bound here once, so build one
-    walker per chunk or call, not per walk.  The walker holds the memo, and
-    nothing may hold the walker on the memo: that would make a reference
-    cycle, which keeps the table alive until the cyclic collector runs.
-    """
+    from an odd seed to its (code, steps, peak), which reads and writes the
+    memo as the module docstring's "Write", "Read" and "Lean walk" say.
+    Build one walker per chunk or call, not per walk, and hold none on the
+    memo: that would make a reference cycle."""
     q = memo.rule.multiplier
     trivial = memo.rule.trivial_members
     trivial_odds = memo.rule.trivial_odd_members
@@ -463,9 +444,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             else:
                 # second occurrence of the first repeated value u << min(entry valuations)
                 stop = s + 1 + k - min(hit, k)
-            if stop > max_steps:
-                # write the seed's result only: the other values' steps and
-                # peaks are cut short, and no walk reads the seed's entry
+            if stop > max_steps:  # write the seed's result only
                 code, steps, first = _STEP_LIMIT, max_steps, 0
                 break
             if hit is not None:
@@ -501,8 +480,7 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
             entry_peaks[i] = peak
         if first:
             suffix = tail
-            # a value-limited orbit's crossing is wider than every value before
-            # it, so it is every suffix's peak
+            # a value-limited orbit's crossing is every suffix's peak
             bounded = code != _VALUE_LIMIT
             for v, k in reversed(seen.items()):
                 if bounded:
@@ -525,24 +503,17 @@ def _walker(memo: _OrbitMemo) -> Callable[[int], tuple[int, int, int]]:
     return walk
 
 
-# Terras steps per jump of the lean walk: T(v) = (q*v + 1) / 2 for odd v,
-# v / 2 for even v
+# Terras steps per jump of the lean walk
 _JUMP = 8
 _JUMP_MASK = (1 << _JUMP) - 1
 
 
 @cache
 def _jump_table(q: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(q^c, T^K(b), K + c, margin) for each residue b mod 2^K, K = _JUMP.
-
-    c is the number of odd values among b, T(b), ..., T^(K-1)(b), which is
-    the same for every v = a*2^K + b, so T^K(v) = q^c*a + T^K(b): K + c plain
-    steps, c odd steps and K halvings.  Each value those steps produce is
-    alpha*a + beta for v = a*2^K + b.  For a >= 1 it is at most max(alpha /
-    2^K, (alpha + beta) / (2^K + b)) times v, so margin, the least m with
-    both ratios at most 2^m for every such value, bounds how many bits wider
-    than v any of them is.
-    """
+    """(q^c, T^K(b), K + c, margin) for each residue b mod 2^K, K = _JUMP:
+    c is the number of odd values among b, T(b), ..., T^(K-1)(b), and margin
+    the most bits by which a value inside the jump from v = a*2^K + b, a >= 1,
+    can be wider than v (the module docstring, "Lean walk")."""
     table = []
     for b in range(1 << _JUMP):
         alpha, beta, c, margin = 1 << _JUMP, b, 0, 0
@@ -566,13 +537,8 @@ def _widest_margin(q: int) -> int:
 def _lean_walk(x: int, s: int, memo: _OrbitMemo) -> tuple[int, int, int] | None:
     """The (code, steps, peak) of the orbit from odd x, reached at step s,
     when it passes the cap; None when a value falls below memo.floor or the
-    step budget runs out first.
-
-    The walk keeps no seen map and reads no memo: it moves K Terras steps
-    at once whenever the table's margin shows that none of them can pass
-    the cap, and one plain step otherwise.  The module docstring says why a
-    crossing it finds is the exact result.
-    """
+    step budget runs out first.  The module docstring, "Lean walk", says
+    how it jumps and why a crossing it finds is the exact result."""
     q = memo.rule.multiplier
     cap = memo.limits.max_value_bits
     max_steps = memo.limits.max_steps
@@ -617,8 +583,7 @@ def entry_typecodes(rule: Rule, limits: OrbitLimits, v: int) -> tuple[str, str]:
 
 
 def _memo_top(lo: int, hi: int) -> int:
-    """The first odd value past the orbit table of a scan of lo..hi: the
-    table holds the scan's first _MEMO_MAX_SEEDS seeds."""
+    """The first odd value past the orbit table of a scan of lo..hi."""
     return lo + 2 * min((hi - lo) // 2 + 1, _MEMO_MAX_SEEDS)
 
 
@@ -639,16 +604,10 @@ def _as_typecode(values: array, typecode: str) -> array:
 
 class _OrbitMemo:
     """One scan's rule and limits, and the results of the odd values of
-    [base, top), filled by the walks of the scan's chunks.
-
-    Entry (v - base) >> 1 holds the result code, the steps taken and the
-    peak bits of v's orbit; code 0 means no result yet.  The walks of
-    _walker read and write the arrays directly.  top covers the first
-    _MEMO_MAX_SEEDS seeds of lo..hi; base is 1 when the odd values below top
-    are at most _MEMO_MAX_SEEDS and those below lo at most the seeds held,
-    else lo.  The table is empty for detect_outcome's memo, whose lo is 1
-    and hi -1.  The module docstring says which results are written, which
-    are read, and why each is exact.
+    [base, top) in the arrays kinds, steps and peaks, which the walks of
+    _walker read and write directly; the module docstring, "Orbit memo",
+    says which values it holds.  detect_outcome's memo, of lo 1 and hi -1,
+    holds none.
     """
 
     def __init__(
@@ -656,10 +615,6 @@ class _OrbitMemo:
     ) -> None:
         self.rule = rule
         self.limits = limits
-        # the first odd value not held, and the first held: the values below
-        # lo, which only end walks, are held when all of [1, top) fits the cap
-        # and they are no more than the seeds held, so a few seeds far from 1
-        # do not pay for a table down to 1
         self.top = _memo_top(lo, hi)
         fits = self.top >> 1 <= _MEMO_MAX_SEEDS and lo - 1 <= self.top - lo
         self.base = 1 if fits else lo
@@ -679,10 +634,7 @@ class _OrbitMemo:
         self.keep_tables = tables is not None
         while tables:
             self.restore(*tables.pop())
-        # a lean walk runs on values from floor up: past the memo's range and
-        # the trivial cycle, and from 2^K, where the jump margins hold.  Only
-        # orbits of rules with q > 4 grow on average; for those, a walk whose
-        # q*v + 1 is wider than gate (and not than the cap) is at v >= floor.
+        # where a lean walk may start (the module docstring, "Lean walk")
         q, cap = rule.multiplier, limits.max_value_bits
         self.floor = max(self.top, max(rule.trivial_cycle) + 1, 1 << _JUMP)
         self.gate = cap if q < 5 else min(cap, (q * self.floor).bit_length())
@@ -703,14 +655,13 @@ class _OrbitMemo:
         steps, peaks = entry_typecodes(self.rule, self.limits, end - 2)
         return codes, _as_typecode(self.steps[a:b], steps), _as_typecode(self.peaks[a:b], peaks)
 
-    def restore(self, first: int, cycles: list[CycleRecord], table: tuple) -> None:
+    def restore(self, first: int, cycles: dict[int, CycleRecord], table: tuple) -> None:
         """Write a table of entries from first, as table returns it for the
-        chunk whose cycles, in sorted order, are cycles; the entries must lie
-        in [base, top)."""
+        chunk whose cycles are cycles; the entries must lie in [base, top)."""
         codes, steps, peaks = table
         if cycles:
             codes = codes.translate(_code_map({
-                _CYCLE + i: self.cycle_code(rec) for i, rec in enumerate(cycles)
+                _CYCLE + i: self.cycle_code(cycles[odd]) for i, odd in enumerate(sorted(cycles))
             }))
         a = (first - self.base) >> 1
         xs = slice(a, a + len(codes))
@@ -774,8 +725,7 @@ class ChunkResult:
     def merge(self, other: "ChunkResult") -> None:
         """Fold in the result of the seeds that follow this one's."""
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        for key, rec in other.cycles.items():
-            self.cycles.setdefault(key, rec)
+        self.cycles = other.cycles | self.cycles
         self.candidates.extend(other.candidates)
         self.max_excursion_bits = max(self.max_excursion_bits, other.max_excursion_bits)
         self.max_steps_observed = max(self.max_steps_observed, other.max_steps_observed)
@@ -791,7 +741,6 @@ def _fold_table(chunk: ChunkResult, memo: _OrbitMemo, a: int, b: int) -> None:
     ChunkResult.add of each would, in order; the seeds added to the chunk
     so far must include no candidate."""
     kinds = memo.kinds
-    # code 0 holds no result; codes past the kind byte are never written
     for code in range(_STEP_LIMIT, min(_CYCLE + len(memo.cycles), 256)):
         n = kinds.count(code, a, b)
         if not n:
@@ -832,46 +781,33 @@ _WORD_MAX_MODULUS = 2 * _MEMO_MAX_SEEDS
 
 @cache
 def _descent_words(q: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int, int, int], ...]], ...]:
-    """The descent words of q, as (K, b, levels), sorted by K.
-
-    A word is a valuation sequence k_1..k_d, d at most _WORD_MAX_ODD_STEPS,
-    whose prefixes climb (q^i > 2^K_i for i < d, K_i = k_1 + ... + k_i) and
-    whose whole descends (q^d < 2^K, K = K_d); 2^(K+1) is at most
-    _WORD_MAX_MODULUS.  The odd x whose first d odd steps have exactly these
-    valuations are x = b mod 2^(K+1) (Terras 1976, Everett 1977): b is
-    built backwards in the 2-adics, from u_d = 1 mod 2 through
-    u_(i-1) = (2^k_i * u_i - 1) / q.  The i-th odd value after such an x is
-    u_i = (q^i*x + c_i) >> K_i, with c_0 = 0 and c_i = q*c_(i-1) + 2^K_(i-1),
-    so it grows by q^i * 2^(K+1-K_i) from one seed of the class to the next.
-    levels holds, for i = 0..d, (q^i, c_i, K_i, q^i * 2^(K-K_i), the steps
-    from u_i to u_d): the last two are u_i's stride in table entries and
-    the sum of k_l + 1 for l > i.
-    """
-    words = []
-
-    def extend(word: tuple[int, ...], K: int, qd: int) -> None:
-        for k in count(1):
-            if 2 << (K + k) > _WORD_MAX_MODULUS:
-                return
-            if q * qd < 1 << (K + k):
-                words.append(word + (k,))
-            elif len(word) + 1 < _WORD_MAX_ODD_STEPS:
-                extend(word + (k,), K + k, q * qd)  # q^i is odd, so it never equals 2^K_i
-
-    extend((), 0, 1)
+    """The descent words of q of at most _WORD_MAX_ODD_STEPS odd steps and
+    with 2^(K+1) at most _WORD_MAX_MODULUS, as (K, b, levels), sorted by K:
+    b is the word's class mod 2^(K+1), and levels holds, for i = 0..d,
+    (q^i, c_i, K_i, q^i * 2^(K-K_i), the steps from u_i to u_d), the last
+    two being u_i's stride in table entries and the sum of k_l + 1 for
+    l > i.  The module docstring, "Descent fill", defines the words, c_i and
+    u_i, and says why b is the class."""
     table = []
-    for word in words:
-        K = sum(word)
-        b, e = 1, 1
-        for k in reversed(word):
-            e += k
-            b = (((b << k) - 1) * pow(q, -1, 1 << e)) % (1 << e)
-        levels, qi, ci, Ki = [], 1, 0, 0
-        for i in range(len(word) + 1):
-            levels.append((qi, ci, Ki, qi << (K - Ki), sum(word[i:]) + len(word) - i))
-            if i < len(word):
-                qi, ci, Ki = q * qi, q * ci + (1 << Ki), Ki + word[i]
-        table.append((K, b, tuple(levels)))
+
+    def extend(prefix: list[tuple[int, int, int]]) -> None:
+        # prefix holds the (q^i, c_i, K_i) of a climbing word and its prefixes
+        qi, ci, Ki = prefix[-1]
+        for K in count(Ki + 1):
+            if 2 << K > _WORD_MAX_MODULUS:
+                return
+            word = [*prefix, (q * qi, q * ci + (1 << Ki), K)]
+            if q * qi < 1 << K:  # q^i is odd, so it never equals 2^K_i
+                d, (qd, cd, _) = len(word) - 1, word[-1]
+                # u_d = (q^d*x + c_d) >> K is odd: q^d*x + c_d = 2^K mod 2^(K+1)
+                b = ((1 << K) - cd) * pow(qd, -1, 2 << K) % (2 << K)
+                levels = ((qj, cj, Kj, qj << (K - Kj), K - Kj + d - j)
+                          for j, (qj, cj, Kj) in enumerate(word))
+                table.append((K, b, tuple(levels)))
+            elif len(word) <= _WORD_MAX_ODD_STEPS:
+                extend(word)
+
+    extend([(1, 0, 0)])
     table.sort(key=lambda w: w[0])
     return tuple(table)
 
@@ -879,10 +815,10 @@ def _descent_words(q: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int, i
 def _descent_fill(memo: _OrbitMemo, x0: int) -> int:
     """Fill the entries of the seeds of the block from x0 that fall below
     x0 within _WORD_MAX_ODD_STEPS odd steps, and those of their climbing
-    values below top, from the entries where they land, one class of
-    _descent_words at a time; returns the block's end, at most top.  The
-    module docstring says which classes are left to the walks and why each
-    entry written is its value's own result."""
+    values below top, from the entries where they land; returns the block's
+    end, at most top.  The module docstring, "Descent fill", says which
+    classes are left to the walks and why each entry written is its value's
+    own result."""
     q, top = memo.rule.multiplier, memo.top
     kmin = q.bit_length()  # the least k with 2^k > q, so that u < x
     # past the largest odd x with (q*x + 1) >> kmin below x0
@@ -948,11 +884,10 @@ def _descent_fill(memo: _OrbitMemo, x0: int) -> int:
 
 def _scan_chunk(index: int, lo: int, hi: int, memo: _OrbitMemo | None = None) -> ChunkResult:
     """Fold the chunk lo..hi of the scan that memo belongs to, reading and
-    filling it; without one, the memo of the pool worker this runs in.  The
-    module docstring says which seeds are filled from the entries where
-    they land, which are walked, which are folded from the table and which go
-    through ChunkResult.add.  On a checkpointed scan's memo, a chunk with
-    seeds below the memo's top keeps their entries as its table."""
+    filling it; without one, the memo of the pool worker this runs in.  On
+    a checkpointed scan's memo, a chunk with seeds below the memo's top
+    keeps their entries as its table.  The module docstring, "Fold", says
+    which seeds are walked, which are folded from the table and why."""
     memo = memo or _worker_memo
     walk = _walker(memo)
     chunk = ChunkResult(index)

@@ -47,18 +47,54 @@ def odd_ancestors(x: int, rule: Rule, max_doublings: int) -> list[AncestorEntry]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AncestorNode:
     """A node of the bounded ancestor tree.
 
     trivial_governor marks whether the node's governor index belongs to the
-    rule's trivial index set.
+    rule's trivial index set.  ==, hash and repr go through preorder, so
+    they take a tree of any depth; == and repr give what the dataclass would
+    generate.
     """
 
     value: int
     governor_index: int
     trivial_governor: bool
     children: tuple["AncestorNode", ...]
+
+    def preorder(self) -> Iterator[tuple[int, AncestorNode | None, AncestorNode]]:
+        """(depth, parent, node) for each node of the tree in preorder, the
+        root at depth 0 with parent None; a loop, not recursion, walks it."""
+        stack = [(0, None, self)]
+        while stack:
+            depth, parent, node = item = stack.pop()
+            yield item
+            stack += ((depth + 1, node, child) for child in reversed(node.children))
+
+    def _key(self) -> tuple:
+        """Each node's fields and number of children in preorder, which only
+        equal trees share."""
+        return tuple((n.value, n.governor_index, n.trivial_governor, len(n.children))
+                     for *_, n in self.preorder())
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        parts, closers = [], []  # the text that closes each node not yet closed
+        for depth, _, node in self.preorder():
+            if depth < len(closers):  # node follows a sibling's subtree
+                parts += [*reversed(closers[depth:]), ", "]
+                del closers[depth:]
+            parts.append(
+                f"{node.__class__.__qualname__}(value={node.value!r}, governor_index="
+                f"{node.governor_index!r}, trivial_governor={node.trivial_governor!r}, children=("
+            )
+            closers.append(",))" if len(node.children) == 1 else "))")  # a 1-tuple's comma
+        return "".join(parts + closers[::-1])
 
 
 def ancestor_tree(x: int, rule: Rule, depth: int, max_doublings: int) -> AncestorNode:
@@ -68,7 +104,7 @@ def ancestor_tree(x: int, rule: Rule, depth: int, max_doublings: int) -> Ancesto
     descendant one odd step away, so two parents cannot share a child), but
     a value may legitimately recur at different depths; no cross-level
     pruning is applied.  The tree is built with an explicit stack, not
-    recursion, so any depth fits; == and repr of a deep tree still recurse.
+    recursion, so any depth fits.
     """
     require(depth, "ancestor_tree depth")
 
@@ -129,8 +165,9 @@ def solve_ancestor_conditions(
     are 7, 3 and 1 times 2^i, so for each mu the only candidate is
     i = v2(lhs) with odd part lhs >> i in {1, 3, 7}.
 
-    No solution has mu > max(d, 2), where d = v2(q - 1), so the search stops
-    there and the result is complete for any mu_max.  Write q - 1 = 2^d * r
+    No solution has mu > max(d, 2), where d = v2(q - 1) = rule.descent_delta,
+    so the search stops there and the result is complete for any mu_max.
+    Write q - 1 = 2^d * r
     with r odd.  For mu > d, lhs = 2^d * (q * 2^(mu-d) - r) with the bracket
     odd, so i = d, and the odd part is at most 7 only if
     2^mu <= (7 + r) * 2^d / q = 7 * 2^d / q + (q - 1) / q < 7 + 1, since
@@ -139,7 +176,7 @@ def solve_ancestor_conditions(
     require(mu_max, "solve_ancestor_conditions mu_max")
     require(i_max, "solve_ancestor_conditions i_max")
     out: list[ConditionSolution] = []
-    for mu in range(1, min(mu_max, max(v2(rule.multiplier - 1), 2)) + 1):
+    for mu in range(1, min(mu_max, max(rule.descent_delta, 2)) + 1):
         lhs = rule.step((1 << mu) - 1)
         i = v2(lhs)
         term_count = _TERM_COUNT.get(lhs >> i)

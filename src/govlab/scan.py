@@ -7,40 +7,70 @@ with cycles._scan_chunk, and merges the chunk results in index order, so
 the report does not depend on the worker count or on checkpoint
 interruptions.  The chunks left to run go through one runner: in this
 process when one is left, else in a pool of min(workers, chunks left, CPU
-count) processes fed lazily, each with one orbit memo for the scan.  The
-memo holds the scan's first 2^20 seeds and, when every odd value below
-them fits its 2^20 entries, the values below the first seed too, so a scan
-that starts above 1 also ends walks on those (cycles says why that is
-exact).
+count) processes fed lazily, each with one orbit memo for the scan (the
+cycles module docstring, "Orbit memo").
 
-A checkpoint (format CHECKPOINT_VERSION) is a header line, the scan's
-identity, then one line per completed chunk, each a sort_keys json.dumps.
-A report and a header name the rule by Rule.name, its multiplier alone,
-so only a scan of rule_for's rule for its multiplier is checkpointed.
-A fresh checkpointed scan writes the header atomically (a .tmp file and
-os.replace); a resumed one keeps the file as it is, so the lines of a file a
-pool wrote stay in the order its chunks finished.  Either then appends and
-flushes one line per finished chunk, so each chunk is encoded once and a
-resume encodes only the chunks it runs.  On load each line is parsed as it
-is read, so the load never holds the whole file; a last line without its
-newline, a torn append, is dropped, and a resume truncates it off the file
-in place; the chunks are validated against the header's rule, range,
-limits and chunk size, and a chunk that does not fit raises
-CheckpointError.
+This docstring is the one statement of the checkpoint format and its load
+checks.  A checkpoint (format CHECKPOINT_VERSION) is one sort_keys
+json.dumps per line: a header line, ScanState.to_doc(), which names the
+scan's rule by its multiplier and gives its range, limits and chunk size,
+then one line per completed chunk, _chunk_doc.  A report and a header name
+the rule by Rule.name, its multiplier alone, so only a scan of rule_for's
+rule for its multiplier is checkpointed.  A fresh checkpointed scan writes
+the header atomically (a .tmp file and os.replace); a resumed one keeps the
+file as it is, so the lines of a file a pool wrote stay in the order its
+chunks finished.  Either then appends and flushes one line per finished
+chunk, so each chunk is encoded once and a resume encodes only the chunks
+it runs.  With one worker the chunks finish in index order, so a fresh
+scan's file has the bytes of checkpoint_save of its final state.
 
 The line of a chunk with seeds below the orbit table's top also carries
 their table entries under "table": "codes", "steps" and "peaks", each the
 base64 of a little-endian array, of widths that entry_typecodes gives for
 the header's rule and limits and the table's last seed (1, 4 and 2 bytes,
-or 8 for a wider bound), with the cycle codes numbered by the line's own
-sorted "cycles".  The load checks a table against its line's counts,
-candidates and maxima, and a resume restores every loaded table into the
-orbit memo of each process that runs its chunks before the first chunk
-runs (cycles says why a restored entry is its value's own result, and what
-trust that takes).  Only a checkpointed scan copies the entries out, and
-each chunk drops its copy once its line is written.  A line without a
-table, from a file written before tables or of a chunk from the top on,
-restores nothing.
+or 8 for a wider bound), so a file reads the same whatever process or byte
+order wrote it.  A cycle code names the cycle at its position in the line's
+own sorted "cycles"; code 0 is a seed the table does not hold, a cycle
+member or a seed whose cycle code passes the kind byte.  That is about 9.3
+bytes a seed.  A resume restores every loaded table into the orbit memo of
+each process that runs its chunks before the first chunk runs (the cycles
+module docstring, "Restored tables").  Only a checkpointed scan copies the
+entries out, and each chunk drops its copy once its line is written.  A
+line without a table, from a file written before tables or of a chunk from
+the top on, restores nothing.
+
+One pass, _read_checkpoint, reads a file for checkpoint_load and for a
+resume: it decodes and parses each line as it reads it, so it never holds
+the whole file.  A last line without its newline, a torn append, is
+dropped, never merged, and a resume truncates it off on the handle it read
+the file with.  The load checks, each failure a CheckpointError:
+
+* the header: format version 2 (a format-1 file, one indented document
+  with a "chunks" list, fails, as does an empty file or one without a
+  complete header line), its kind, and a "rule" that is its
+  "multiplier"'s name;
+* every line: UTF-8 and JSON; integer fields (multiplier, limits, chunk
+  size, chunk indices, counts and maxima) JSON integers, not floats,
+  booleans or strings, and decimal fields (range bounds, candidates, cycle
+  members) JSON strings in numerics.int_to_decimal's canonical form, so
+  "+7", " 7", "007", "1_1" and "-0" fail; nothing is truncated or coerced;
+* each chunk (_chunk_from_doc): an index inside the scan that no other chunk
+  has; counts that add up to its seed count; one ascending odd candidate
+  inside the chunk per undecided seed; cycles that close under the rule,
+  each listed once, none trivial, no more than the seeds that entered a
+  cycle and at least one when any did; max_steps_observed at most
+  max_steps, and max_excursion_bits from the bit length of its last seed
+  c_hi to peak_bound(c_hi), as each seed's peak is at least its own length;
+* each table (_table_from_doc): canonical base64 of one entry per seed
+  below the table's top, no code past the line's cycles, class counts and
+  candidates that agree with the line's (a table cut by the top holds at
+  most the line's counts), and maxima at most the line's, equal to them
+  when it holds every seed's result.
+
+A file that fails them, or belongs to another scan, is never merged.  They
+trust the file as far as a line is trusted already: a table that passes
+them but holds a false entry changes the results of other chunks whose
+walks end on it, as a false line changes the report.
 """
 
 from __future__ import annotations
@@ -51,10 +81,10 @@ import sys
 from array import array
 from binascii import a2b_base64, b2a_base64
 from bisect import bisect_left
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress, islice
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .cycles import (
     _CYCLE, _UNDECIDED_MASK, COUNT_KEYS, ChunkResult, Classification, CycleRecord, _init_worker,
@@ -68,7 +98,6 @@ SCHEMA_VERSION = 1  # of the scan report
 CHECKPOINT_VERSION = 2  # of the checkpoint file
 
 DEFAULT_CHUNK_SIZE = 1 << 16  # seeds per chunk
-_TAIL_BLOCK = 1 << 16  # bytes read at a time back from a checkpoint's end
 
 
 def _identity_doc(scan: ScanReport | ScanState) -> dict:
@@ -194,12 +223,13 @@ def _chunk_doc(chunk: ChunkResult) -> dict:
     return doc
 
 
-def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
-    """The chunk result of a _chunk_doc item; each cycle is rebuilt from its
-    members and listed once, and each count and maximum must be an int >= 0."""
-    cycles = [
-        canonical_cycle([decimal_to_int(v) for v in d["all_members"]], rule) for d in doc["cycles"]
-    ]
+def _chunk_from_doc(doc: dict, state: ScanState) -> ChunkResult:
+    """The chunk result of a _chunk_doc item, whose cycles are rebuilt from
+    their members; raises ValueError unless its numbers are ints >= 0 and
+    its index, counts, candidates, cycles and maxima fit its seeds in
+    state's layout."""
+    members = ([decimal_to_int(v) for v in d["all_members"]] for d in doc["cycles"])
+    cycles = [canonical_cycle(m, state.rule) for m in members]
     chunk = ChunkResult(
         index=require(doc["index"], "chunk index", 0),
         counts=[require(doc["counts"][k], f"chunk count {k}", 0) for k in COUNT_KEYS],
@@ -210,103 +240,6 @@ def _chunk_from_doc(doc: dict, rule: Rule) -> ChunkResult:
     )
     if len(chunk.cycles) < len(cycles):
         raise ValueError(f"chunk {int_to_decimal(chunk.index)} lists a cycle twice")
-    return chunk
-
-
-def _line(doc: dict) -> str:
-    """One line of a checkpoint file."""
-    return json.dumps(doc, sort_keys=True) + "\n"
-
-
-def checkpoint_save(state: ScanState, path: str) -> None:
-    """Atomically write the scan state: its header line, then one line per
-    completed chunk in index order."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_line(state.to_doc()))
-        for i in sorted(state.completed):
-            fh.write(_line(_chunk_doc(state.completed[i])))
-    os.replace(tmp, path)
-
-
-def _complete_lines(path: str) -> Iterator[str]:
-    """The lines of a checkpoint file that end in a newline, read one at a
-    time; a read that fails raises CheckpointError."""
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for line in fh:
-                # a line cut short by a kill is the last one, and it is never merged
-                if line.endswith("\n"):
-                    yield line
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-
-
-def _drop_torn_tail(path: str) -> None:
-    """Truncate a checkpoint file in place after its last newline, so that a
-    last line without one, a torn append, is gone; the file is read back
-    from its end one block at a time, never whole."""
-    with open(path, "rb+") as fh:
-        end = at = fh.seek(0, os.SEEK_END)
-        while at:
-            start = max(0, at - _TAIL_BLOCK)
-            fh.seek(start)
-            newline = fh.read(at - start).rfind(b"\n")
-            if newline >= 0:
-                at = start + newline + 1
-                break
-            at = start
-        if at < end:
-            fh.truncate(at)
-
-
-def checkpoint_load(path: str) -> ScanState:
-    """Load a checkpoint, raising CheckpointError on any structural problem,
-    including a file of another format version, a rule name that is not its
-    multiplier's and a chunk that does not fit the checkpoint's own range and
-    chunk size.  A last line without its newline is dropped.  Each chunk
-    line is parsed as it is read, so the load holds one line at a time.
-    """
-    with closing(_complete_lines(path)) as lines:
-        header = next(lines, None)
-        if header is None:
-            raise CheckpointError(f"checkpoint {path} has no complete header line")
-        try:
-            doc = json.loads(header)
-            if require(doc["schema_version"], "checkpoint schema_version") != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"checkpoint schema_version {show(doc['schema_version'])} is not "
-                    f"{CHECKPOINT_VERSION}"
-                )
-            if doc.get("kind") != "govlab-scan-checkpoint":
-                raise CheckpointError(f"{path} is not a scan checkpoint")
-            rule = rule_for(doc["multiplier"])
-            if doc["rule"] != rule.name:
-                raise CheckpointError(
-                    f"checkpoint rule {show(doc['rule'])} is not {rule.name}, its multiplier's"
-                )
-            limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
-            lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
-            state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
-            for line in lines:
-                chunk_doc = json.loads(line)
-                chunk = _chunk_from_doc(chunk_doc, rule)
-                _check_chunk(chunk, state)
-                if "table" in chunk_doc:
-                    chunk.table = _table_from_doc(chunk_doc["table"], chunk, state)
-                if chunk.index in state.completed:
-                    raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
-                state.completed[chunk.index] = chunk
-        # ValueError also covers a line that is not JSON, and an int past the digit cap
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    return state
-
-
-def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
-    """Raise ValueError unless the chunk's index, counts, candidates and
-    cycles fit its seeds in state's layout; _chunk_from_doc has checked that
-    its numbers are not negative."""
     i = chunk.index
     if i >= state.n_chunks:
         raise ValueError(
@@ -349,13 +282,87 @@ def _check_chunk(chunk: ChunkResult, state: ScanState) -> None:
             f"{chunk_name} maxima of {int_to_decimal(steps)} steps and {int_to_decimal(peak)} "
             f"bits are past max_steps or outside {least}..{most} bits"
         )
+    return chunk
+
+
+def _line(doc: dict) -> str:
+    """One line of a checkpoint file."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def checkpoint_save(state: ScanState, path: str) -> None:
+    """Atomically write the scan state: its header line, then one line per
+    completed chunk in index order."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(_line(state.to_doc()))
+        for i in sorted(state.completed):
+            fh.write(_line(_chunk_doc(state.completed[i])))
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(fh: BinaryIO, path: str) -> tuple[ScanState, int]:
+    """The state of the checkpoint path, open in fh from its start, and the
+    byte offset just past its last complete line, in one pass: each line is
+    decoded and parsed as it is read, and a last line without its newline
+    is not parsed.  Raises CheckpointError where the module docstring says,
+    and OSError when a read fails."""
+    state, end = None, 0
+    try:
+        for raw in fh:
+            line = raw.decode("utf-8")
+            if not line.endswith("\n"):
+                break  # a line cut short by a kill is the last one, and it is never merged
+            doc = json.loads(line)
+            if state is None:  # the header
+                version = require(doc["schema_version"], "checkpoint schema_version")
+                if version != CHECKPOINT_VERSION:
+                    raise CheckpointError(
+                        f"checkpoint schema_version {show(version)} is not {CHECKPOINT_VERSION}"
+                    )
+                if doc.get("kind") != "govlab-scan-checkpoint":
+                    raise CheckpointError(f"{path} is not a scan checkpoint")
+                rule = rule_for(doc["multiplier"])
+                if doc["rule"] != rule.name:
+                    raise CheckpointError(
+                        f"checkpoint rule {show(doc['rule'])} is not {rule.name}, its multiplier's"
+                    )
+                limits = OrbitLimits(doc["limits"]["max_steps"], doc["limits"]["max_value_bits"])
+                lo, hi = decimal_to_int(doc["range"]["lo"]), decimal_to_int(doc["range"]["hi"])
+                state = ScanState(rule, lo, hi, limits, doc["chunk_size"], {})
+            else:
+                chunk = _chunk_from_doc(doc, state)
+                if "table" in doc:
+                    chunk.table = _table_from_doc(doc["table"], chunk, state)
+                if chunk.index in state.completed:
+                    raise ValueError(f"chunk {int_to_decimal(chunk.index)} appears twice")
+                state.completed[chunk.index] = chunk
+            end += len(raw)
+    # ValueError also covers a line that is not UTF-8 or not JSON, and an int
+    # past the digit cap
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    if state is None:
+        raise CheckpointError(f"checkpoint {path} has no complete header line")
+    return state, end
+
+
+def checkpoint_load(path: str) -> ScanState:
+    """Load a checkpoint, dropping a last line without its newline; raises
+    CheckpointError when the file fails a load check of the module
+    docstring.  The load holds one line at a time."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, path)[0]
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def _table_from_doc(doc: dict, chunk: ChunkResult, state: ScanState) -> tuple:
     """The (codes, steps, peaks) of a chunk line's "table", which must hold
     one entry per seed of the chunk below the orbit table's top, with codes
     inside the line's cycles, and agree with the chunk's counts, candidates
-    and maxima, which _check_chunk has checked; raises ValueError if not."""
+    and maxima, which _chunk_from_doc has checked; raises ValueError if not."""
     chunk_name = f"chunk {int_to_decimal(chunk.index)}"
     c_lo, c_hi = state.chunk_bounds(chunk.index)
     n = (min(c_hi + 2, _memo_top(state.lo, state.hi)) - c_lo) // 2
@@ -419,7 +426,7 @@ def _run_chunks(tasks: Iterable[tuple], workers: int, scan: tuple) -> Iterator[C
 
     scan is the (lo, hi, rule, limits) of the scan the chunks belong to, and
     for a checkpointed scan the list of the loaded tables, each (first seed,
-    sorted cycles, table) of a completed chunk; each process that runs
+    cycles, table) of a completed chunk; each process that runs
     chunks builds one orbit memo for it, with those tables restored, which
     every chunk it runs reads and fills, and on which each chunk keeps its
     own table.  Workers are capped at the CPU count.  One worker runs the
@@ -465,13 +472,11 @@ def scan_range(
     """Classify every odd seed in [lo, hi] and fold the results into a report.
 
     Chunks are computed in this process, or in a pool of up to `workers`
-    processes when more than one chunk is left to run, each process with one
-    orbit memo for the scan, and merged in index order; the report bytes do
-    not depend on the worker count.  With checkpoint_path set, a matching
-    existing checkpoint is resumed and kept as it is, less a torn last
-    line, and each chunk that finishes is appended to it as one line, with
-    its seeds' table entries; the loaded entries are restored into the
-    orbit memo before the first chunk left runs.
+    processes when more than one chunk is left to run, and merged in index
+    order; the report bytes do not depend on the worker count.  With
+    checkpoint_path set, a matching existing checkpoint is resumed, and
+    each chunk that finishes is appended to it, as the module docstring
+    says; a checkpoint of another scan raises CheckpointError.
     """
     require(workers, "scan_range workers")
     state = ScanState(rule, lo, hi, limits, chunk_size, {})
@@ -479,25 +484,28 @@ def scan_range(
         if rule not in RULES.values():  # checkpoint_load reads only rule_for's rules
             cycle = ", ".join(map(int_to_decimal, rule.trivial_cycle))
             raise ValueError(f"a checkpoint cannot hold {rule.name} with trivial cycle ({cycle})")
-        if os.path.exists(checkpoint_path):
-            loaded = checkpoint_load(checkpoint_path)
-            if replace(loaded, completed={}) != state:
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_path} was written by a different scan "
-                    f"(rule/range/limits/chunk_size mismatch)"
-                )
+        try:
+            with open(checkpoint_path, "rb+") as fh:  # read once, then cut after its last newline
+                loaded, end = _read_checkpoint(fh, checkpoint_path)
+                if replace(loaded, completed={}) != state:
+                    raise CheckpointError(
+                        f"checkpoint {checkpoint_path} was written by a different scan "
+                        f"(rule/range/limits/chunk_size mismatch)"
+                    )
+                if fh.seek(0, os.SEEK_END) > end:  # a torn last line
+                    fh.truncate(end)
             state = loaded
-            _drop_torn_tail(checkpoint_path)
-        else:
+        except FileNotFoundError:
             checkpoint_save(state, checkpoint_path)  # the header of a fresh scan
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint {checkpoint_path}: {exc}") from exc
 
     # the loaded tables, which the orbit memo restores before the first
     # chunk runs; a chunk keeps its own only until its line is written
     tables = []
     for i, chunk in state.completed.items():
         if chunk.table is not None:
-            sorted_cycles = [chunk.cycles[k] for k in sorted(chunk.cycles)]
-            tables.append((state.chunk_bounds(i)[0], sorted_cycles, chunk.table))
+            tables.append((state.chunk_bounds(i)[0], chunk.cycles, chunk.table))
             chunk.table = None
     tasks = (
         (i, *state.chunk_bounds(i)) for i in range(state.n_chunks) if i not in state.completed

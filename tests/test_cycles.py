@@ -1827,6 +1827,32 @@ for text in (report.to_json(), saved):
         assert (code, out) == (cli.EXIT_OK, scan_range(*VALIDATION_SCAN).to_json())
         assert path.read_text(encoding="utf-8") == whole
 
+    def test_torn_last_line_longer_than_64_kib_is_cut_at_the_last_newline(self, tmp_path):
+        # a line of 8192 seeds' table entries is over 2^16 bytes long
+        args = (1, (1 << 16) - 1, RULE_3Z, SCAN_LIMITS)
+        path = tmp_path / "ckpt.json"
+        scan_range(*args, chunk_size=8192, checkpoint_path=str(path))
+        whole = path.read_bytes()
+        *kept, last = whole.splitlines(keepends=True)
+        torn = last[:-10]
+        assert len(torn) > 1 << 16
+        path.write_bytes(b"".join(kept) + torn)
+        report = scan_range(*args, chunk_size=8192, checkpoint_path=str(path))
+        assert report.to_json() == scan_range(*args).to_json()
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("where", ["header", "chunk line", "torn last line"])
+    def test_line_not_utf8_exits_3(self, tmp_path, capsys, where):
+        path = tmp_path / "ckpt.json"
+        scan_range(*VALIDATION_SCAN, chunk_size=128, checkpoint_path=str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = {"header": 0, "chunk line": 2, "torn last line": -1}[where]
+        lines[at] = lines[at].replace(b'"', b'"\xff', 1)
+        if where == "torn last line":
+            lines[-1] = lines[-1][:-1]
+        path.write_bytes(b"".join(lines))
+        _rejected_everywhere(path, capsys, "corrupt checkpoint")
+
     @pytest.mark.parametrize(
         "form", ["empty", "v1", "v1-one-line", "torn-header", "header-not-json"]
     )
@@ -2026,7 +2052,6 @@ class TestCheckpointWriter:
         # them where they are, truncates a torn last line in place, and
         # appends the chunks it runs after them
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(scan, "_TAIL_BLOCK", 16)  # the torn line spans several blocks
         path = tmp_path / "ckpt.json"
         scan_range(*VALIDATION_SCAN, chunk_size=64, checkpoint_path=str(path))
         header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,15 +94,45 @@ class TestAncestorTree:
         assert tree.children == ()
 
     def test_chain_deeper_than_the_recursion_limit(self):
-        # walked with a loop: == and repr of so deep a tree recurse
-        node = ancestor_tree(1, RULE_3Z, 3000, 2)
-        length = 1
+        tree = ancestor_tree(1, RULE_3Z, 3000, 2)
+        node, length = tree, 1
         while node.children:
             assert len(node.children) == 1
             assert (node.value, node.governor_index, node.trivial_governor) == (1, 1, True)
             node = node.children[0]
             length += 1
         assert (length, node.value) == (3001, 1)
+        # ==, hash and repr walk the 3001 nodes with a loop
+        other = ancestor_tree(1, RULE_3Z, 3000, 2)
+        assert tree == other and tree is not other and hash(tree) == hash(other)
+        assert tree != ancestor_tree(1, RULE_3Z, 2999, 2)
+        text = repr(tree)
+        assert text.count("AncestorNode(") == 3001 and text.endswith("children=())" + ",))" * 3000)
+
+    @pytest.mark.parametrize("x, rule, depth, doublings", [
+        (1, RULE_3Z, 3, 6), (13, RULE_5Z, 2, 8), (7, RULE_3Z, 2, 8), (21, RULE_3Z, 3, 16),
+    ])
+    def test_eq_and_repr_match_the_generated_dataclass(self, x, rule, depth, doublings):
+        @dataclasses.dataclass(frozen=True)
+        class AncestorNode:  # the fields of genealogy.AncestorNode, with generated methods
+            value: int
+            governor_index: int
+            trivial_governor: bool
+            children: tuple
+
+        AncestorNode.__qualname__ = "AncestorNode"  # as the generated repr names it
+
+        def generated(node):
+            return AncestorNode(node.value, node.governor_index, node.trivial_governor,
+                                tuple(map(generated, node.children)))
+
+        tree = ancestor_tree(x, rule, depth, doublings)
+        assert repr(tree) == repr(generated(tree))
+        for other in (ancestor_tree(x, rule, depth, doublings), ancestor_tree(x, rule, depth - 1,
+                      doublings), ancestor_tree(x + 2, rule, depth, doublings)):
+            assert (tree == other) == (generated(tree) == generated(other))
+            assert tree != other or hash(tree) == hash(other)
+        assert tree != generated(tree) and tree.__eq__(0) is NotImplemented
 
     @given(odd_values, rules, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)
